@@ -20,7 +20,6 @@ from chronolint.detectors import (
     detect_out_of_order_parents,
     detect_tool_signatures,
     detect_verified_mismatch,
-    intersect_anomalies,
     is_merge_message,
     signature_name,
 )
@@ -29,7 +28,6 @@ from chronolint.forge import (
     MetadataSource,
     VerificationOutcome,
     VerificationStatus,
-    fetch_commit_metadata,
     load_sources,
     verify_anomalies,
 )
@@ -44,15 +42,11 @@ from chronolint.graph import (
     CommitGraph,
     CycleDetected,
     build_graph,
-    parent_deltas,
     topological_order,
 )
 from chronolint.ingest import (
-    Changeset,
     DedupReport,
-    FileChange,
     ParseResult,
-    coalesce_changesets,
     deduplicate,
     parse_commit_stream,
 )
@@ -84,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Anomaly",
     "AnomalyKind",
-    "Changeset",
     "CommitGraph",
     "CommitRecord",
     "CycleDetected",
@@ -94,7 +87,6 @@ __all__ = [
     "DeltaHistogram",
     "DeltaStats",
     "DetectorConfig",
-    "FileChange",
     "FilterPolicy",
     "ForgeClient",
     "MetadataSource",
@@ -110,7 +102,6 @@ __all__ = [
     "apply_policy",
     "build_graph",
     "canonical_repo_id",
-    "coalesce_changesets",
     "deduplicate",
     "delta_histogram",
     "delta_statistics",
@@ -120,14 +111,11 @@ __all__ = [
     "detect_out_of_order_parents",
     "detect_tool_signatures",
     "detect_verified_mismatch",
-    "fetch_commit_metadata",
     "format_utc",
-    "intersect_anomalies",
     "is_merge_message",
     "load_policies",
     "load_sources",
     "normalize_timestamp",
-    "parent_deltas",
     "parse_commit_stream",
     "parse_utc",
     "signature_name",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .model import NO_NAME, Anomaly, AnomalyKind, canonical_repo_id
+from .model import NO_NAME, Anomaly, AnomalyKind
 
 log = logging.getLogger(__name__)
 
@@ -158,7 +157,8 @@ def delta_histogram(deltas) -> DeltaHistogram:
     """Count deltas into the fixed eleven-bucket geometry."""
     arr = _as_delta_array(deltas)
     bounds = np.array(HISTOGRAM_BOUNDS, dtype=np.int64)
-    counts = kernels.bucket_counts(arr, bounds)
+    idx = np.searchsorted(bounds, arr, side="left")
+    counts = np.bincount(idx, minlength=bounds.shape[0] + 1)
     buckets = tuple(
         (int(bound), int(count)) for bound, count in zip(HISTOGRAM_BOUNDS, counts[:-1])
     ) + ((None, int(counts[-1])),)
@@ -273,10 +273,3 @@ def top_projects(anomalies, k: int = 20) -> list[tuple[str, int]]:
         key=lambda item: (-item[1], item[0]),
     )
     return ranked[:k]
-
-
-def intersect_projects(a, b) -> set[str]:
-    """Repo ids present in both sets, compared in canonical form."""
-    canon_a = {canonical_repo_id(r) for r in a}
-    canon_b = {canonical_repo_id(r) for r in b}
-    return canon_a & canon_b

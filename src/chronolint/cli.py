@@ -38,7 +38,7 @@ from .detectors import (
 )
 from .filters import FilterPolicy, apply_policies, load_policies, policy_from_dict
 from .forge import load_sources, verify_anomalies
-from .graph import CycleDetected, build_graph
+from .graph import CycleDetected, build_graph, group_by_repo
 from .ingest import deduplicate, parse_commit_stream
 from .model import (
     Anomaly,
@@ -292,9 +292,7 @@ def run_scan(records, cfg: DetectorConfig, enabled=DETECTOR_NAMES, workers: int 
     when ``workers`` allows — and merged in a fixed order.
     """
     records, dedup = deduplicate(records)
-    groups: dict[str, list[CommitRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.repo_id, []).append(rec)
+    groups = group_by_repo(records)
     repo_ids = sorted(groups)
 
     if workers > 1 and len(repo_ids) > 1:
@@ -403,8 +401,9 @@ def cmd_filter(args) -> int:
         raise CommandError(f"bad policy file: {exc}") from exc
     cfg = _detector_config(args)
     records = _read_records(args.inputs, args.format, args.repo)
+    unique, dedup = deduplicate(records)
     try:
-        retained, ledgers = apply_policies(records, policies, cfg)
+        retained, ledgers = apply_policies(unique, policies, cfg)
     except (CycleDetected, ValueError) as exc:
         raise CommandError(str(exc)) from exc
 
@@ -420,6 +419,7 @@ def cmd_filter(args) -> int:
         "generated_at": _now_utc(),
         "config": run.to_dict(),
         "input_records": len(records),
+        "dedup": _dedup_to_object(dedup),
         "output_records": len(retained),
         "ledgers": [ledger.to_dict() for ledger in ledgers],
     }

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .model import Anomaly, AnomalyKind, CommitRecord, Timestamp, format_utc
 
 log = logging.getLogger(__name__)
@@ -130,10 +129,12 @@ def detect_out_of_order_linear(
         [r.date(cfg.date_field).epoch_seconds for r in ordered], dtype=np.int64
     )
     merge_mask = np.array([is_merge_message(r.message) for r in ordered], dtype=np.bool_)
-    flags = kernels.linear_out_of_order_mask(epochs, merge_mask, cfg.exclude_merges)
+    drop = epochs[1:] < epochs[:-1]
+    if cfg.exclude_merges:
+        drop &= ~(merge_mask[1:] | merge_mask[:-1])
 
     out = []
-    for i in np.flatnonzero(flags).tolist():
+    for i in (np.flatnonzero(drop) + 1).tolist():
         rec, prev = ordered[i], ordered[i - 1]
         delta = int(epochs[i - 1] - epochs[i])
         out.append(
@@ -186,11 +187,11 @@ def detect_out_of_order_parents(graph, cfg: DetectorConfig) -> list[Anomaly]:
     if not child_rows:
         return []
 
-    max_delta = kernels.max_parent_delta(
-        np.array(child_rows, dtype=np.int64),
-        np.array(delta_rows, dtype=np.int64),
-        len(hashes),
-    )
+    child_idx = np.array(child_rows, dtype=np.int64)
+    deltas = np.array(delta_rows, dtype=np.int64)
+    pos = deltas > 0
+    max_delta = np.zeros(len(hashes), dtype=np.int64)
+    np.maximum.at(max_delta, child_idx[pos], deltas[pos])
 
     out = []
     for i in np.flatnonzero(max_delta > 0).tolist():
@@ -297,8 +298,3 @@ def detect_verified_mismatch(graph) -> list[Anomaly]:
                     )
                 )
     return out
-
-
-def intersect_anomalies(a: list[Anomaly], b: list[Anomaly]) -> list[str]:
-    """Hashes flagged in both lists, unique and sorted."""
-    return sorted({x.commit_hash for x in a} & {y.commit_hash for y in b})

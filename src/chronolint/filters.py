@@ -17,8 +17,8 @@ import logging
 from dataclasses import dataclass
 
 from .detectors import DetectorConfig, detect_out_of_order_parents
-from .graph import build_graph
-from .model import CommitRecord, Timestamp, canonical_repo_id, parse_utc
+from .graph import build_graph, group_by_repo
+from .model import Timestamp, canonical_repo_id, parse_utc
 
 log = logging.getLogger(__name__)
 
@@ -130,13 +130,6 @@ def repo_star_table(records) -> list[tuple[str, int]]:
     return sorted(stars.items())
 
 
-def _group_by_repo(records):
-    groups: dict[str, list[CommitRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.repo_id, []).append(rec)
-    return groups
-
-
 # ---- Filters ----
 
 
@@ -167,24 +160,19 @@ def filter_blocklist(records, blocklist):
     )
 
 
-def filter_out_of_order(records, scope: str = "commit", cfg: DetectorConfig | None = None,
-                        graph=None):
+def filter_out_of_order(records, scope: str = "commit", cfg: DetectorConfig | None = None):
     """Drop out-of-order commits, or whole projects containing any.
 
     Anomalies are recomputed here rather than taken on trust, so the
-    operation is self-contained. Pass ``graph`` to reuse one already
-    built for a single-repo record list; otherwise per-repo graphs are
-    built internally and records may span repositories.
+    operation is self-contained. One graph is built per repository, so
+    records may span repositories.
     """
     cfg = cfg or DetectorConfig()
     policy = FilterPolicy(kind="DropOutOfOrder", scope=scope)
 
-    if graph is not None:
-        anomalies = detect_out_of_order_parents(graph, cfg)
-    else:
-        anomalies = []
-        for group in _group_by_repo(records).values():
-            anomalies.extend(detect_out_of_order_parents(build_graph(group), cfg))
+    anomalies = []
+    for group in group_by_repo(records).values():
+        anomalies.extend(detect_out_of_order_parents(build_graph(group), cfg))
 
     if scope == "commit":
         flagged = {a.commit_hash for a in anomalies}

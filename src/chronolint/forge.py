@@ -343,11 +343,7 @@ class ForgeClient:
         return confirmed, dropped, accounting
 
 
-# ---- Functional wrappers and config ----
-
-
-def fetch_commit_metadata(repo_id: str, commit_hash: str, sources, **kwargs):
-    return ForgeClient(sources, **kwargs).fetch_commit_metadata(repo_id, commit_hash)
+# ---- Functional wrapper and config ----
 
 
 def verify_anomalies(anomalies, records, sources, **kwargs):

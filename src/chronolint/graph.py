@@ -1,4 +1,4 @@
-"""Per-repository commit DAG: construction, linearization, edge deltas.
+"""Per-repository commit DAG: grouping, construction, linearization.
 
 The graph is immutable once built. Parent references that point outside
 the record set (shallow exports, pruned history) are tolerated and kept
@@ -47,6 +47,15 @@ class CommitGraph:
 
 
 # ---- Construction ----
+
+
+def group_by_repo(records) -> dict[str, list[CommitRecord]]:
+    """Split records into one list per repository, input order kept within
+    each: the unit :func:`build_graph` accepts."""
+    groups: dict[str, list[CommitRecord]] = {}
+    for rec in records:
+        groups.setdefault(rec.repo_id, []).append(rec)
+    return groups
 
 
 def build_graph(records: list[CommitRecord]) -> CommitGraph:
@@ -157,24 +166,4 @@ def topological_order(graph: CommitGraph) -> list[str]:
             pending[child] -= 1
             if pending[child] == 0:
                 heapq.heappush(heap, key(child))
-    return out
-
-
-# ---- Edge deltas ----
-
-
-def parent_deltas(graph: CommitGraph) -> list[tuple[str, str, int]]:
-    """Per-edge committer-date gaps: parent epoch minus child epoch.
-
-    Negative is the healthy direction (parents are older); a positive
-    delta means the parent was committed *after* its child. Rows are
-    grouped by child hash ascending, parents in recorded order, so the
-    output is stable across input permutations.
-    """
-    out: list[tuple[str, str, int]] = []
-    for child in sorted(graph.edges):
-        child_epoch = graph.nodes[child].committer_date.epoch_seconds
-        for parent in graph.edges[child]:
-            parent_epoch = graph.nodes[parent].committer_date.epoch_seconds
-            out.append((child, parent, parent_epoch - child_epoch))
     return out

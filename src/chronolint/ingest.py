@@ -6,8 +6,7 @@ unit-separator pretty format (see the README for the exact recipe).
 
 Parsing is deliberately lenient: a record that fails to parse is reported
 and skipped, so a single mangled line cannot sink a multi-million-commit
-export. Downstream passes (:func:`deduplicate`,
-:func:`coalesce_changesets`) operate on already-parsed records.
+export. :func:`deduplicate` then runs over the already-parsed records.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import logging
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels
 from .model import CommitRecord, Timestamp, normalize_timestamp
 
 log = logging.getLogger(__name__)
@@ -99,44 +95,6 @@ class DedupReport:
                 f"dedup accounting broken: {self.total_in} in != "
                 f"{self.unique_out} unique + {dropped} dropped"
             )
-
-
-@dataclass(frozen=True)
-class FileChange:
-    """A single-file modification from a per-file VCS (CVS-style) export."""
-
-    repo_id: str
-    path: str
-    author_id: str
-    timestamp: Timestamp
-    log: str = ""
-
-    def __post_init__(self):
-        if not self.path:
-            raise ValueError("file change needs a non-empty path")
-
-
-@dataclass(frozen=True)
-class Changeset:
-    """A group of same-author file changes committed close together in time."""
-
-    repo_id: str
-    author_id: str
-    changes: tuple[FileChange, ...]
-    start: Timestamp
-    end: Timestamp
-
-    def __post_init__(self):
-        object.__setattr__(self, "changes", tuple(self.changes))
-        if not self.changes:
-            raise ValueError("changeset must contain at least one change")
-        if any(c.author_id != self.author_id for c in self.changes):
-            raise ValueError("all changes in a changeset share one author")
-        epochs = [c.timestamp.epoch_seconds for c in self.changes]
-        if epochs != sorted(epochs):
-            raise ValueError("changes must be sorted by timestamp")
-        if self.start.epoch_seconds != epochs[0] or self.end.epoch_seconds != epochs[-1]:
-            raise ValueError("start/end must match first/last change")
 
 
 # ---- Field validators ----
@@ -237,7 +195,9 @@ def _record_from_object(obj) -> CommitRecord:
 def _parse_ndjson(text: str) -> ParseResult:
     records: list[CommitRecord] = []
     malformed: list[MalformedRecord] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    # NDJSON lines end at "\n" only. str.splitlines() would also split on
+    # U+2028, U+0085, \x1c and others, and U+2028 is legal inside a JSON string.
+    for line_number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -369,47 +329,3 @@ def deduplicate(records: list[CommitRecord]) -> tuple[list[CommitRecord], DedupR
         conflicts=tuple(conflicts),
     )
     return order, report
-
-
-def coalesce_changesets(changes: list[FileChange], window_seconds: int = 180) -> list[Changeset]:
-    """Group per-file changes into changesets.
-
-    Changes are sorted by (author, timestamp); a change joins the current
-    changeset of the same author iff the gap to that changeset's last
-    change is at most ``window_seconds``, so a steady drip of closely
-    spaced changes chains into one changeset even when the overall span
-    exceeds the window.
-    """
-    if window_seconds < 0:
-        raise ValueError("window_seconds must be non-negative")
-    if not changes:
-        return []
-    repos = {c.repo_id for c in changes}
-    if len(repos) > 1:
-        raise ValueError(f"changes span {len(repos)} repos; coalesce one repo at a time")
-
-    ordered = sorted(changes, key=lambda c: (c.author_id, c.timestamp.epoch_seconds))
-
-    codes = np.empty(len(ordered), dtype=np.int64)
-    code_of: dict[str, int] = {}
-    for i, ch in enumerate(ordered):
-        codes[i] = code_of.setdefault(ch.author_id, len(code_of))
-    epochs = np.array([c.timestamp.epoch_seconds for c in ordered], dtype=np.int64)
-
-    breaks = kernels.changeset_breaks(codes, epochs, window_seconds)
-    starts = np.flatnonzero(breaks).tolist()
-    starts.append(len(ordered))
-
-    out = []
-    for lo, hi in zip(starts, starts[1:]):
-        group = ordered[lo:hi]
-        out.append(
-            Changeset(
-                repo_id=group[0].repo_id,
-                author_id=group[0].author_id,
-                changes=tuple(group),
-                start=group[0].timestamp,
-                end=group[-1].timestamp,
-            )
-        )
-    return out

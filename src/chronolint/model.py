@@ -169,7 +169,9 @@ def parse_utc(text: str) -> Timestamp:
 
     Accepts ``YYYY-MM-DD HH:MM:SS UTC``, ``YYYY-MM-DDTHH:MM:SS[Z]`` and a
     bare ``YYYY-MM-DD`` (midnight). Offsets other than Z/UTC are rejected:
-    cutoff instants are defined in UTC.
+    cutoff instants are defined in UTC. So are fields out of range, such
+    as month 13, February 30 or second 60, which would otherwise roll
+    over into a different instant.
     """
     s = text.strip()
     if s.endswith(" UTC"):
@@ -191,7 +193,13 @@ def parse_utc(text: str) -> Timestamp:
         if len(hms) != 3:
             raise ValueError(f"unparseable UTC time {text!r}")
         hh, mm, ss = (int(p) for p in hms)
-    epoch = _days_from_civil(year, month, day) * 86400 + hh * 3600 + mm * 60 + ss
+    days = _days_from_civil(year, month, day)
+    if (
+        _civil_from_days(days) != (year, month, day)
+        or not (0 <= hh <= 23 and 0 <= mm <= 59 and 0 <= ss <= 59)
+    ):
+        raise ValueError(f"UTC date {text!r} has a field out of range")
+    epoch = days * 86400 + hh * 3600 + mm * 60 + ss
     return Timestamp(epoch)
 
 

@@ -14,7 +14,6 @@ from chronolint.analytics import (
     EmptyInput,
     delta_histogram,
     delta_statistics,
-    intersect_projects,
     stem_token,
     summarize,
     token_frequency,
@@ -317,24 +316,3 @@ def test_top_projects_counts_and_ties():
 def test_top_projects_prefix_property(pairs, k):
     anomalies = [anomaly(i, repo=repo) for i, repo in pairs]
     assert top_projects(anomalies, k=k) == top_projects(anomalies, k=k + 1)[:k]
-
-
-# ---- project intersection ----
-
-
-def test_disjoint_projects():
-    assert intersect_projects({"a/a"}, {"b/b"}) == set()
-
-
-def test_subset_projects():
-    a = {"x/x", "y/y"}
-    b = {"x/x", "y/y", "z/z"}
-    assert intersect_projects(a, b) == a
-
-
-def test_case_variants_counted_once():
-    a = {"Owner/Repo", "owner/repo", "other/thing.git"}
-    b = {"OWNER/REPO", "Other/Thing"}
-    got = intersect_projects(a, b)
-    assert got == {"owner/repo", "other/thing"}
-    assert len(got) == 2

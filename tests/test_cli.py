@@ -71,6 +71,22 @@ def test_scan_without_snapshot_date_exits_two(tmp_path, capsys):
     assert "--snapshot-date" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--snapshot-date", "2019-13-45"),
+    ("--old-cutoff", "2019-02-30T25:61:61Z"),
+])
+def test_scan_out_of_range_date_exits_two_with_one_line(tmp_path, capsys, flag, value):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    args = ["scan", path, flag, value]
+    if flag != "--snapshot-date":
+        args += ["--snapshot-date", SNAPSHOT]
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "out of range" in err
+
+
 def test_scan_without_snapshot_ok_when_future_disabled(tmp_path, capsys):
     path = write_records(tmp_path / "in.ndjson", clean_records())
     code, _, _ = run(capsys, "scan", path, "--detectors", "old,ooo,signatures,verified")
@@ -248,6 +264,26 @@ def test_filter_output_rescans_cleanly(tmp_path, capsys):
     code, out, _ = run(capsys, "scan", str(out_path), "--snapshot-date", SNAPSHOT)
     assert code == 0
     assert json.loads(out)["summary"]["out_of_order_parent"]["commits"] == 0
+
+
+def test_filter_deduplicates_by_the_scan_rule(tmp_path, capsys):
+    records = clean_records()
+    path = write_records(tmp_path / "in.ndjson", records + records[:1])
+    policies = policy_file(tmp_path, [{"kind": "DropOutOfOrder", "scope": "commit"}])
+    ledger_path = tmp_path / "ledger.json"
+    code, out, _ = run(capsys, "filter", path, "--policy-file", policies,
+                       "--report", str(ledger_path))
+    assert code == 0
+    write_records(tmp_path / "want.ndjson", records)
+    assert out == (tmp_path / "want.ndjson").read_text()
+
+    doc = json.loads(ledger_path.read_text())
+    assert doc["input_records"] == 4
+    assert doc["output_records"] == 3
+    assert doc["ledgers"][0]["removed_commits"] + doc["ledgers"][0]["retained_commits"] == 3
+    _, scan_out, _ = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT)
+    assert doc["dedup"] == json.loads(scan_out)["dataset"]["dedup"]
+    assert doc["dedup"]["duplicate_hashes"] == {hex_hash(0): 2}
 
 
 def test_filter_unknown_policy_kind_exits_two(tmp_path, capsys):

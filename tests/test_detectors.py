@@ -1,5 +1,7 @@
 """Tests for the anomaly detectors."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from chronolint.detectors import (
     detect_out_of_order_parents,
     detect_tool_signatures,
     detect_verified_mismatch,
-    intersect_anomalies,
     is_merge_message,
     signature_name,
 )
@@ -147,6 +148,34 @@ def test_baseline_advances_past_flagged_commit():
 def test_short_sequences_are_clean():
     assert detect_out_of_order_linear([], CFG) == []
     assert detect_out_of_order_linear(seq([5]), CFG) == []
+
+
+def linear_oracle(records, exclude_merges):
+    """Independent step-by-step walk: (hash, delta) of each backward step."""
+    out = []
+    for prev, rec in zip(records, records[1:]):
+        delta = prev.committer_date.epoch_seconds - rec.committer_date.epoch_seconds
+        if exclude_merges and (is_merge_message(prev.message) or is_merge_message(rec.message)):
+            continue
+        if delta > 0:
+            out.append((rec.hash, delta))
+    return out
+
+
+def test_linear_detector_matches_brute_force():
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randrange(0, 40)
+        records = seq(
+            [rng.randrange(-100, 100) for _ in range(n)],
+            ["Merge branch 'x'" if rng.random() < 0.3 else "update" for _ in range(n)],
+        )
+        for exclude in (True, False):
+            cfg = DetectorConfig(future_cutoff=CFG.future_cutoff, exclude_merges=exclude)
+            got = detect_out_of_order_linear(records, cfg)
+            assert [(a.commit_hash, a.delta_seconds) for a in got] == linear_oracle(
+                records, exclude
+            )
 
 
 # ---- Parent out-of-order ----
@@ -356,27 +385,3 @@ def test_ordered_verified_pair_not_flagged():
         make_record(1, parents=[0], committer_epoch=200, verified=True),
     ]
     assert detect_verified_mismatch(build_graph(records)) == []
-
-
-# ---- Intersection ----
-
-
-def test_disjoint_lists_intersect_empty():
-    a = detect_old([make_record(1, committer_epoch=0)], CFG)
-    b = detect_future([make_record(2, committer_epoch=parse_utc("2037-01-01").epoch_seconds)], CFG)
-    assert intersect_anomalies(a, b) == []
-
-
-def test_identical_singletons_intersect():
-    a = detect_old([make_record(1, committer_epoch=0)], CFG)
-    assert intersect_anomalies(a, a) == [hex_hash(1)]
-
-
-def test_partial_overlap_matches_set_oracle():
-    left = [make_record(i, committer_epoch=0) for i in range(10)]
-    right = [make_record(i, committer_epoch=0) for i in (2, 5, 7, 30, 40)]
-    a = detect_old(left, CFG)
-    b = detect_old(right, CFG)
-    expected = sorted({r.hash for r in left} & {r.hash for r in right})
-    assert len(expected) == 3
-    assert intersect_anomalies(a, b) == expected

@@ -195,10 +195,17 @@ def test_project_scope_drops_whole_dirty_repo():
 
 
 def test_prebuilt_graph_gives_same_answer():
-    records = dirty_chain("r", 0)
-    with_graph, _ = filter_out_of_order(records, cfg=CFG, graph=build_graph(records))
-    without, _ = filter_out_of_order(records, cfg=CFG)
-    assert with_graph == without
+    # Records of two repos, interleaved: the filter groups them itself.
+    dirty, clean = dirty_chain("r", 0), clean_chain("s", 10)
+    records = [rec for pair in zip(dirty, clean) for rec in pair]
+    flagged = {
+        a.commit_hash
+        for chain in (dirty, clean)
+        for a in detect_out_of_order_parents(build_graph(chain), CFG)
+    }
+    kept, _ = filter_out_of_order(records, cfg=CFG)
+    assert kept == [r for r in records if r.hash not in flagged]
+    assert flagged == {hex_hash(2)}
 
 
 @st.composite

@@ -13,7 +13,6 @@ from chronolint.forge import (
     ForgeClient,
     MetadataSource,
     VerificationStatus,
-    fetch_commit_metadata,
     load_sources,
     verify_anomalies,
 )
@@ -86,7 +85,7 @@ def forge_url_for(rec):
 def test_stub_fetch_resolves(tmp_path):
     rec = make_record(1, parents=[0], verified=True)
     write_stub(tmp_path / "stub", rec)
-    outcome = fetch_commit_metadata(rec.repo_id, rec.hash, [stub_source(tmp_path)])
+    outcome = ForgeClient([stub_source(tmp_path)]).fetch_commit_metadata(rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE
     assert outcome.parents == (hex_hash(0),)
     assert outcome.committer_date == rec.committer_date.epoch_seconds
@@ -95,7 +94,7 @@ def test_stub_fetch_resolves(tmp_path):
 
 def test_stub_miss_is_unverifiable(tmp_path):
     (tmp_path / "stub").mkdir()
-    outcome = fetch_commit_metadata("r", hex_hash(9), [stub_source(tmp_path)])
+    outcome = ForgeClient([stub_source(tmp_path)]).fetch_commit_metadata("r", hex_hash(9))
     assert outcome.status is VerificationStatus.UNVERIFIABLE
     assert outcome.parents is None
 
@@ -108,11 +107,11 @@ def test_cache_hit_preserves_status_and_skips_everything(tmp_path):
         MetadataSource(kind="LocalCache", endpoint=str(cache_file)),
         stub_source(tmp_path),
     ]
-    first = fetch_commit_metadata(rec.repo_id, rec.hash, sources)
+    first = ForgeClient(sources).fetch_commit_metadata(rec.repo_id, rec.hash)
 
     # A fresh client with only the cache must reproduce the original outcome.
     cache_only = [MetadataSource(kind="LocalCache", endpoint=str(cache_file))]
-    second = fetch_commit_metadata(rec.repo_id, rec.hash, cache_only)
+    second = ForgeClient(cache_only).fetch_commit_metadata(rec.repo_id, rec.hash)
     assert second == first
     assert second.status is VerificationStatus.CONFIRMED_ON_FORGE
 
@@ -125,7 +124,8 @@ def test_primary_then_archive_fallback():
         MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL),
         MetadataSource(kind="ArchiveFallback", endpoint=ARCHIVE_URL),
     ]
-    outcome = fetch_commit_metadata(rec.repo_id, rec.hash, sources, transport=transport)
+    client = ForgeClient(sources, transport=transport)
+    outcome = client.fetch_commit_metadata(rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_ARCHIVE
     assert outcome.verified_flag is None  # archives don't know about signatures
     assert transport.calls_to(forge_url_for(rec)) == 1
@@ -134,11 +134,10 @@ def test_primary_then_archive_fallback():
 def test_primary_success_keeps_verified_flag():
     rec = make_record(1, verified=False)
     transport = FakeTransport({forge_url_for(rec): [(200, json.dumps(doc_for(rec)), {})]})
-    outcome = fetch_commit_metadata(
-        rec.repo_id, rec.hash,
+    outcome = ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL)],
         transport=transport,
-    )
+    ).fetch_commit_metadata(rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE
     assert outcome.verified_flag is False
 
@@ -149,7 +148,7 @@ def test_every_source_missing_is_unverifiable():
         MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL),
         MetadataSource(kind="ArchiveFallback", endpoint=ARCHIVE_URL),
     ]
-    outcome = fetch_commit_metadata("r", hex_hash(5), sources, transport=transport)
+    outcome = ForgeClient(sources, transport=transport).fetch_commit_metadata("r", hex_hash(5))
     assert outcome.status is VerificationStatus.UNVERIFIABLE
     assert len(transport.calls) == 2
 
@@ -165,11 +164,10 @@ def test_rate_limit_backs_off_exponentially_then_succeeds():
         ]
     })
     sleeps = []
-    outcome = fetch_commit_metadata(
-        rec.repo_id, rec.hash,
+    outcome = ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL)],
         transport=transport, sleep=sleeps.append,
-    )
+    ).fetch_commit_metadata(rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE
     assert sleeps == [2.0, 4.0]
     assert transport.calls_to(url) == 3
@@ -181,11 +179,10 @@ def test_persistent_rate_limit_gives_up_after_capped_attempts(tmp_path):
     url = forge_url_for(rec)
     transport = FakeTransport({url: [(429, "", {"Retry-After": "1"})]})
     sleeps = []
-    outcome = fetch_commit_metadata(
-        rec.repo_id, rec.hash,
+    outcome = ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL), stub_source(tmp_path)],
         transport=transport, sleep=sleeps.append,
-    )
+    ).fetch_commit_metadata(rec.repo_id, rec.hash)
     assert transport.calls_to(url) == 5
     assert sleeps == [1.0, 2.0, 4.0, 8.0]
     # Budget exhausted on the forge; the stub still answers.
@@ -196,11 +193,10 @@ def test_auth_token_resolved_from_environment(monkeypatch):
     monkeypatch.setenv("TEST_FORGE_TOKEN", "sekrit")
     rec = make_record(1)
     transport = FakeTransport({forge_url_for(rec): [(200, json.dumps(doc_for(rec)), {})]})
-    fetch_commit_metadata(
-        rec.repo_id, rec.hash,
+    ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL, auth="TEST_FORGE_TOKEN")],
         transport=transport,
-    )
+    ).fetch_commit_metadata(rec.repo_id, rec.hash)
     (_, headers), = transport.calls
     assert headers["Authorization"] == "Bearer sekrit"
 
@@ -217,7 +213,8 @@ def test_unusable_documents_fall_through():
         MetadataSource(kind="ArchiveFallback", endpoint=ARCHIVE_URL),
     ]
     # Broken JSON from the forge, wrong hash from the archive: nothing usable.
-    outcome = fetch_commit_metadata(rec.repo_id, rec.hash, sources, transport=transport)
+    client = ForgeClient(sources, transport=transport)
+    outcome = client.fetch_commit_metadata(rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.UNVERIFIABLE
 
 

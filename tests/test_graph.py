@@ -1,4 +1,4 @@
-"""Tests for commit-graph construction, topological order, and edge deltas."""
+"""Tests for repo grouping, commit-graph construction, topological order, and edges."""
 
 import itertools
 
@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronolint.graph import CommitGraph, CycleDetected, build_graph, parent_deltas, topological_order
+from chronolint.graph import (
+    CommitGraph,
+    CycleDetected,
+    build_graph,
+    group_by_repo,
+    topological_order,
+)
 from chronolint.model import CommitRecord, Timestamp
 
 
@@ -102,7 +108,8 @@ def test_empty_input_builds_empty_graph():
     graph = build_graph([])
     assert graph.nodes == {}
     assert topological_order(graph) == []
-    assert parent_deltas(graph) == []
+    assert graph.edges == {}
+    assert graph.edge_count == 0
 
 
 # ---- Topological order ----
@@ -136,17 +143,29 @@ def test_equal_dates_fall_back_to_hash():
     assert topological_order(graph) == [h(0), h(1), h(2), h(3)]
 
 
-# ---- Parent deltas ----
+# ---- Edges ----
+
+
+def edge_deltas(graph):
+    """(child, parent, parent epoch - child epoch) for each resolved edge."""
+    return sorted(
+        (child, parent,
+         graph.nodes[parent].committer_date.epoch_seconds
+         - graph.nodes[child].committer_date.epoch_seconds)
+        for child, parents in graph.edges.items()
+        for parent in parents
+    )
 
 
 def test_parent_newer_gives_positive_delta():
     graph = build_graph([record(0, epoch=200), record(1, [0], epoch=100)])
-    assert parent_deltas(graph) == [(h(1), h(0), 100)]
+    assert graph.edges == {h(0): [], h(1): [h(0)]}
+    assert edge_deltas(graph) == [(h(1), h(0), 100)]
 
 
 def test_equal_dates_give_zero_delta():
     graph = build_graph([record(0, epoch=100), record(1, [0], epoch=100)])
-    assert parent_deltas(graph) == [(h(1), h(0), 0)]
+    assert edge_deltas(graph) == [(h(1), h(0), 0)]
 
 
 def test_anomalous_edge_count():
@@ -166,15 +185,18 @@ def test_anomalous_edge_count():
     )
     assert expected_positive == 2
 
-    deltas = parent_deltas(build_graph(records))
+    graph = build_graph(records)
+    assert graph.edge_count == 5
+    deltas = edge_deltas(graph)
     assert len(deltas) == 5
     assert sum(1 for _, _, d in deltas if d > 0) == expected_positive
 
 
 def test_dangling_edges_excluded_from_deltas():
     graph = build_graph([record(0), record(1, [0, 42])])
-    assert len(parent_deltas(graph)) == 1
-    assert len(graph.dangling_parents) == 1
+    assert graph.edges[h(1)] == [h(0)]
+    assert graph.edge_count == 1
+    assert graph.dangling_parents == [(h(1), h(42))]
 
 
 # ---- Properties over random DAGs ----
@@ -209,7 +231,7 @@ def test_order_is_valid_and_permutation_invariant(records, rng):
     rng.shuffle(shuffled)
     regraph = build_graph(shuffled)
     assert topological_order(regraph) == order
-    assert parent_deltas(regraph) == parent_deltas(graph)
+    assert regraph.edges == graph.edges
 
 
 @given(dag_records(max_nodes=6))
@@ -223,5 +245,16 @@ def test_order_matches_enumeration_oracle(records):
 def test_delta_cardinality(records):
     graph = build_graph(records)
     total_refs = sum(len(r.parents) for r in records)
-    assert len(parent_deltas(graph)) == total_refs - len(graph.dangling_parents)
-    assert len(parent_deltas(graph)) == graph.edge_count
+    assert graph.edge_count == total_refs - len(graph.dangling_parents)
+    assert len(edge_deltas(graph)) == graph.edge_count
+
+
+# ---- Grouping ----
+
+
+def test_group_by_repo_keeps_input_order_within_each_repo():
+    records = [record(0, repo="b"), record(1, repo="a"), record(2, repo="b"), record(3, repo="a")]
+    groups = group_by_repo(records)
+    assert groups == {"b": [records[0], records[2]], "a": [records[1], records[3]]}
+    for group in groups.values():
+        assert build_graph(group).repo_id == group[0].repo_id

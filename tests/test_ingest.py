@@ -1,20 +1,13 @@
-"""Tests for export parsing, deduplication, and changeset coalescence."""
+"""Tests for export parsing and deduplication."""
 
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from chronolint.ingest import (
-    Changeset,
-    DedupReport,
-    FileChange,
-    coalesce_changesets,
-    deduplicate,
-    parse_commit_stream,
-)
+from chronolint.ingest import DedupReport, deduplicate, parse_commit_stream
 from chronolint.model import CommitRecord, Timestamp
 
 
@@ -36,10 +29,6 @@ def ndjson_line(**overrides) -> str:
     return json.dumps(obj)
 
 
-def change(author: str, epoch: int, path: str = "src/main.c", repo: str = "r") -> FileChange:
-    return FileChange(repo_id=repo, path=path, author_id=author, timestamp=Timestamp(epoch))
-
-
 def simple_record(hash_: str, committer_epoch: int = 100) -> CommitRecord:
     return CommitRecord(
         hash=hash_,
@@ -51,24 +40,6 @@ def simple_record(hash_: str, committer_epoch: int = 100) -> CommitRecord:
         committer_id="c",
         message="m",
     )
-
-
-# ---- Independent oracle: pure-python greedy grouping ----
-
-
-def coalesce_oracle(changes, window):
-    """Group by walking the (author, time)-sorted list and chaining on gap."""
-    groups = []
-    for ch in sorted(changes, key=lambda c: (c.author_id, c.timestamp.epoch_seconds)):
-        if (
-            groups
-            and groups[-1][-1].author_id == ch.author_id
-            and ch.timestamp.epoch_seconds - groups[-1][-1].timestamp.epoch_seconds <= window
-        ):
-            groups[-1].append(ch)
-        else:
-            groups.append([ch])
-    return groups
 
 
 # ---- NDJSON parsing ----
@@ -83,6 +54,32 @@ def test_single_ndjson_record():
     assert rec.committer_date.epoch_seconds == 100
     assert rec.verified is None
     assert rec.stars is None
+
+
+# JSON strings may hold U+2028/U+2029/U+0085 raw, but not the control
+# characters \x1c-\x1e: those make their own line malformed, and only it.
+@pytest.mark.parametrize("char, valid", [
+    ("\u2028", True), ("\u2029", True), ("\x85", True),
+    ("\x1c", False), ("\x1d", False), ("\x1e", False),
+])
+def test_ndjson_splits_lines_on_newline_only(char, valid):
+    # json.dumps would escape the character; the line must carry it raw.
+    odd = ndjson_line(hash="b" * 40, message="first@second").replace("@", char)
+    text = "\n".join([
+        ndjson_line(hash="a" * 40) + "\r",  # a CRLF-terminated line
+        odd,
+        ndjson_line(hash="c" * 40),
+        "{broken",
+    ]) + "\n"
+    result = parse_commit_stream(text.encode("utf-8"), "ndjson")
+    hashes = [r.hash for r in result.records]
+    if valid:
+        assert hashes == ["a" * 40, "b" * 40, "c" * 40]
+        assert result.records[1].message == f"first{char}second"
+        assert [m.line_number for m in result.malformed] == [4]
+    else:
+        assert hashes == ["a" * 40, "c" * 40]
+        assert [m.line_number for m in result.malformed] == [2, 4]
 
 
 def test_short_hash_is_malformed():
@@ -289,73 +286,3 @@ def test_dedup_is_idempotent(hash_picks):
     assert report1.total_in == report1.unique_out + sum(
         count - 1 for _, count in report1.duplicate_hashes
     )
-
-
-# ---- Changeset coalescence ----
-
-
-def test_chained_gaps_make_one_changeset():
-    changes = [change("alice", t) for t in (0, 100, 200)]
-    assert coalesce_oracle(changes, 180) == [changes]  # oracle agrees: one group
-    (cs,) = coalesce_changesets(changes, window_seconds=180)
-    assert cs.start.epoch_seconds == 0
-    assert cs.end.epoch_seconds == 200
-    assert len(cs.changes) == 3
-
-
-def test_gap_past_window_splits():
-    changes = [change("alice", 0), change("alice", 181)]
-    out = coalesce_changesets(changes, window_seconds=180)
-    assert len(out) == 2
-
-
-def test_gap_at_window_chains():
-    changes = [change("alice", 0), change("alice", 180)]
-    out = coalesce_changesets(changes, window_seconds=180)
-    assert len(out) == 1
-
-
-def test_two_authors_never_share_a_changeset():
-    changes = [change("alice", 50), change("bob", 50)]
-    out = coalesce_changesets(changes, window_seconds=180)
-    assert len(out) == 2
-    assert {cs.author_id for cs in out} == {"alice", "bob"}
-
-
-def test_mixed_repos_rejected():
-    with pytest.raises(ValueError):
-        coalesce_changesets([change("a", 0, repo="r1"), change("a", 1, repo="r2")])
-
-
-def test_empty_input():
-    assert coalesce_changesets([]) == []
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["ann", "ben", "cho"]), st.integers(0, 2000)),
-        max_size=60,
-    ),
-    st.integers(min_value=0, max_value=400),
-)
-@settings(max_examples=200)
-def test_coalesce_matches_oracle(pairs, window):
-    changes = [change(author, epoch) for author, epoch in pairs]
-    got = coalesce_changesets(changes, window_seconds=window)
-    expected = coalesce_oracle(changes, window)
-    assert [list(cs.changes) for cs in got] == expected
-    # Partition: every input change lands in exactly one changeset.
-    assert sum(len(cs.changes) for cs in got) == len(changes)
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["ann", "ben"]), st.integers(0, 30)),
-        max_size=40,
-    )
-)
-def test_zero_window_only_groups_equal_timestamps(pairs):
-    changes = [change(author, epoch) for author, epoch in pairs]
-    for cs in coalesce_changesets(changes, window_seconds=0):
-        epochs = {c.timestamp.epoch_seconds for c in cs.changes}
-        assert len(epochs) == 1

@@ -3,7 +3,7 @@
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chronolint.model import (
@@ -84,7 +84,9 @@ def test_format_utc_matches_datetime(epoch):
     assert format_utc(Timestamp(epoch)) == _datetime_oracle(epoch)
 
 
-@given(st.integers(min_value=-(2**45), max_value=2**45))
+@given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
+@example(-(2**63))
+@example(2**63 - 1)
 def test_format_parse_roundtrip(epoch):
     assert parse_utc(format_utc(Timestamp(epoch))).epoch_seconds == epoch
 
@@ -98,6 +100,23 @@ def test_parse_utc_iso_forms():
 def test_parse_utc_rejects_garbage():
     with pytest.raises(ValueError):
         parse_utc("next tuesday")
+
+
+@pytest.mark.parametrize("text", [
+    "2019-13-45",
+    "2019-02-30T25:61:61Z",
+    "2019-02-29",
+    "2019-00-10",
+    "2019-04-31",
+    "2019-01-00",
+    "2019-01-01T24:00:00Z",
+    "2019-01-01T00:60:00Z",
+    "2019-01-01T00:00:60Z",
+    "2019-01-01T-1:00:00Z",
+])
+def test_parse_utc_rejects_out_of_range_fields(text):
+    with pytest.raises(ValueError, match="out of range"):
+        parse_utc(text)
 
 
 def test_timestamp_tz_bounds():
