@@ -8,15 +8,12 @@ parallel per repository and merge.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import NO_NAME, Anomaly, AnomalyKind
-
-log = logging.getLogger(__name__)
 
 
 class EmptyInput(Exception):

@@ -20,7 +20,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -284,24 +283,17 @@ def _scan_one_repo(records, cfg: DetectorConfig, enabled) -> list[Anomaly]:
     return found
 
 
-def run_scan(records, cfg: DetectorConfig, enabled=DETECTOR_NAMES, workers: int = 1):
+def run_scan(records, cfg: DetectorConfig, enabled=DETECTOR_NAMES):
     """Dedup, then run the enabled detectors per repository.
 
     Returns (anomalies sorted by repo/commit/kind, deduped records,
-    dedup report). Repositories are scanned independently — in threads
-    when ``workers`` allows — and merged in a fixed order.
+    dedup report).
     """
     records, dedup = deduplicate(records)
-    groups = group_by_repo(records)
-    repo_ids = sorted(groups)
-
-    if workers > 1 and len(repo_ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_repo = list(pool.map(lambda r: _scan_one_repo(groups[r], cfg, enabled), repo_ids))
-    else:
-        per_repo = [_scan_one_repo(groups[r], cfg, enabled) for r in repo_ids]
-
-    anomalies = [a for chunk in per_repo for a in chunk]
+    anomalies = [
+        a for repo in group_by_repo(records).values()
+        for a in _scan_one_repo(repo, cfg, enabled)
+    ]
     anomalies.sort(key=lambda a: (a.repo_id, a.commit_hash, a.kind.value, a.evidence))
     return anomalies, records, dedup
 
@@ -350,7 +342,7 @@ def cmd_scan(args) -> int:
         )
     records = _read_records(args.inputs, args.format, args.repo)
     try:
-        anomalies, records, dedup = run_scan(records, cfg, enabled, workers=args.workers)
+        anomalies, records, dedup = run_scan(records, cfg, enabled)
     except CycleDetected as exc:
         raise CommandError(f"commit graph has a cycle: {' -> '.join(exc.cycle)}") from exc
     except (MissingSnapshotDate, ValueError) as exc:
@@ -516,15 +508,13 @@ def cmd_verify(args) -> int:
         if a.kind in OUT_OF_ORDER_KINDS
     ]
     try:
-        sources, config_workers = load_sources(args.sources)
+        sources, workers = load_sources(args.sources)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         raise CommandError(f"bad sources config: {exc}") from exc
-    workers = args.workers if args.workers else config_workers
-
-    records = _read_records(args.inputs, args.format, args.repo) if args.inputs else []
-    confirmed, dropped, accounting = verify_anomalies(
-        candidates, records, sources, workers=workers
-    )
+    try:
+        confirmed, dropped, accounting = verify_anomalies(candidates, sources, workers=workers)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from exc
 
     total = len(candidates)
     for status in sorted(accounting):
@@ -563,7 +553,7 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snapshot-date", default=None, metavar="ISO8601",
                         help="dataset freeze instant; anything after it is 'future'")
-    parser.add_argument("--old-cutoff", default="1990-11-19T00:00:00Z", metavar="ISO8601",
+    parser.add_argument("--old-cutoff", default=format_utc(DEFAULT_OLD_CUTOFF), metavar="ISO8601",
                         help="dates before this are 'old' (default: %(default)s)")
     parser.add_argument("--date-field", choices=("committer", "author"), default="committer",
                         help="which timestamp to audit (default: %(default)s)")
@@ -585,8 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"comma list from: {', '.join(DETECTOR_NAMES)} (default: all)")
     scan.add_argument("--report", metavar="PATH", help="write the JSON report here (default: stdout)")
     scan.add_argument("--csv-dir", metavar="DIR", help="also write anomalies.csv and summary.csv")
-    scan.add_argument("--workers", type=int, default=1,
-                      help="repositories scanned in parallel (default: %(default)s)")
     scan.set_defaults(func=cmd_scan)
 
     fil = sub.add_parser("filter", help="apply cleaning policies, emit survivors + ledger")
@@ -612,15 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="re-check out-of-order findings against sources")
     verify.add_argument("scan_report", metavar="REPORT", help="report produced by 'scan'")
     verify.add_argument("--sources", required=True, metavar="PATH",
-                        help="JSON config listing metadata sources in priority order")
-    verify.add_argument("--workers", type=int, default=0,
-                        help="concurrent fetches (default: from the sources config)")
+                        help="JSON config listing metadata sources in priority order "
+                             "and the number of concurrent fetches")
     verify.add_argument("--report", metavar="PATH",
                         help="write the verification document here (default: stdout)")
-    verify.add_argument("--inputs", nargs="*", default=[], metavar="PATH",
-                        help="original record export(s), for cross-checking")
-    verify.add_argument("--format", choices=("ndjson", "gitlog"), default="ndjson")
-    verify.add_argument("--repo", default="")
     verify.set_defaults(func=cmd_verify)
 
     return parser

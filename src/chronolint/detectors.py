@@ -10,15 +10,10 @@ one-second resolution, so they are never flagged.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Anomaly, AnomalyKind, CommitRecord, Timestamp, format_utc
-
-log = logging.getLogger(__name__)
 
 # 1990-11-19T00:00:00Z, the CVS 1.0 release. Mainstream version control
 # starts here; a commit dated before it cannot carry an honest clock.
@@ -123,29 +118,24 @@ def detect_out_of_order_linear(
     advances, flagged or not. With ``exclude_merges``, a merge message on
     either side of the step suppresses the flag.
     """
-    if len(ordered) < 2:
-        return []
-    epochs = np.array(
-        [r.date(cfg.date_field).epoch_seconds for r in ordered], dtype=np.int64
-    )
-    merge_mask = np.array([is_merge_message(r.message) for r in ordered], dtype=np.bool_)
-    drop = epochs[1:] < epochs[:-1]
-    if cfg.exclude_merges:
-        drop &= ~(merge_mask[1:] | merge_mask[:-1])
-
+    field = cfg.date_field
     out = []
-    for i in (np.flatnonzero(drop) + 1).tolist():
-        rec, prev = ordered[i], ordered[i - 1]
-        delta = int(epochs[i - 1] - epochs[i])
+    for prev, rec in zip(ordered, ordered[1:]):
+        delta = prev.date(field).epoch_seconds - rec.date(field).epoch_seconds
+        if delta <= 0 or (
+            cfg.exclude_merges
+            and (is_merge_message(prev.message) or is_merge_message(rec.message))
+        ):
+            continue
         out.append(
             Anomaly(
                 kind=AnomalyKind.OUT_OF_ORDER_LINEAR,
                 commit_hash=rec.hash,
                 repo_id=rec.repo_id,
                 evidence=(
-                    f"{cfg.date_field} date {format_utc(rec.date(cfg.date_field))} "
+                    f"{field} date {format_utc(rec.date(field))} "
                     f"precedes previous commit {prev.hash} "
-                    f"({format_utc(prev.date(cfg.date_field))})"
+                    f"({format_utc(prev.date(field))})"
                 ),
                 delta_seconds=delta,
             )
@@ -162,56 +152,33 @@ def detect_out_of_order_parents(graph, cfg: DetectorConfig) -> list[Anomaly]:
     Merge exclusion drops an edge when either endpoint has a merge
     message.
     """
-    hashes = sorted(graph.nodes)
-    if not hashes:
-        return []
-    index_of = {h: i for i, h in enumerate(hashes)}
-    epoch_of = {
-        h: graph.nodes[h].date(cfg.date_field).epoch_seconds for h in hashes
-    }
+    field = cfg.date_field
+    nodes = graph.nodes
 
-    def excluded(child_hash: str, parent_hash: str) -> bool:
-        return cfg.exclude_merges and (
-            is_merge_message(graph.nodes[child_hash].message)
-            or is_merge_message(graph.nodes[parent_hash].message)
-        )
-
-    child_rows: list[int] = []
-    delta_rows: list[int] = []
-    for child in hashes:
-        for parent in graph.edges[child]:
-            if excluded(child, parent):
-                continue
-            child_rows.append(index_of[child])
-            delta_rows.append(epoch_of[parent] - epoch_of[child])
-    if not child_rows:
-        return []
-
-    child_idx = np.array(child_rows, dtype=np.int64)
-    deltas = np.array(delta_rows, dtype=np.int64)
-    pos = deltas > 0
-    max_delta = np.zeros(len(hashes), dtype=np.int64)
-    np.maximum.at(max_delta, child_idx[pos], deltas[pos])
+    def excluded(commit_hash: str) -> bool:
+        return cfg.exclude_merges and is_merge_message(nodes[commit_hash].message)
 
     out = []
-    for i in np.flatnonzero(max_delta > 0).tolist():
-        child = hashes[i]
-        delta = int(max_delta[i])
-        worst_parent = min(
-            p
-            for p in graph.edges[child]
-            if epoch_of[p] - epoch_of[child] == delta and not excluded(child, p)
-        )
-        rec = graph.nodes[child]
+    for child in sorted(nodes):
+        rec = nodes[child]
+        epoch = rec.date(field).epoch_seconds
+        worst, delta = None, 0
+        for parent in graph.edges[child]:
+            gap = nodes[parent].date(field).epoch_seconds - epoch
+            worse = gap > delta or (gap == delta and worst is not None and parent < worst)
+            if worse and not excluded(parent):
+                worst, delta = parent, gap
+        if worst is None or excluded(child):
+            continue
         out.append(
             Anomaly(
                 kind=AnomalyKind.OUT_OF_ORDER_PARENT,
                 commit_hash=child,
                 repo_id=rec.repo_id,
                 evidence=(
-                    f"parent {worst_parent} is {delta} s newer "
-                    f"({format_utc(graph.nodes[worst_parent].date(cfg.date_field))} vs "
-                    f"{format_utc(rec.date(cfg.date_field))})"
+                    f"parent {worst} is {delta} s newer "
+                    f"({format_utc(nodes[worst].date(field))} vs "
+                    f"{format_utc(rec.date(field))})"
                 ),
                 delta_seconds=delta,
             )

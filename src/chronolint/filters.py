@@ -13,14 +13,11 @@ repaired.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 from .detectors import DetectorConfig, detect_out_of_order_parents
 from .graph import build_graph, group_by_repo
 from .model import Timestamp, canonical_repo_id, parse_utc
-
-log = logging.getLogger(__name__)
 
 POLICY_KINDS = (
     "MinTimestamp",

@@ -108,19 +108,31 @@ class CacheStore:
     No eviction: audit runs are bounded and a stale cache is reset by
     deleting the file. Failures (Unverifiable) are cached too, so a
     repeated batch run performs zero network operations.
+
+    A last line without its newline is what an append cut short leaves
+    behind: it is skipped with a warning and cut off before the next
+    append. Any other unreadable line raises ``ValueError``.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], VerificationOutcome] = {}
+        self._torn_at: int | None = None  # byte offset of a torn last line
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
+            with open(self.path, encoding="utf-8", newline="\n") as fh:
+                for number, line in enumerate(fh, 1):
+                    if not line.endswith("\n"):
+                        log.warning("%s: skipping torn last line %d", self.path, number)
+                        self._torn_at = os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
+                        break
                     if not line.strip():
                         continue
-                    entry = json.loads(line)
-                    self._entries[(entry["repo"], entry["hash"])] = _outcome_from_entry(entry)
+                    try:
+                        entry = json.loads(line)
+                        self._entries[(entry["repo"], entry["hash"])] = _outcome_from_entry(entry)
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise ValueError(f"corrupt cache {self.path} line {number}: {exc}") from exc
 
     def get(self, repo_id: str, commit_hash: str) -> VerificationOutcome | None:
         with self._lock:
@@ -134,6 +146,9 @@ class CacheStore:
             self._entries[key] = outcome
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
                 fh.write(json.dumps(_entry_from_outcome(repo_id, outcome), sort_keys=True))
                 fh.write("\n")
 
@@ -297,7 +312,7 @@ class ForgeClient:
 
     # -- batch verification --
 
-    def verify_anomalies(self, anomalies: list[Anomaly], records):
+    def verify_anomalies(self, anomalies: list[Anomaly]):
         """Re-check out-of-order candidates against fetched truth.
 
         A candidate is confirmed iff at least one fetched parent is
@@ -310,10 +325,6 @@ class ForgeClient:
         for anomaly in anomalies:
             if anomaly.kind not in verifiable:
                 raise ValueError("verification expects out-of-order candidates")
-        known = {r.hash for r in records}
-        strangers = sum(1 for a in anomalies if a.commit_hash not in known)
-        if strangers:
-            log.debug("%d candidate(s) not present in the record set", strangers)
 
         def check(anomaly: Anomaly):
             child = self.fetch_commit_metadata(anomaly.repo_id, anomaly.commit_hash)
@@ -346,8 +357,8 @@ class ForgeClient:
 # ---- Functional wrapper and config ----
 
 
-def verify_anomalies(anomalies, records, sources, **kwargs):
-    return ForgeClient(sources, **kwargs).verify_anomalies(anomalies, records)
+def verify_anomalies(anomalies, sources, **kwargs):
+    return ForgeClient(sources, **kwargs).verify_anomalies(anomalies)
 
 
 def load_sources(source) -> tuple[list[MetadataSource], int]:

@@ -5,6 +5,7 @@ All timestamp comparisons in the toolkit go through ``epoch_seconds``; the
 recorded timezone offset is carried along for reporting but never applied.
 """
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -130,6 +131,9 @@ def normalize_timestamp(raw: int, unit: str, tz_offset_minutes: int = 0) -> Time
 _DAYS_EPOCH_SHIFT = 719468  # days from 0000-03-01 to 1970-01-01
 _ERA_DAYS = 146097          # days per 400-year era
 
+# int() alone would also take "+", "_", spaces and non-ASCII digits.
+_UTC_FIELD = re.compile(r"-?[0-9]+")
+
 
 def _civil_from_days(days: int) -> tuple[int, int, int]:
     z = days + _DAYS_EPOCH_SHIFT
@@ -171,7 +175,8 @@ def parse_utc(text: str) -> Timestamp:
     bare ``YYYY-MM-DD`` (midnight). Offsets other than Z/UTC are rejected:
     cutoff instants are defined in UTC. So are fields out of range, such
     as month 13, February 30 or second 60, which would otherwise roll
-    over into a different instant.
+    over into a different instant. Fields are ASCII digits; only the
+    year may carry a sign, a leading ``-``.
     """
     s = text.strip()
     if s.endswith(" UTC"):
@@ -182,20 +187,23 @@ def parse_utc(text: str) -> Timestamp:
     date_part, _, time_part = s.partition(" ")
     ymd = date_part.split("-")
     # A leading '-' (negative year) splits into an empty first element.
-    if ymd and ymd[0] == "":
+    if len(ymd) > 1 and ymd[0] == "":
         ymd = ["-" + ymd[1]] + ymd[2:]
-    if len(ymd) != 3:
+    if len(ymd) != 3 or not all(_UTC_FIELD.fullmatch(p) for p in ymd):
         raise ValueError(f"unparseable UTC date {text!r}")
     year, month, day = (int(p) for p in ymd)
     hh = mm = ss = 0
     if time_part:
         hms = time_part.split(":")
-        if len(hms) != 3:
+        if len(hms) != 3 or not all(_UTC_FIELD.fullmatch(p) for p in hms):
             raise ValueError(f"unparseable UTC time {text!r}")
         hh, mm, ss = (int(p) for p in hms)
     days = _days_from_civil(year, month, day)
+    # Month and day cannot carry a '-': the date split would have
+    # produced more than three fields.
     if (
         _civil_from_days(days) != (year, month, day)
+        or "-" in time_part
         or not (0 <= hh <= 23 and 0 <= mm <= 59 and 0 <= ss <= 59)
     ):
         raise ValueError(f"UTC date {text!r} has a field out of range")

@@ -144,7 +144,7 @@ def test_criterion_03_two_stage_equivalence():
 
         cfg = DetectorConfig()
         candidates = [a for chain in chains for a in detect_out_of_order_linear(chain, cfg)]
-        confirmed, _, accounting = verify_anomalies(candidates, all_records, sources)
+        confirmed, _, accounting = verify_anomalies(candidates, sources)
 
     direct = [a for chain in chains for a in detect_out_of_order_parents(build_graph(chain), cfg)]
     assert {a.commit_hash for a in confirmed} == {a.commit_hash for a in direct}

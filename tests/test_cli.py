@@ -87,6 +87,18 @@ def test_scan_out_of_range_date_exits_two_with_one_line(tmp_path, capsys, flag, 
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--snapshot-date", "+2019-10-31"),
+    ("--old-cutoff", ""),
+])
+def test_scan_unparseable_date_exits_two_with_one_line(tmp_path, capsys, flag, value):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    code, out, err = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT, flag, value)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_scan_without_snapshot_ok_when_future_disabled(tmp_path, capsys):
     path = write_records(tmp_path / "in.ndjson", clean_records())
     code, _, _ = run(capsys, "scan", path, "--detectors", "old,ooo,signatures,verified")
@@ -158,21 +170,6 @@ def test_scan_report_and_csv_outputs(tmp_path, capsys):
     assert anomaly_lines[0] == "kind,repo,commit,delta_seconds,evidence"
     assert len(anomaly_lines) == 1 + len(report["anomalies"])
     assert (csv_dir / "summary.csv").exists()
-
-
-def test_scan_parallel_matches_serial(tmp_path, capsys):
-    records = [
-        make_record(i, repo=f"org/r{i % 5}", committer_epoch=1_000_000_000 + i)
-        for i in range(40)
-    ] + [make_record(99, committer_epoch=0, repo="org/r0")]
-    path = write_records(tmp_path / "in.ndjson", records)
-    _, serial, _ = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT)
-    _, parallel, _ = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT, "--workers", "4")
-
-    def body(text):
-        return [line for line in text.splitlines() if "generated_at" not in line]
-
-    assert body(serial) == body(parallel)
 
 
 def test_scan_rerun_is_byte_stable(tmp_path, capsys):
@@ -423,6 +420,34 @@ def test_verify_rejects_bad_sources_config(tmp_path, capsys):
     code, _, err = run(capsys, "verify", report, "--sources", str(bad))
     assert code == 2
     assert "sources" in err
+
+
+def test_verify_has_no_workers_flag(tmp_path, capsys):
+    report = scan_report_path(tmp_path, capsys, ooo_fixture())
+    sources = stub_sources(tmp_path, ooo_fixture())
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", report, "--sources", sources, "--workers", "-1"])
+    assert exited.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_corrupt_cache_line_exits_two_with_one_line(tmp_path, capsys):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    with open(stub_sources(tmp_path, records), encoding="utf-8") as fh:
+        config = json.load(fh)
+    cache = tmp_path / "cache.ndjson"
+    config["sources"].insert(0, {"kind": "LocalCache", "endpoint": str(cache)})
+    sources = tmp_path / "cached.json"
+    sources.write_text(json.dumps(config))
+    assert run(capsys, "verify", report, "--sources", str(sources))[0] == 1
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text(lines[0][:20] + "\n" + "".join(lines[1:]))
+    code, out, err = run(capsys, "verify", report, "--sources", str(sources))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"{cache} line 1" in err
 
 
 # ---- run configuration ----

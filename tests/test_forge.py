@@ -116,6 +116,50 @@ def test_cache_hit_preserves_status_and_skips_everything(tmp_path):
     assert second.status is VerificationStatus.CONFIRMED_ON_FORGE
 
 
+def cached_client(tmp_path, cache_file):
+    return ForgeClient([
+        MetadataSource(kind="LocalCache", endpoint=str(cache_file)),
+        stub_source(tmp_path),
+    ])
+
+
+def test_cache_skips_a_torn_last_line(tmp_path, caplog):
+    rec = make_record(1)
+    write_stub(tmp_path / "stub", rec)
+    cache_file = tmp_path / "cache.ndjson"
+    first = cached_client(tmp_path, cache_file).fetch_commit_metadata(rec.repo_id, rec.hash)
+    with open(cache_file, "a", encoding="utf-8") as fh:
+        fh.write('{"repo": "r", "hash": "ab')  # a crash mid-append
+
+    cache_only = [MetadataSource(kind="LocalCache", endpoint=str(cache_file))]
+    second = ForgeClient(cache_only).fetch_commit_metadata(rec.repo_id, rec.hash)
+    assert second == first
+    assert "torn" in caplog.text
+
+
+def test_append_after_a_torn_line_reloads_cleanly(tmp_path):
+    old, new = make_record(1), make_record(2)
+    for rec in (old, new):
+        write_stub(tmp_path / "stub", rec)
+    cache_file = tmp_path / "cache.ndjson"
+    cached_client(tmp_path, cache_file).fetch_commit_metadata(old.repo_id, old.hash)
+    clean = cache_file.read_bytes()
+    with open(cache_file, "ab") as fh:
+        fh.write(clean[:-9])
+
+    cached_client(tmp_path, cache_file).fetch_commit_metadata(new.repo_id, new.hash)
+    lines = cache_file.read_bytes().splitlines(keepends=True)
+    assert lines[0] == clean
+    assert [json.loads(line)["hash"] for line in lines] == [old.hash, new.hash]
+
+    # A clean cache is only read: answering from it appends nothing.
+    repaired = cache_file.read_bytes()
+    client = cached_client(tmp_path, cache_file)
+    for rec in (old, new):
+        client.fetch_commit_metadata(rec.repo_id, rec.hash)
+    assert cache_file.read_bytes() == repaired
+
+
 def test_primary_then_archive_fallback():
     rec = make_record(1, verified=True)
     archive_url = ARCHIVE_URL.format(hash=rec.hash)
@@ -244,7 +288,7 @@ def test_false_positive_dropped_when_fetched_parents_older(tmp_path):
     write_stub(tmp_path / "stub", parent, committer_epoch=40)  # truth: older
     write_stub(tmp_path / "stub", child)
     confirmed, dropped, accounting = verify_anomalies(
-        candidates, [parent, child], [stub_source(tmp_path)]
+        candidates, [stub_source(tmp_path)]
     )
     assert confirmed == []
     assert dropped == candidates
@@ -258,7 +302,7 @@ def test_true_positive_confirmed(tmp_path):
         write_stub(tmp_path / "stub", rec)
     candidates = linear_candidates([parent, child])
     confirmed, dropped, _ = verify_anomalies(
-        candidates, [parent, child], [stub_source(tmp_path)]
+        candidates, [stub_source(tmp_path)]
     )
     assert [a.commit_hash for a in confirmed] == [child.hash]
     assert dropped == []
@@ -270,7 +314,7 @@ def test_unresolvable_candidate_dropped_and_counted(tmp_path):
     (tmp_path / "stub").mkdir()  # empty: nobody has answers
     candidates = linear_candidates([parent, child])
     confirmed, dropped, accounting = verify_anomalies(
-        candidates, [parent, child], [stub_source(tmp_path)]
+        candidates, [stub_source(tmp_path)]
     )
     assert confirmed == []
     assert dropped == candidates
@@ -292,7 +336,7 @@ def test_confirmed_and_dropped_partition_input(tmp_path):
         write_stub(stub, rec, committer_epoch=10 if rec.hash == hex_hash(2) else None)
 
     candidates = linear_candidates(records)
-    confirmed, dropped, accounting = verify_anomalies(candidates, records, [stub_source(tmp_path)])
+    confirmed, dropped, accounting = verify_anomalies(candidates, [stub_source(tmp_path)])
     assert sorted(a.commit_hash for a in confirmed + dropped) == sorted(
         a.commit_hash for a in candidates
     )
@@ -304,7 +348,7 @@ def test_verification_rejects_wrong_kind(tmp_path):
     from chronolint.detectors import detect_old
     anomalies = detect_old([make_record(1, committer_epoch=0)], CFG)
     with pytest.raises(ValueError):
-        verify_anomalies(anomalies, [], [stub_source(tmp_path)])
+        verify_anomalies(anomalies, [stub_source(tmp_path)])
 
 
 def test_two_stage_pipeline_matches_parent_detector_on_chains(tmp_path):
@@ -320,7 +364,7 @@ def test_two_stage_pipeline_matches_parent_detector_on_chains(tmp_path):
         write_stub(tmp_path / "stub", rec)  # the stub mirrors the dataset exactly
 
     confirmed, _, _ = verify_anomalies(
-        linear_candidates(records), records, [stub_source(tmp_path)]
+        linear_candidates(records), [stub_source(tmp_path)]
     )
     direct = detect_out_of_order_parents(build_graph(records), CFG)
     assert {a.commit_hash for a in confirmed} == {a.commit_hash for a in direct}
@@ -345,11 +389,11 @@ def test_second_batch_run_is_network_free(tmp_path):
     assert candidates
 
     transport = FakeTransport(dict(script))
-    first = verify_anomalies(candidates, records, sources, transport=transport)
+    first = verify_anomalies(candidates, sources, transport=transport)
     assert len(transport.calls) > 0
 
     retransport = FakeTransport(dict(script))
-    second = verify_anomalies(candidates, records, sources, transport=retransport)
+    second = verify_anomalies(candidates, sources, transport=retransport)
     assert len(retransport.calls) == 0  # even the miss for parent 9 was remembered
     assert second == first
 

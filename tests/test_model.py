@@ -119,6 +119,22 @@ def test_parse_utc_rejects_out_of_range_fields(text):
         parse_utc(text)
 
 
+@pytest.mark.parametrize("text", [
+    "\uff12\uff10\uff11\uff19-01-01",
+    "+2019-01-01",
+    "2019_0-01-01",
+    "2019-+1-01",
+    "2019-01-01T 1:00:00Z",
+    "2019-01-01T01:0_0:00Z",
+    "2019-01-01T-0:00:00Z",
+    "",
+    "Z",
+])
+def test_parse_utc_accepts_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        parse_utc(text)
+
+
 def test_timestamp_tz_bounds():
     Timestamp(0, 1080)
     Timestamp(0, -1080)
