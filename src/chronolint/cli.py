@@ -513,7 +513,7 @@ def cmd_verify(args) -> int:
         raise CommandError(f"bad sources config: {exc}") from exc
     try:
         confirmed, dropped, accounting = verify_anomalies(candidates, sources, workers=workers)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise CommandError(str(exc)) from exc
 
     total = len(candidates)

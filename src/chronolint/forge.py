@@ -17,6 +17,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -109,9 +110,15 @@ class CacheStore:
     deleting the file. Failures (Unverifiable) are cached too, so a
     repeated batch run performs zero network operations.
 
-    A last line without its newline is what an append cut short leaves
-    behind: it is skipped with a warning and cut off before the next
-    append. Any other unreadable line raises ``ValueError``.
+    The first new entry opens one append handle, which stays open until
+    ``close()``: appends are buffered for the batch and reach the file
+    when it is closed, or sooner when the buffer fills. A store that
+    only answers lookups never opens the file for writing. A killed run
+    loses at most the unflushed tail; if it leaves a last line without
+    its newline, that line is skipped with a warning and cut off before
+    the next append. Any other unreadable line raises ``ValueError``,
+    and a file that cannot be read or written raises ``OSError`` naming
+    it.
     """
 
     def __init__(self, path):
@@ -119,20 +126,31 @@ class CacheStore:
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], VerificationOutcome] = {}
         self._torn_at: int | None = None  # byte offset of a torn last line
-        if self.path.exists():
-            with open(self.path, encoding="utf-8", newline="\n") as fh:
-                for number, line in enumerate(fh, 1):
-                    if not line.endswith("\n"):
-                        log.warning("%s: skipping torn last line %d", self.path, number)
-                        self._torn_at = os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
-                        break
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        self._entries[(entry["repo"], entry["hash"])] = _outcome_from_entry(entry)
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise ValueError(f"corrupt cache {self.path} line {number}: {exc}") from exc
+        self._fh = None  # the append handle, open from the first new entry to close()
+        try:
+            self._load()
+        except OSError as exc:
+            raise self._error("read", exc) from exc
+
+    def _load(self) -> None:
+        if not self.path.exists():
+            return
+        with open(self.path, encoding="utf-8", newline="\n") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.endswith("\n"):
+                    log.warning("%s: skipping torn last line %d", self.path, number)
+                    self._torn_at = os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
+                    break
+                if not line.strip():
+                    continue
+                try:
+                    entry = json.loads(line)
+                    self._entries[(entry["repo"], entry["hash"])] = _outcome_from_entry(entry)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"corrupt cache {self.path} line {number}: {exc}") from exc
+
+    def _error(self, action: str, exc: OSError) -> OSError:
+        return OSError(f"cannot {action} cache {self.path}: {exc}")
 
     def get(self, repo_id: str, commit_hash: str) -> VerificationOutcome | None:
         with self._lock:
@@ -144,13 +162,31 @@ class CacheStore:
             if key in self._entries:
                 return
             self._entries[key] = outcome
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
-                    self._torn_at = None
-                fh.write(json.dumps(_entry_from_outcome(repo_id, outcome), sort_keys=True))
-                fh.write("\n")
+            try:
+                if self._fh is None:
+                    self._fh = self._open_for_append()
+                self._fh.write(json.dumps(_entry_from_outcome(repo_id, outcome), sort_keys=True))
+                self._fh.write("\n")
+            except OSError as exc:
+                raise self._error("append to", exc) from exc
+
+    def _open_for_append(self):
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(self.path, "a", encoding="utf-8")
+        if self._torn_at is not None:
+            fh.truncate(self._torn_at)
+            self._torn_at = None
+        return fh
+
+    def close(self) -> None:
+        """Flush and close the append handle; safe to call again."""
+        with self._lock:
+            fh, self._fh = self._fh, None
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError as exc:
+                raise self._error("append to", exc) from exc
 
 
 def _entry_from_outcome(repo_id: str, outcome: VerificationOutcome) -> dict:
@@ -208,11 +244,23 @@ class ForgeClient:
         self._caches = {
             s.endpoint: CacheStore(s.endpoint) for s in sources if s.kind == "LocalCache"
         }
+        self._stub_dirs = {
+            s.endpoint: os.path.join(s.endpoint, "") for s in sources if s.kind == "FileStub"
+        }
 
     # -- single fetch --
 
     def fetch_commit_metadata(self, repo_id: str, commit_hash: str) -> VerificationOutcome:
-        """Resolve one commit; exhaustion maps to an Unverifiable outcome."""
+        """Resolve one commit; exhaustion maps to an Unverifiable outcome.
+
+        A fresh answer is on disk in every cache when this returns.
+        """
+        try:
+            return self._fetch(repo_id, commit_hash)
+        finally:
+            self._close_caches()
+
+    def _fetch(self, repo_id: str, commit_hash: str) -> VerificationOutcome:
         try:
             outcome = self._resolve(repo_id, commit_hash)
         except AllSourcesExhausted:
@@ -221,6 +269,11 @@ class ForgeClient:
             )
         self._remember(repo_id, outcome)
         return outcome
+
+    def _close_caches(self) -> None:
+        with ExitStack() as stack:  # closes every cache even if one fails
+            for cache in self._caches.values():
+                stack.callback(cache.close)
 
     def _resolve(self, repo_id: str, commit_hash: str) -> VerificationOutcome:
         for source in self.sources:
@@ -247,10 +300,15 @@ class ForgeClient:
         return self._outcome_from_document(source, commit_hash, body)
 
     def _fetch_stub(self, source: MetadataSource, commit_hash: str) -> VerificationOutcome:
-        path = Path(source.endpoint) / f"{commit_hash}.json"
-        if not path.exists():
-            raise NotFound(commit_hash)
-        return self._outcome_from_document(source, commit_hash, path.read_text(encoding="utf-8"))
+        path = f"{self._stub_dirs[source.endpoint]}{commit_hash}.json"
+        try:
+            with open(path, encoding="utf-8") as fh:
+                body = fh.read()
+        except FileNotFoundError:
+            raise NotFound(commit_hash) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise OSError(f"cannot read stub document {path}: {exc}") from exc
+        return self._outcome_from_document(source, commit_hash, body)
 
     def _http_get_with_backoff(self, source: MetadataSource, repo_id: str,
                                commit_hash: str) -> str:
@@ -271,7 +329,11 @@ class ForgeClient:
                 if attempt + 1 < self.max_attempts:
                     log.debug("rate limited on %s; sleeping %.1fs", url, delay)
                     self.sleep(delay)
-        raise NotFound(f"rate-limit budget exhausted for {url}")
+            except OSError as exc:
+                # requests' ConnectionError and Timeout are OSErrors. With
+                # no server hint there is nothing to back off from.
+                log.debug("transport error on %s: %s", url, exc)
+        raise NotFound(f"attempt budget exhausted for {url}")
 
     def _request_once(self, url: str, headers: dict) -> str:
         status, body, resp_headers = self.transport(url, headers)
@@ -327,12 +389,12 @@ class ForgeClient:
                 raise ValueError("verification expects out-of-order candidates")
 
         def check(anomaly: Anomaly):
-            child = self.fetch_commit_metadata(anomaly.repo_id, anomaly.commit_hash)
+            child = self._fetch(anomaly.repo_id, anomaly.commit_hash)
             if child.status is VerificationStatus.UNVERIFIABLE:
                 return anomaly, child.status, False
             confirmed = False
             for parent_hash in child.parents:
-                parent = self.fetch_commit_metadata(anomaly.repo_id, parent_hash)
+                parent = self._fetch(anomaly.repo_id, parent_hash)
                 if (
                     parent.status is not VerificationStatus.UNVERIFIABLE
                     and parent.committer_date > child.committer_date
@@ -341,8 +403,11 @@ class ForgeClient:
                     break
             return anomaly, child.status, confirmed
 
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            results = list(pool.map(check, anomalies))
+        try:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                results = list(pool.map(check, anomalies))
+        finally:
+            self._close_caches()
 
         results.sort(key=lambda row: (row[0].commit_hash, row[0].repo_id))
         confirmed: list[Anomaly] = []

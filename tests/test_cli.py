@@ -431,23 +431,59 @@ def test_verify_has_no_workers_flag(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_verify_corrupt_cache_line_exits_two_with_one_line(tmp_path, capsys):
-    records = ooo_fixture()
-    report = scan_report_path(tmp_path, capsys, records)
+def cached_sources(tmp_path, records, cache):
     with open(stub_sources(tmp_path, records), encoding="utf-8") as fh:
         config = json.load(fh)
-    cache = tmp_path / "cache.ndjson"
     config["sources"].insert(0, {"kind": "LocalCache", "endpoint": str(cache)})
     sources = tmp_path / "cached.json"
     sources.write_text(json.dumps(config))
-    assert run(capsys, "verify", report, "--sources", str(sources))[0] == 1
+    return str(sources)
+
+
+def test_verify_corrupt_cache_line_exits_two_with_one_line(tmp_path, capsys):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    cache = tmp_path / "cache.ndjson"
+    sources = cached_sources(tmp_path, records, cache)
+    assert run(capsys, "verify", report, "--sources", sources)[0] == 1
     lines = cache.read_text().splitlines(keepends=True)
     cache.write_text(lines[0][:20] + "\n" + "".join(lines[1:]))
-    code, out, err = run(capsys, "verify", report, "--sources", str(sources))
+    code, out, err = run(capsys, "verify", report, "--sources", sources)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert f"{cache} line 1" in err
+
+
+@pytest.mark.parametrize("unusable", ["directory", "under-a-file"])
+def test_verify_unusable_cache_exits_two_with_one_line(tmp_path, capsys, unusable):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    if unusable == "directory":  # cannot even be loaded
+        cache = tmp_path / "cache.ndjson"
+        cache.mkdir()
+    else:  # loads as empty, but the first append cannot create it
+        (tmp_path / "plain").write_text("")
+        cache = tmp_path / "plain" / "cache.ndjson"
+    code, out, err = run(capsys, "verify", report, "--sources",
+                         cached_sources(tmp_path, records, cache))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(cache) in err
+
+
+def test_verify_unreadable_stub_document_exits_two_with_one_line(tmp_path, capsys):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    sources = stub_sources(tmp_path, records[:1])
+    unreadable = tmp_path / "stub" / f"{records[1].hash}.json"
+    unreadable.mkdir()  # neither a document nor missing
+    code, out, err = run(capsys, "verify", report, "--sources", sources)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(unreadable) in err
 
 
 # ---- run configuration ----

@@ -3,15 +3,19 @@
 import json
 
 import pytest
+import requests
 
+from chronolint import forge
 from chronolint.detectors import (
     DetectorConfig,
     detect_out_of_order_linear,
     detect_out_of_order_parents,
 )
 from chronolint.forge import (
+    CacheStore,
     ForgeClient,
     MetadataSource,
+    VerificationOutcome,
     VerificationStatus,
     load_sources,
     verify_anomalies,
@@ -160,6 +164,33 @@ def test_append_after_a_torn_line_reloads_cleanly(tmp_path):
     assert cache_file.read_bytes() == repaired
 
 
+def test_standalone_fetch_is_on_disk_when_it_returns(tmp_path):
+    old, new = make_record(1), make_record(2)
+    for rec in (old, new):
+        write_stub(tmp_path / "stub", rec)
+    cache_file = tmp_path / "cache.ndjson"
+    client = cached_client(tmp_path, cache_file)
+    for count, rec in enumerate((old, new), 1):
+        client.fetch_commit_metadata(rec.repo_id, rec.hash)
+        lines = cache_file.read_text().splitlines(keepends=True)
+        assert len(lines) == count
+        assert json.loads(lines[-1])["hash"] == rec.hash and lines[-1].endswith("\n")
+    assert client.sources  # the client is still alive: nothing waited for collection
+
+
+def test_cache_close_twice_is_safe_and_a_later_put_reopens(tmp_path):
+    cache_file = tmp_path / "deep" / "cache.ndjson"
+    store = CacheStore(cache_file)
+    store.close()  # never opened
+    for n in (1, 2):
+        store.put("r", VerificationOutcome(hex_hash(n), VerificationStatus.UNVERIFIABLE))
+        store.close()
+        store.close()
+    assert [json.loads(line)["hash"] for line in cache_file.read_text().splitlines()] == [
+        hex_hash(1), hex_hash(2),
+    ]
+
+
 def test_primary_then_archive_fallback():
     rec = make_record(1, verified=True)
     archive_url = ARCHIVE_URL.format(hash=rec.hash)
@@ -262,6 +293,26 @@ def test_unusable_documents_fall_through():
     assert outcome.status is VerificationStatus.UNVERIFIABLE
 
 
+@pytest.mark.parametrize("error", [requests.ConnectionError, requests.Timeout])
+def test_transport_error_is_a_failed_attempt(tmp_path, error):
+    rec = make_record(1)
+    write_stub(tmp_path / "stub", rec)
+    calls = []
+
+    def transport(url, headers):
+        calls.append(url)
+        raise error(f"cannot reach {url}")
+
+    sleeps = []
+    outcome = ForgeClient(
+        [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL), stub_source(tmp_path)],
+        transport=transport, sleep=sleeps.append,
+    ).fetch_commit_metadata(rec.repo_id, rec.hash)
+    assert calls == [forge_url_for(rec)] * 5  # the same budget as a rate limit
+    assert sleeps == []  # no Retry-After hint to back off from
+    assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE  # the stub answered
+
+
 def test_source_validation():
     with pytest.raises(ValueError):
         MetadataSource(kind="Carrier-Pigeon", endpoint="x")
@@ -323,14 +374,18 @@ def test_unresolvable_candidate_dropped_and_counted(tmp_path):
     }
 
 
-def test_confirmed_and_dropped_partition_input(tmp_path):
-    records = [
+def partition_records():
+    return [
         make_record(0, committer_epoch=500),
         make_record(1, parents=[0], committer_epoch=100),   # genuinely bad
         make_record(2, parents=[1], committer_epoch=600),
         make_record(3, parents=[2], committer_epoch=90),    # dataset lies; truth is clean
         make_record(4, parents=[3], committer_epoch=950),
     ]
+
+
+def test_confirmed_and_dropped_partition_input(tmp_path):
+    records = partition_records()
     stub = tmp_path / "stub"
     for rec in records:
         write_stub(stub, rec, committer_epoch=10 if rec.hash == hex_hash(2) else None)
@@ -341,6 +396,31 @@ def test_confirmed_and_dropped_partition_input(tmp_path):
         a.commit_hash for a in candidates
     )
     assert not set(a.commit_hash for a in confirmed) & set(a.commit_hash for a in dropped)
+    assert sum(accounting.values()) == len(candidates)
+
+
+def test_transport_errors_leave_the_accounting_whole(tmp_path):
+    records = partition_records()
+    candidates = linear_candidates(records)
+    # The forge is down; the archive knows candidate 1 and its parent, not 3.
+    archive = {
+        ARCHIVE_URL.format(hash=rec.hash): (200, json.dumps(doc_for(rec)), {})
+        for rec in records[:2]
+    }
+
+    def transport(url, headers):
+        if url.startswith("https://forge.test/"):
+            raise requests.ConnectionError(f"cannot reach {url}")
+        return archive.get(url, (404, "", {}))
+
+    sources = [
+        MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL),
+        MetadataSource(kind="ArchiveFallback", endpoint=ARCHIVE_URL),
+    ]
+    confirmed, dropped, accounting = verify_anomalies(candidates, sources, transport=transport)
+    assert [a.commit_hash for a in confirmed] == [hex_hash(1)]
+    assert [a.commit_hash for a in dropped] == [hex_hash(3)]
+    assert accounting == {"confirmed_on_forge": 0, "confirmed_on_archive": 1, "unverifiable": 1}
     assert sum(accounting.values()) == len(candidates)
 
 
@@ -396,6 +476,73 @@ def test_second_batch_run_is_network_free(tmp_path):
     second = verify_anomalies(candidates, sources, transport=retransport)
     assert len(retransport.calls) == 0  # even the miss for parent 9 was remembered
     assert second == first
+
+
+def count_appends(monkeypatch):
+    """Record every file that ``forge`` opens for appending."""
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        if "a" in mode:
+            opened.append(str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(forge, "open", spy, raising=False)
+    return opened
+
+
+def cache_keys(cache_file):
+    text = cache_file.read_text()
+    assert text.endswith("\n")
+    return [(entry["repo"], entry["hash"]) for entry in map(json.loads, text.splitlines())]
+
+
+def test_cold_batch_opens_each_cache_once_and_a_warm_one_never(tmp_path, monkeypatch):
+    records = partition_records()
+    for rec in records:
+        write_stub(tmp_path / "stub", rec)
+    caches = [tmp_path / "cache.ndjson", tmp_path / "nested" / "cache.ndjson"]
+    sources = [MetadataSource(kind="LocalCache", endpoint=str(c)) for c in caches]
+    sources.append(stub_source(tmp_path))
+    candidates = linear_candidates(records)
+    opened = count_appends(monkeypatch)
+
+    client = ForgeClient(sources)
+    cold = client.verify_anomalies(candidates)
+    assert sorted(opened) == sorted(map(str, caches))
+    # Candidates 1 and 3 and their first parents 0 and 2: one line each.
+    lookups = {(records[0].repo_id, hex_hash(i)) for i in range(4)}
+    for cache in caches:
+        keys = cache_keys(cache)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == lookups
+
+    before = [cache.read_bytes() for cache in caches]
+    opened.clear()
+    assert ForgeClient(sources).verify_anomalies(candidates) == cold
+    assert opened == []
+    assert [cache.read_bytes() for cache in caches] == before
+
+
+def test_a_batch_that_fails_partway_leaves_only_complete_lines(tmp_path):
+    records = partition_records()
+    answers = {forge_url_for(rec): (200, json.dumps(doc_for(rec)), {}) for rec in records}
+
+    def transport(url, headers):
+        if url == forge_url_for(records[3]):
+            raise RuntimeError("the check fails on candidate 3")
+        return answers[url]
+
+    cache_file = tmp_path / "cache.ndjson"
+    sources = [
+        MetadataSource(kind="LocalCache", endpoint=str(cache_file)),
+        MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL),
+    ]
+    client = ForgeClient(sources, transport=transport, workers=1)
+    with pytest.raises(RuntimeError):
+        client.verify_anomalies(linear_candidates(records))
+    # Candidate 1 and its parent 0 were resolved before candidate 3 failed.
+    assert sorted(commit for _, commit in cache_keys(cache_file)) == [hex_hash(0), hex_hash(1)]
 
 
 # ---- Config ----
