@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import NO_NAME, Anomaly, AnomalyKind
+
+# numpy is imported inside the functions that compute with it, so that
+# importing the package (and every command but ``stats``) does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyInput(Exception):
@@ -126,6 +130,8 @@ def summarize(anomalies: list[Anomaly]) -> dict:
 
 
 def _as_delta_array(deltas) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(list(deltas), dtype=np.int64)
     if arr.size == 0:
         raise EmptyInput("no deltas to aggregate")
@@ -136,6 +142,8 @@ def _as_delta_array(deltas) -> np.ndarray:
 
 def delta_statistics(deltas) -> DeltaStats:
     """Mean, population std, and linearly interpolated quartiles."""
+    import numpy as np
+
     arr = _as_delta_array(deltas)
     p25, p50, p75 = np.percentile(arr, [25, 50, 75])
     return DeltaStats(
@@ -152,6 +160,8 @@ def delta_statistics(deltas) -> DeltaStats:
 
 def delta_histogram(deltas) -> DeltaHistogram:
     """Count deltas into the fixed eleven-bucket geometry."""
+    import numpy as np
+
     arr = _as_delta_array(deltas)
     bounds = np.array(HISTOGRAM_BOUNDS, dtype=np.int64)
     idx = np.searchsorted(bounds, arr, side="left")

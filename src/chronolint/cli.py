@@ -147,9 +147,15 @@ def record_to_object(rec: CommitRecord) -> dict:
     return obj
 
 
+# One encoder for every record: json.dumps with these options builds a new
+# JSONEncoder per call. The encoder holds no state between calls.
+_NDJSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def write_ndjson(records, fh) -> None:
+    encode = _NDJSON_ENCODER.encode
     for rec in records:
-        fh.write(json.dumps(record_to_object(rec), sort_keys=True, separators=(",", ":")))
+        fh.write(encode(record_to_object(rec)))
         fh.write("\n")
 
 
@@ -165,17 +171,28 @@ def anomaly_to_object(anomaly: Anomaly) -> dict:
     return obj
 
 
-def anomaly_from_object(obj: dict) -> Anomaly:
+def anomaly_from_object(obj: dict, index: int) -> Anomaly:
+    """Rebuild entry ``index`` of a report's anomaly list, checking its types."""
+    where = f"unreadable anomaly entry {index}"
+    if not isinstance(obj, dict):
+        raise CommandError(f"{where}: not an object")
+    for field in ("commit", "repo", "evidence"):
+        if not isinstance(obj.get(field, ""), str):
+            raise CommandError(f"{where}: {field} must be a string")
+    delta = obj.get("delta_seconds")
+    # type(), not isinstance(): a JSON true is a bool, and bool subclasses int.
+    if delta is not None and (type(delta) is not int or delta < 1):
+        raise CommandError(f"{where}: delta_seconds must be a positive integer")
     try:
         return Anomaly(
             kind=AnomalyKind(obj["kind"]),
             commit_hash=obj["commit"],
             repo_id=obj["repo"],
             evidence=obj.get("evidence", ""),
-            delta_seconds=obj.get("delta_seconds"),
+            delta_seconds=delta,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CommandError(f"unreadable anomaly entry: {exc}") from exc
+    except (KeyError, ValueError) as exc:
+        raise CommandError(f"{where}: {exc}") from exc
 
 
 def _now_utc() -> str:
@@ -210,6 +227,10 @@ def _load_scan_report(path: str) -> dict:
     if not isinstance(doc.get("anomalies"), list) or not isinstance(doc.get("summary"), dict):
         raise CommandError(f"{path} lacks the anomalies/summary sections of a scan report")
     return doc
+
+
+def _report_anomalies(report: dict) -> list[Anomaly]:
+    return [anomaly_from_object(obj, i) for i, obj in enumerate(report["anomalies"])]
 
 
 # ---- Input handling ----
@@ -427,7 +448,7 @@ def cmd_filter(args) -> int:
 
 
 def _stats_tables(report: dict, exclude_terms) -> dict:
-    anomalies = [anomaly_from_object(obj) for obj in report["anomalies"]]
+    anomalies = _report_anomalies(report)
     commits = report.get("commits", {})
 
     deltas = [a.delta_seconds for a in anomalies if a.delta_seconds is not None]
@@ -503,10 +524,7 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     report = _load_scan_report(args.scan_report)
-    candidates = [
-        a for a in (anomaly_from_object(obj) for obj in report["anomalies"])
-        if a.kind in OUT_OF_ORDER_KINDS
-    ]
+    candidates = [a for a in _report_anomalies(report) if a.kind in OUT_OF_ORDER_KINDS]
     try:
         sources, workers = load_sources(args.sources)
     except (OSError, json.JSONDecodeError, ValueError) as exc:

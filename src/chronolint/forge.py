@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import requests
-
 from .ingest import _record_from_object
 from .model import Anomaly, AnomalyKind
 
@@ -214,7 +212,13 @@ def _outcome_from_entry(entry: dict) -> VerificationOutcome:
 
 
 def requests_transport(url: str, headers: dict, timeout: float = 30.0):
-    """Default HTTP GET. Returns (status_code, body_text, response_headers)."""
+    """Default HTTP GET. Returns (status_code, body_text, response_headers).
+
+    ``requests`` is imported on the first call, so that sources which never
+    reach the network (``LocalCache``, ``FileStub``) do not pay for loading it.
+    """
+    import requests
+
     resp = requests.get(url, headers=headers, timeout=timeout)
     return resp.status_code, resp.text, dict(resp.headers)
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -323,7 +324,7 @@ def test_stats_tables_from_scan_report(tmp_path, capsys):
     assert sum(b["count"] for b in stats["histogram"]["buckets"]) == 1
     tokens = {row["token"]: row["count"] for row in stats["tokens"]["rows"]}
     assert tokens["appli"] == 1  # "apply" after stemming
-    assert doc["anomalies"] == json.loads(open(report).read())["anomalies"]
+    assert doc["anomalies"] == json.loads(Path(report).read_text(encoding="utf-8"))["anomalies"]
     assert (csv_dir / "histogram.csv").read_text().splitlines()[0] == "bucket,count"
     assert len((csv_dir / "tokens.csv").read_text().splitlines()) == 1 + len(tokens)
 
@@ -484,6 +485,32 @@ def test_verify_unreadable_stub_document_exits_two_with_one_line(tmp_path, capsy
     assert out == ""
     assert len(err.splitlines()) == 1
     assert str(unreadable) in err
+
+
+@pytest.mark.parametrize("command", ["stats", "verify"])
+@pytest.mark.parametrize("field, value", [
+    ("commit", [1, 2]),
+    ("repo", 12345),
+    ("delta_seconds", "x"),
+    ("evidence", 7),
+    ("delta_seconds", True),
+    ("delta_seconds", 0),
+])
+def test_mistyped_anomaly_entry_exits_two_naming_it(tmp_path, capsys, command, field, value):
+    # The epoch-0 commit sorts first, so the out-of-order entry is not entry 0.
+    records = [make_record(9, committer_epoch=0, repo="a/first")] + ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    index = next(i for i, a in enumerate(doc["anomalies"]) if "delta_seconds" in a)
+    assert index > 0
+    doc["anomalies"][index][field] = value
+    (tmp_path / "report.json").write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--sources", stub_sources(tmp_path, records)] if command == "verify" else []
+    code, out, err = run(capsys, command, report, *extra)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"anomaly entry {index}" in err and field in err
 
 
 # ---- run configuration ----
