@@ -65,7 +65,6 @@ from chronolint.model import (
     Anomaly,
     AnomalyKind,
     CommitRecord,
-    DatasetManifest,
     Timestamp,
     canonical_repo_id,
     format_utc,
@@ -82,7 +81,6 @@ __all__ = [
     "CommitRecord",
     "CycleDetected",
     "DEFAULT_OLD_CUTOFF",
-    "DatasetManifest",
     "DedupReport",
     "DeltaHistogram",
     "DeltaStats",

@@ -8,16 +8,14 @@ parallel per repository and merge.
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import reduce
+from operator import add
 
 from .model import NO_NAME, Anomaly, AnomalyKind
-
-# numpy is imported inside the functions that compute with it, so that
-# importing the package (and every command but ``stats``) does not load it.
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class EmptyInput(Exception):
@@ -50,7 +48,8 @@ class DeltaStats:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("stats need at least one observation")
-        if not self.min <= self.p25 <= self.p50 <= self.p75 <= self.max:
+        # The quartiles are floats, which round ints above 2**53.
+        if not float(self.min) <= self.p25 <= self.p50 <= self.p75 <= float(self.max):
             raise ValueError("quantiles out of order")
 
     def to_dict(self) -> dict:
@@ -127,49 +126,75 @@ def summarize(anomalies: list[Anomaly]) -> dict:
 
 
 # ---- Delta distributions ----
+#
+# The figures equal numpy's float64 results bit for bit, so floats are added
+# in numpy's order, never by sum() (compensated from Python 3.12 on) or fsum.
 
 
-def _as_delta_array(deltas) -> np.ndarray:
-    import numpy as np
+def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
+    """numpy's pairwise sum of ``values[lo:hi]``: blocks of at most 128
+    elements, each summed by eight interleaved accumulators."""
+    n = hi - lo
+    if n < 8:
+        return reduce(add, values[lo:hi], 0.0)
+    if n <= 128:
+        body = hi - n % 8
+        r = [reduce(add, values[lo + j:body:8]) for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[body:hi], res)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
 
-    arr = np.asarray(list(deltas), dtype=np.int64)
-    if arr.size == 0:
+
+def _quantile(ordered: list[int], q: float) -> float:
+    """numpy's default ("linear") percentile of sorted ints."""
+    rank = (len(ordered) - 1) * q
+    lo = math.floor(rank)
+    g = rank - lo
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
+def _checked_deltas(deltas) -> list[int]:
+    deltas = list(deltas)
+    if not deltas:
         raise EmptyInput("no deltas to aggregate")
-    if arr.min() < 1:
+    if min(deltas) < 1:
         raise ValueError("deltas must be positive (parent strictly newer)")
-    return arr
+    return deltas
 
 
 def delta_statistics(deltas) -> DeltaStats:
     """Mean, population std, and linearly interpolated quartiles."""
-    import numpy as np
-
-    arr = _as_delta_array(deltas)
-    p25, p50, p75 = np.percentile(arr, [25, 50, 75])
+    deltas = _checked_deltas(deltas)
+    n = len(deltas)
+    # numpy casts the ints to float through 8192-element buffers, each summed
+    # pairwise in input order; the squared deviations are summed in one pass.
+    values = [float(d) for d in deltas]
+    buffer_sums = [_pairwise_sum(values, lo, min(lo + 8192, n)) for lo in range(0, n, 8192)]
+    mean = reduce(add, buffer_sums, 0.0) / n
+    squares = [(x - mean) * (x - mean) for x in values]
+    ordered = sorted(deltas)
     return DeltaStats(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        min=int(arr.min()),
-        p25=float(p25),
-        p50=float(p50),
-        p75=float(p75),
-        max=int(arr.max()),
+        n=n,
+        mean=mean,
+        std=math.sqrt(_pairwise_sum(squares, 0, n) / n),
+        min=ordered[0],
+        p25=_quantile(ordered, 0.25),
+        p50=_quantile(ordered, 0.5),
+        p75=_quantile(ordered, 0.75),
+        max=ordered[-1],
     )
 
 
 def delta_histogram(deltas) -> DeltaHistogram:
     """Count deltas into the fixed eleven-bucket geometry."""
-    import numpy as np
-
-    arr = _as_delta_array(deltas)
-    bounds = np.array(HISTOGRAM_BOUNDS, dtype=np.int64)
-    idx = np.searchsorted(bounds, arr, side="left")
-    counts = np.bincount(idx, minlength=bounds.shape[0] + 1)
-    buckets = tuple(
-        (int(bound), int(count)) for bound, count in zip(HISTOGRAM_BOUNDS, counts[:-1])
-    ) + ((None, int(counts[-1])),)
-    return DeltaHistogram(buckets=buckets)
+    counts = [0] * len(HISTOGRAM_LABELS)
+    for d in _checked_deltas(deltas):
+        counts[bisect_left(HISTOGRAM_BOUNDS, d)] += 1
+    return DeltaHistogram(buckets=tuple(zip((*HISTOGRAM_BOUNDS, None), counts)))
 
 
 # ---- Message tokens ----

@@ -43,7 +43,6 @@ from .model import (
     Anomaly,
     AnomalyKind,
     CommitRecord,
-    DatasetManifest,
     Timestamp,
     format_utc,
     parse_utc,
@@ -76,7 +75,6 @@ class AuditRun:
     detector_config: DetectorConfig
     detectors: tuple[str, ...] = DETECTOR_NAMES
     policies: tuple[FilterPolicy, ...] = ()
-    manifest: DatasetManifest | None = None
 
     def to_dict(self) -> dict:
         cfg = self.detector_config
@@ -87,11 +85,7 @@ class AuditRun:
             "date_field": cfg.date_field,
             "exclude_merges": cfg.exclude_merges,
             "policies": [policy.to_dict() for policy in self.policies],
-            "manifest": None if self.manifest is None else {
-                "name": self.manifest.name,
-                "snapshot_date": format_utc(self.manifest.snapshot_date),
-                "repos": list(self.manifest.repos),
-            },
+            "manifest": None,  # kept so that schema v1 reports keep their bytes
         }
 
     @classmethod
@@ -104,17 +98,10 @@ class AuditRun:
             exclude_merges=data.get("exclude_merges", True),
             date_field=data.get("date_field", "committer"),
         )
-        raw_manifest = data.get("manifest")
-        manifest = None if raw_manifest is None else DatasetManifest(
-            name=raw_manifest["name"],
-            snapshot_date=parse_utc(raw_manifest["snapshot_date"]),
-            repos=tuple(raw_manifest.get("repos", ())),
-        )
         return cls(
             detector_config=cfg,
             detectors=tuple(data.get("detectors", DETECTOR_NAMES)),
             policies=tuple(policy_from_dict(p) for p in data.get("policies", ())),
-            manifest=manifest,
         )
 
 
@@ -171,14 +158,20 @@ def anomaly_to_object(anomaly: Anomaly) -> dict:
     return obj
 
 
+def _check_string_fields(obj, where: str, fields) -> None:
+    """A report entry must be an object whose ``fields``, where present,
+    are strings."""
+    if not isinstance(obj, dict):
+        raise CommandError(f"{where}: not an object")
+    for field in fields:
+        if not isinstance(obj.get(field, ""), str):
+            raise CommandError(f"{where}: {field} must be a string")
+
+
 def anomaly_from_object(obj: dict, index: int) -> Anomaly:
     """Rebuild entry ``index`` of a report's anomaly list, checking its types."""
     where = f"unreadable anomaly entry {index}"
-    if not isinstance(obj, dict):
-        raise CommandError(f"{where}: not an object")
-    for field in ("commit", "repo", "evidence"):
-        if not isinstance(obj.get(field, ""), str):
-            raise CommandError(f"{where}: {field} must be a string")
+    _check_string_fields(obj, where, ("commit", "repo", "evidence"))
     delta = obj.get("delta_seconds")
     # type(), not isinstance(): a JSON true is a bool, and bool subclasses int.
     if delta is not None and (type(delta) is not int or delta < 1):
@@ -231,6 +224,16 @@ def _load_scan_report(path: str) -> dict:
 
 def _report_anomalies(report: dict) -> list[Anomaly]:
     return [anomaly_from_object(obj, i) for i, obj in enumerate(report["anomalies"])]
+
+
+def _report_commits(report: dict) -> dict:
+    commits = report.get("commits", {})
+    if not isinstance(commits, dict):
+        raise CommandError("the report's commits section is not an object")
+    for commit_hash, entry in commits.items():
+        _check_string_fields(entry, f"unreadable commits entry {commit_hash}",
+                             ("committer", "message"))
+    return commits
 
 
 # ---- Input handling ----
@@ -449,7 +452,7 @@ def cmd_filter(args) -> int:
 
 def _stats_tables(report: dict, exclude_terms) -> dict:
     anomalies = _report_anomalies(report)
-    commits = report.get("commits", {})
+    commits = _report_commits(report)
 
     deltas = [a.delta_seconds for a in anomalies if a.delta_seconds is not None]
     if deltas:

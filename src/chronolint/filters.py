@@ -130,22 +130,22 @@ def repo_star_table(records) -> list[tuple[str, int]]:
 # ---- Filters ----
 
 
+def _keep_from(policy, records, epoch: int, date_field: str):
+    return _partition(policy, records, lambda r: r.date(date_field).epoch_seconds >= epoch)
+
+
 def filter_min_timestamp(records, min_ts: int = 1, date_field: str = "committer"):
     """Drop commits whose epoch is below ``min_ts`` (default 1, so zero and
     negative timestamps go)."""
-    policy = FilterPolicy(kind="MinTimestamp", min_ts=min_ts)
-    return _partition(
-        policy, records, lambda r: r.date(date_field).epoch_seconds >= min_ts
-    )
+    return _keep_from(FilterPolicy(kind="MinTimestamp", min_ts=min_ts), records,
+                      min_ts, date_field)
 
 
 def filter_before_date(records, cutoff: Timestamp, date_field: str = "committer"):
     """Drop commits strictly before ``cutoff``; a commit at the cutoff instant
     survives."""
-    policy = FilterPolicy(kind="BeforeDate", cutoff=cutoff)
-    return _partition(
-        policy, records, lambda r: r.date(date_field).epoch_seconds >= cutoff.epoch_seconds
-    )
+    return _keep_from(FilterPolicy(kind="BeforeDate", cutoff=cutoff), records,
+                      cutoff.epoch_seconds, date_field)
 
 
 def filter_blocklist(records, blocklist):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -71,8 +72,27 @@ class MetadataSource:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if not self.endpoint:
+        if not isinstance(self.endpoint, str) or not self.endpoint:
             raise ValueError(f"source {self.kind!r} needs an endpoint")
+        if self.auth is not None and not isinstance(self.auth, str):
+            raise ValueError(f"source {self.kind!r}: auth must be a string or null")
+        if self.kind in ("PrimaryForge", "ArchiveFallback"):
+            try:
+                fields = set(_template_fields(self.endpoint))
+            except ValueError as exc:
+                raise ValueError(f"source {self.kind!r}: bad endpoint template: {exc}") from None
+            unknown = fields - {"repo", "hash"}
+            if unknown:
+                raise ValueError(f"source {self.kind!r}: endpoint fields {sorted(unknown)} "
+                                 "are neither {repo} nor {hash}")
+
+
+def _template_fields(template: str):
+    """Every field name in a format template, nested format specs included."""
+    for _, field, spec, _ in string.Formatter().parse(template):
+        if field is not None:
+            yield field
+            yield from _template_fields(spec)
 
 
 @dataclass(frozen=True)
@@ -211,16 +231,24 @@ def _outcome_from_entry(entry: dict) -> VerificationOutcome:
 # ---- Transport ----
 
 
-def requests_transport(url: str, headers: dict, timeout: float = 30.0):
-    """Default HTTP GET. Returns (status_code, body_text, response_headers).
+def http_transport(url: str, headers: dict, timeout: float = 30.0):
+    """Default HTTP GET: (status_code, body_text, response_headers) for any
+    status; a failed connection or response raises ``OSError``. Imported on
+    first use, ``urllib.request`` loads ``http.client``, ``ssl`` and ``email``."""
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
 
-    ``requests`` is imported on the first call, so that sources which never
-    reach the network (``LocalCache``, ``FileStub``) do not pay for loading it.
-    """
-    import requests
-
-    resp = requests.get(url, headers=headers, timeout=timeout)
-    return resp.status_code, resp.text, dict(resp.headers)
+    try:
+        with urlopen(Request(url, headers=headers), timeout=timeout) as resp:
+            return resp.status, resp.read().decode("utf-8", "replace"), dict(resp.headers)
+    except HTTPError as exc:
+        with exc:
+            return exc.code, exc.read().decode("utf-8", "replace"), dict(exc.headers)
+    except HTTPException as exc:
+        # IncompleteRead and BadStatusLine are not OSErrors; the client's
+        # attempt budget counts OSErrors.
+        raise OSError(f"broken response from {url}: {exc!r}") from exc
 
 
 # ---- Client ----
@@ -233,7 +261,7 @@ class ForgeClient:
     retry discipline without a network or a clock.
     """
 
-    def __init__(self, sources, transport=requests_transport, sleep=time.sleep,
+    def __init__(self, sources, transport=http_transport, sleep=time.sleep,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS, workers: int = DEFAULT_WORKERS):
         sources = tuple(sources)
         if not sources:
@@ -334,8 +362,7 @@ class ForgeClient:
                     log.debug("rate limited on %s; sleeping %.1fs", url, delay)
                     self.sleep(delay)
             except OSError as exc:
-                # requests' ConnectionError and Timeout are OSErrors. With
-                # no server hint there is nothing to back off from.
+                # A failed connection or response: no hint to back off from.
                 log.debug("transport error on %s: %s", url, exc)
         raise NotFound(f"attempt budget exhausted for {url}")
 
@@ -436,11 +463,8 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
     Shape: ``{"workers": 4, "sources": [{"kind": ..., "endpoint": ...,
     "auth": ...}, ...]}``; ``workers`` is optional.
     """
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
+    with open(source, encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("sources"), list):
         raise ValueError("source config needs a 'sources' array")
     sources = []
@@ -460,6 +484,7 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
     if not sources:
         raise ValueError("configure at least one metadata source")
     workers = data.get("workers", DEFAULT_WORKERS)
-    if not isinstance(workers, int) or workers < 1:
+    # type(), not isinstance(): a JSON true is a bool, and bool subclasses int.
+    if type(workers) is not int or workers < 1:
         raise ValueError("workers must be a positive integer")
     return sources, workers

@@ -1,4 +1,4 @@
-"""Core value types: timestamps, commit records, anomalies, dataset manifests.
+"""Core value types: timestamps, commit records and anomalies.
 
 Everything here is an immutable value object, safe to share across threads.
 All timestamp comparisons in the toolkit go through ``epoch_seconds``; the
@@ -6,7 +6,7 @@ recorded timezone offset is carried along for reporting but never applied.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 TZ_OFFSET_MIN = -1080
@@ -94,21 +94,6 @@ class Anomaly:
             raise ValueError(
                 "delta_seconds must be set exactly for out-of-order anomalies"
             )
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Names a dataset snapshot: when it was frozen and which repos it holds."""
-
-    name: str
-    snapshot_date: Timestamp
-    repos: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.snapshot_date.epoch_seconds <= 0:
-            raise ValueError("snapshot_date must be positive")
-        if len(set(self.repos)) != len(self.repos):
-            raise ValueError("manifest repo ids must be unique")
 
 
 def normalize_timestamp(raw: int, unit: str, tz_offset_minutes: int = 0) -> Timestamp:

@@ -1,8 +1,10 @@
 """Tests for aggregate tables: summaries, delta stats, histograms, tokens."""
 
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,49 @@ def test_quantiles_match_sort_oracle(deltas):
 def test_stats_invariant_guard():
     with pytest.raises(ValueError):
         DeltaStats(n=2, mean=1.0, std=0.0, min=5, p25=4.0, p50=5.0, p75=5.0, max=5)
+
+
+# ---- numpy as the reference ----
+#
+# The statistics reproduce numpy's float64 arithmetic, so they are compared
+# with ==, not approximately. The sizes straddle the pairwise sum's 8- and
+# 128-element blocks and numpy's 8192-element cast buffer; values reach
+# int64's maximum, so the sums pass 2**53 and the floats round.
+
+
+def assert_matches_numpy(deltas):
+    arr = np.asarray(deltas, dtype=np.int64)
+    p25, p50, p75 = np.percentile(arr, [25, 50, 75])
+    assert delta_statistics(deltas).to_dict() == {
+        "n": arr.size, "mean": float(arr.mean()), "std": float(arr.std()),
+        "min": int(arr.min()), "p25": float(p25), "p50": float(p50), "p75": float(p75),
+        "max": int(arr.max()),
+    }
+    bounds = np.array(HISTOGRAM_BOUNDS, dtype=np.int64)
+    counts = np.bincount(np.searchsorted(bounds, arr, side="left"), minlength=len(bounds) + 1)
+    assert [count for _, count in delta_histogram(deltas).buckets] == counts.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 8191, 8192, 8193, 20000, 100000])
+def test_statistics_equal_numpy_on_a_seeded_sweep(n):
+    rng = random.Random(n)
+    assert_matches_numpy([rng.randint(1, 2**63 - 1) for _ in range(n)])
+    assert_matches_numpy([rng.randint(1, 31_536_001) for _ in range(n)])
+    # Magnitudes from 1 to 2**62 in one array round differently at each size.
+    assert_matches_numpy([int(2 ** rng.uniform(0, 62)) for _ in range(n)])
+
+
+@given(st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=200), st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_statistics_equal_numpy_on_drawn_arrays(values, repeats):
+    # Repeating the drawn values crosses the 8192-element buffer boundary.
+    assert_matches_numpy(values * repeats)
+
+
+@pytest.mark.parametrize("deltas", [[2**62 + 1], [2**53 + 1] * 3, [5, 2**63 - 1]])
+def test_quartiles_that_round_pass_the_order_guard(deltas):
+    # float(2**62 + 1) is below the int minimum; the guard compares as floats.
+    assert_matches_numpy(deltas)
 
 
 # ---- delta_histogram ----

@@ -9,7 +9,7 @@ from chronolint import filters
 from chronolint.cli import AuditRun, main, record_to_object, write_ndjson
 from chronolint.detectors import DetectorConfig
 from chronolint.ingest import parse_commit_stream
-from chronolint.model import DatasetManifest, Timestamp, parse_utc
+from chronolint.model import Timestamp, parse_utc
 from conftest import hex_hash, make_record
 
 SNAPSHOT = "2019-10-31T00:00:00Z"
@@ -360,6 +360,31 @@ def test_stats_rejects_non_reports(tmp_path, capsys, payload):
     assert "report" in err
 
 
+@pytest.mark.parametrize("hash_id, field, value", [
+    (None, None, []),  # the section itself
+    (1, None, 5),  # one entry
+    (1, "message", 7),
+    (1, "committer", ["carol"]),
+])
+def test_mistyped_commits_section_exits_two_naming_it(tmp_path, capsys, hash_id, field, value):
+    report = scan_report_path(tmp_path, capsys, ooo_fixture())
+    doc = json.loads(Path(report).read_text(encoding="utf-8"))
+    if hash_id is None:
+        doc["commits"] = value
+    elif field is None:
+        doc["commits"][hex_hash(hash_id)] = value
+    else:
+        doc["commits"][hex_hash(hash_id)][field] = value
+    Path(report).write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "stats", report)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "commits" in err
+    if hash_id is not None:
+        assert hex_hash(hash_id) in err and (field or "object") in err
+
+
 # ---- verify ----
 
 
@@ -421,6 +446,31 @@ def test_verify_rejects_bad_sources_config(tmp_path, capsys):
     code, _, err = run(capsys, "verify", report, "--sources", str(bad))
     assert code == 2
     assert "sources" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("endpoint", 5),
+    ("endpoint", "https://forge.test/{repo}/{nope}"),
+    ("auth", 7),
+    ("workers", True),
+])
+def test_verify_mistyped_sources_config_exits_two_with_one_line(tmp_path, capsys, field, value):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    config = json.loads(Path(stub_sources(tmp_path, records)).read_text(encoding="utf-8"))
+    if field == "workers":
+        config["workers"] = value
+    elif field == "endpoint":
+        config["sources"].insert(0, {"kind": "PrimaryForge", "endpoint": value})
+    else:
+        config["sources"][0][field] = value
+    sources = tmp_path / "mistyped.json"
+    sources.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, "verify", report, "--sources", str(sources))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "bad sources config" in err and field in err
 
 
 def test_verify_has_no_workers_flag(tmp_path, capsys):
@@ -525,9 +575,6 @@ def test_audit_run_round_trips_through_json():
         policies=(
             filters.policy_from_dict({"kind": "MinTimestamp", "min_ts": 1}),
             filters.policy_from_dict({"kind": "TopKStars", "k": 5}),
-        ),
-        manifest=DatasetManifest(
-            name="autumn-freeze", snapshot_date=parse_utc(SNAPSHOT), repos=("org/alpha",),
         ),
     )
     assert AuditRun.from_dict(json.loads(json.dumps(run.to_dict()))) == run

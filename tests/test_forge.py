@@ -1,9 +1,11 @@
 """Tests for metadata fetching, caching, backoff, and batch verification."""
 
 import json
+import threading
+import urllib.error
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from chronolint import forge
 from chronolint.detectors import (
@@ -293,7 +295,8 @@ def test_unusable_documents_fall_through():
     assert outcome.status is VerificationStatus.UNVERIFIABLE
 
 
-@pytest.mark.parametrize("error", [requests.ConnectionError, requests.Timeout])
+@pytest.mark.parametrize("error", [urllib.error.URLError, TimeoutError],
+                         ids=["ConnectionError", "Timeout"])
 def test_transport_error_is_a_failed_attempt(tmp_path, error):
     rec = make_record(1)
     write_stub(tmp_path / "stub", rec)
@@ -311,6 +314,92 @@ def test_transport_error_is_a_failed_attempt(tmp_path, error):
     assert calls == [forge_url_for(rec)] * 5  # the same budget as a rate limit
     assert sleeps == []  # no Retry-After hint to back off from
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE  # the stub answered
+
+
+# ---- HTTP transport, against a server on the loopback interface ----
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers GET path -> list of (status, headers, body, declared length);
+    the last response repeats. A declared length above the body's is a
+    response cut short."""
+
+    def do_GET(self):
+        self.server.requests.append((self.path, self.headers.get("Authorization")))
+        responses = self.server.script.get(self.path, [(404, {}, b"no such commit", None)])
+        status, headers, body, length = responses.pop(0) if len(responses) > 1 else responses[0]
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body) if length is None else length))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = True
+
+    def log_message(self, *args):  # keep the test output quiet
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")  # a configured proxy must not carry these requests
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server.script, server.requests = {}, []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_http_transport_returns_every_status(loopback):
+    server, base = loopback
+    server.script = {
+        "/ok": [(200, {"Content-Type": "application/json"}, b'{"a": "\xc3\xa9"}', None)],
+        "/limited": [(429, {"Retry-After": "7"}, b"slow down", None)],
+    }
+    status, body, headers = forge.http_transport(f"{base}/ok", {"Authorization": "Bearer t"})
+    assert (status, json.loads(body), headers["Content-Type"]) == (200, {"a": "\u00e9"},
+                                                                    "application/json")
+    assert forge.http_transport(f"{base}/missing", {})[:2] == (404, "no such commit")
+    status, body, headers = forge.http_transport(f"{base}/limited", {})
+    assert (status, body, headers["Retry-After"]) == (429, "slow down", "7")
+    assert server.requests == [("/ok", "Bearer t"), ("/missing", None), ("/limited", None)]
+
+
+def test_http_transport_maps_a_truncated_body_to_oserror(loopback):
+    server, base = loopback
+    server.script = {"/cut": [(200, {}, b'{"hash": "ab', 100)]}
+    with pytest.raises(OSError, match="/cut"):
+        forge.http_transport(f"{base}/cut", {})
+
+
+def test_client_over_http_backs_off_then_falls_back(tmp_path, loopback):
+    server, base = loopback
+    limited, cut = make_record(1), make_record(2)
+    write_stub(tmp_path / "stub", cut)
+    server.script = {
+        f"/example/repo/{limited.hash}": [(429, {"Retry-After": "3"}, b"", None),
+                                          (200, {}, json.dumps(doc_for(limited)).encode(), None)],
+        f"/example/repo/{cut.hash}": [(200, {}, b'{"hash": "ab', 100)],
+    }
+    sleeps = []
+    client = ForgeClient(
+        [MetadataSource(kind="PrimaryForge", endpoint=base + "/{repo}/{hash}"),
+         stub_source(tmp_path)],
+        sleep=sleeps.append, max_attempts=2,
+    )
+    assert client.fetch_commit_metadata(limited.repo_id, limited.hash).status \
+        is VerificationStatus.CONFIRMED_ON_FORGE
+    assert sleeps == [3.0]
+    # Both attempts at the truncated document fail; the stub answers.
+    outcome = client.fetch_commit_metadata(cut.repo_id, cut.hash)
+    assert outcome.committer_date == cut.committer_date.epoch_seconds
+    assert [path for path, _ in server.requests].count(f"/example/repo/{cut.hash}") == 2
 
 
 def test_source_validation():
@@ -410,7 +499,7 @@ def test_transport_errors_leave_the_accounting_whole(tmp_path):
 
     def transport(url, headers):
         if url.startswith("https://forge.test/"):
-            raise requests.ConnectionError(f"cannot reach {url}")
+            raise urllib.error.URLError(f"cannot reach {url}")
         return archive.get(url, (404, "", {}))
 
     sources = [
@@ -575,6 +664,15 @@ def test_load_sources_round_trip(tmp_path):
         {"sources": [{"kind": "FileStub"}]},
         {"sources": [{"kind": "FileStub", "path": "stubs"}]},
         {"sources": ["FileStub"]},
+        {"sources": [{"kind": "FileStub", "endpoint": "stubs"}], "workers": True},
+        {"sources": [{"kind": "FileStub", "endpoint": "stubs"}], "workers": "2"},
+        {"sources": [{"kind": "FileStub", "endpoint": 5}]},
+        {"sources": [{"kind": "FileStub", "endpoint": "stubs", "auth": 7}]},
+        {"sources": [{"kind": "PrimaryForge", "endpoint": "https://forge.test/{nope}"}]},
+        {"sources": [{"kind": "PrimaryForge", "endpoint": "https://forge.test/{}"}]},
+        {"sources": [{"kind": "PrimaryForge", "endpoint": "https://forge.test/{repo.x}"}]},
+        {"sources": [{"kind": "ArchiveFallback", "endpoint": "https://a.test/{hash:{x}}"}]},
+        {"sources": [{"kind": "ArchiveFallback", "endpoint": "https://a.test/{hash"}]},
     ],
 )
 def test_bad_source_configs_rejected(tmp_path, payload):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chronolint.model import (
     Anomaly,
     AnomalyKind,
-    DatasetManifest,
     Timestamp,
     canonical_repo_id,
     format_utc,
@@ -150,14 +149,6 @@ def test_anomaly_delta_only_for_out_of_order():
         Anomaly(AnomalyKind.OLD, "a" * 40, "o/r", "x", delta_seconds=5)
     with pytest.raises(ValueError):
         Anomaly(AnomalyKind.OUT_OF_ORDER_LINEAR, "a" * 40, "o/r", "x")
-
-
-def test_manifest_invariants():
-    DatasetManifest("d", Timestamp(1572480000), ("a/b", "c/d"))
-    with pytest.raises(ValueError):
-        DatasetManifest("d", Timestamp(0), ())
-    with pytest.raises(ValueError):
-        DatasetManifest("d", Timestamp(1), ("a/b", "a/b"))
 
 
 def test_canonical_repo_id():

@@ -37,13 +37,29 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_runtime_imports_only_the_standard_library():
+    allowed = sys.stdlib_module_names | {"chronolint"}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []
+
+
 # Runs each command in order in one fresh interpreter and prints, after the
-# import and after each command, its exit code and which heavy modules are
-# loaded by then.
+# import and after each command, its exit code and which of the watched
+# modules are loaded by then.
 PROBE = """
 import json, sys
-HEAVY = ("numpy", "requests", "urllib3")
-loaded = lambda: [m for m in HEAVY if m in sys.modules]
+WATCHED = ("numpy", "requests", "urllib3", "urllib.request")
+loaded = lambda: [m for m in WATCHED if m in sys.modules]
 from chronolint.cli import main
 steps = [["import", None, loaded()]]
 for name, argv in json.loads(sys.argv[1]):
@@ -52,7 +68,7 @@ print(json.dumps(steps))
 """
 
 
-def test_only_stats_loads_numpy_and_no_local_command_loads_requests(tmp_path):
+def test_no_command_loads_numpy_or_requests_and_no_local_one_urllib(tmp_path):
     records = [
         make_record(0, committer_epoch=1_000_000_600),
         make_record(1, parents=[0], committer_epoch=1_000_000_000),  # out of order
@@ -97,6 +113,6 @@ def test_only_stats_loads_numpy_and_no_local_command_loads_requests(tmp_path):
         ["filter", 0, []],
         ["verify cold", 1, []],
         ["verify warm", 1, []],
-        ["stats", 0, ["numpy"]],
+        ["stats", 0, []],
     ]
     assert (tmp_path / "cache.ndjson").read_text().count("\n") == 2
