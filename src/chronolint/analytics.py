@@ -270,10 +270,6 @@ def token_frequency(messages, exclude_terms=frozenset()) -> TokenTable:
 # ---- Attribution ----
 
 
-def _committer_group(committer_id: str) -> str:
-    return NO_NAME if not committer_id.strip() else committer_id
-
-
 def top_committers(anomalies, records, k: int = 20) -> list[tuple[str, int]]:
     """Committers ranked by how many distinct flagged commits they made.
 
@@ -287,7 +283,8 @@ def top_committers(anomalies, records, k: int = 20) -> list[tuple[str, int]]:
         rec = by_hash.get(anomaly.commit_hash)
         if rec is None:
             continue
-        flagged.setdefault(_committer_group(rec.committer_id), set()).add(rec.hash)
+        who = rec.committer_id if rec.committer_id.strip() else NO_NAME
+        flagged.setdefault(who, set()).add(rec.hash)
     ranked = sorted(
         ((who, len(hashes)) for who, hashes in flagged.items()),
         key=lambda item: (-item[1], item[0]),

@@ -192,16 +192,14 @@ def _now_utc() -> str:
     return format_utc(Timestamp(int(time.time())))
 
 
-def _dump_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _emit_document(doc: dict, path: str | None) -> None:
-    text = _dump_document(doc)
+def _emit_document(doc: dict, path: str | None, stream=None) -> None:
+    """Write ``doc`` as indented JSON to ``path``, else to ``stream``
+    (default stdout)."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
 
 
 def _load_document(path: str) -> dict:
@@ -439,11 +437,7 @@ def cmd_filter(args) -> int:
         "output_records": len(retained),
         "ledgers": [ledger.to_dict() for ledger in ledgers],
     }
-    text = _dump_document(document)
-    if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
-    else:
-        sys.stderr.write(text)
+    _emit_document(document, args.report, sys.stderr)
     return EXIT_CLEAN
 
 
@@ -455,12 +449,8 @@ def _stats_tables(report: dict, exclude_terms) -> dict:
     commits = _report_commits(report)
 
     deltas = [a.delta_seconds for a in anomalies if a.delta_seconds is not None]
-    if deltas:
-        stats = analytics.delta_statistics(deltas).to_dict()
-        histogram = analytics.delta_histogram(deltas).to_dict()
-    else:
-        stats = None
-        histogram = None
+    stats = analytics.delta_statistics(deltas).to_dict() if deltas else None
+    histogram = analytics.delta_histogram(deltas).to_dict() if deltas else None
 
     messages = [entry.get("message", "") for entry in commits.values()]
     tokens = analytics.token_frequency(messages, exclude_terms=frozenset(exclude_terms))

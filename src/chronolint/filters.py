@@ -120,10 +120,8 @@ def _partition(policy, records, keep):
 def repo_star_table(records) -> list[tuple[str, int]]:
     """Repo-level star counts: the max seen per repo, 0 when never set."""
     stars: dict[str, int] = {}
-    for rec in records:
-        current = stars.get(rec.repo_id)
-        value = rec.stars if rec.stars is not None else 0
-        stars[rec.repo_id] = value if current is None else max(current, value)
+    for rec in records:  # ingest refuses negative counts
+        stars[rec.repo_id] = max(stars.get(rec.repo_id, 0), rec.stars or 0)
     return sorted(stars.items())
 
 

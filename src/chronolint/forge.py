@@ -11,9 +11,11 @@ tests; its document schema mirrors the NDJSON ingest record.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
+import re
 import string
 import threading
 import time
@@ -31,14 +33,6 @@ log = logging.getLogger(__name__)
 SOURCE_KINDS = ("PrimaryForge", "ArchiveFallback", "LocalCache", "FileStub")
 DEFAULT_MAX_ATTEMPTS = 5
 DEFAULT_WORKERS = 4
-
-
-class RateLimited(Exception):
-    """The source asked us to slow down."""
-
-    def __init__(self, retry_after: float):
-        self.retry_after = retry_after
-        super().__init__(f"rate limited; retry after {retry_after}s")
 
 
 class NotFound(Exception):
@@ -237,18 +231,41 @@ def http_transport(url: str, headers: dict, timeout: float = 30.0):
     first use, ``urllib.request`` loads ``http.client``, ``ssl`` and ``email``."""
     from http.client import HTTPException
     from urllib.error import HTTPError
-    from urllib.request import Request, urlopen
+    from urllib.parse import quote
+    from urllib.request import Request
 
+    # Percent-encode what a repo id or hash brings in, as requests did; a
+    # '%' that starts no escape is encoded too.
+    safe = "!#$&'()*+,/:;=?@[]~" + ("" if re.search("%(?![0-9A-Fa-f]{2})", url) else "%")
+    request = Request(quote(url, safe=safe), headers=headers)
     try:
-        with urlopen(Request(url, headers=headers), timeout=timeout) as resp:
+        try:
+            resp = _opener().open(request, timeout=timeout)
+        except HTTPError as exc:
+            resp = exc  # an error status still carries a body
+        with resp:
             return resp.status, resp.read().decode("utf-8", "replace"), dict(resp.headers)
-    except HTTPError as exc:
-        with exc:
-            return exc.code, exc.read().decode("utf-8", "replace"), dict(exc.headers)
     except HTTPException as exc:
         # IncompleteRead and BadStatusLine are not OSErrors; the client's
         # attempt budget counts OSErrors.
         raise OSError(f"broken response from {url}: {exc!r}") from exc
+
+
+@functools.cache
+def _opener():
+    """A urllib opener whose redirects drop ``Authorization`` when the scheme
+    or host:port changes, so a token neither reaches another host nor leaves TLS."""
+    from urllib.parse import urlsplit
+    from urllib.request import HTTPRedirectHandler, build_opener
+
+    class SameOriginAuthRedirect(HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            new = super().redirect_request(req, fp, code, msg, headers, newurl)
+            if new is not None and urlsplit(newurl)[:2] != urlsplit(req.full_url)[:2]:
+                new.remove_header("Authorization")
+            return new
+
+    return build_opener(SameOriginAuthRedirect)
 
 
 # ---- Client ----
@@ -354,29 +371,25 @@ class ForgeClient:
         delay = None
         for attempt in range(self.max_attempts):
             try:
-                return self._request_once(url, headers)
-            except RateLimited as limited:
-                # Exponential backoff from the server's first hint.
-                delay = limited.retry_after if delay is None else delay * 2
-                if attempt + 1 < self.max_attempts:
-                    log.debug("rate limited on %s; sleeping %.1fs", url, delay)
-                    self.sleep(delay)
+                status, body, resp_headers = self.transport(url, headers)
             except OSError as exc:
                 # A failed connection or response: no hint to back off from.
                 log.debug("transport error on %s: %s", url, exc)
-        raise NotFound(f"attempt budget exhausted for {url}")
-
-    def _request_once(self, url: str, headers: dict) -> str:
-        status, body, resp_headers = self.transport(url, headers)
-        if status == 200:
-            return body
-        if status == 429:
+                continue
+            if status == 200:
+                return body
+            if status != 429:
+                raise NotFound(f"{url} -> HTTP {status}")
+            # Rate limited: exponential backoff from the server's first hint.
             try:
                 hint = float(resp_headers.get("Retry-After", 1))
             except (TypeError, ValueError):
                 hint = 1.0
-            raise RateLimited(hint)
-        raise NotFound(f"{url} -> HTTP {status}")
+            delay = hint if delay is None else delay * 2
+            if attempt + 1 < self.max_attempts:
+                log.debug("rate limited on %s; sleeping %.1fs", url, delay)
+                self.sleep(delay)
+        raise NotFound(f"attempt budget exhausted for {url}")
 
     def _outcome_from_document(self, source: MetadataSource, commit_hash: str,
                                body: str) -> VerificationOutcome:

@@ -303,8 +303,7 @@ def deduplicate(records: list[CommitRecord]) -> tuple[list[CommitRecord], DedupR
     surfaced as :class:`DuplicateHashConflict` entries -- those are not
     mere re-exports but genuinely contradictory data.
     """
-    kept: dict[str, CommitRecord] = {}
-    order: list[CommitRecord] = []
+    kept: dict[str, CommitRecord] = {}  # first occurrences, in input order
     counts: dict[str, int] = {}
     conflicts: list[DuplicateHashConflict] = []
 
@@ -313,12 +312,12 @@ def deduplicate(records: list[CommitRecord]) -> tuple[list[CommitRecord], DedupR
         first = kept.get(rec.hash)
         if first is None:
             kept[rec.hash] = rec
-            order.append(rec)
         elif rec.committer_date.epoch_seconds != first.committer_date.epoch_seconds:
             conflicts.append(
                 DuplicateHashConflict(rec.hash, first.committer_date, rec.committer_date)
             )
 
+    order = list(kept.values())
     duplicate_hashes = tuple(
         (rec.hash, counts[rec.hash]) for rec in order if counts[rec.hash] > 1
     )

@@ -1,5 +1,6 @@
 """Tests for metadata fetching, caching, backoff, and batch verification."""
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -340,9 +341,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def loopback(monkeypatch):
-    monkeypatch.setenv("no_proxy", "*")  # a configured proxy must not carry these requests
+@contextlib.contextmanager
+def scripted_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
     server.script, server.requests = {}, []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -354,6 +354,13 @@ def loopback(monkeypatch):
         server.server_close()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")  # a configured proxy must not carry these requests
+    with scripted_server() as served:
+        yield served
 
 
 def test_http_transport_returns_every_status(loopback):
@@ -371,11 +378,41 @@ def test_http_transport_returns_every_status(loopback):
     assert server.requests == [("/ok", "Bearer t"), ("/missing", None), ("/limited", None)]
 
 
-def test_http_transport_maps_a_truncated_body_to_oserror(loopback):
+@pytest.mark.parametrize("status", [200, 404, 429, 503])
+def test_http_transport_maps_a_truncated_body_to_oserror(loopback, status):
     server, base = loopback
-    server.script = {"/cut": [(200, {}, b'{"hash": "ab', 100)]}
+    server.script = {"/cut": [(status, {}, b'{"hash": "ab', 100)]}
     with pytest.raises(OSError, match="/cut"):
         forge.http_transport(f"{base}/cut", {})
+
+
+def test_http_transport_keeps_the_token_on_same_origin_redirects_only(loopback):
+    server, base = loopback
+    with scripted_server() as (other, other_base):
+        other.script = {"/ok": [(200, {}, b"there", None)]}
+        server.script = {
+            "/away": [(302, {"Location": f"{other_base}/ok"}, b"", None)],
+            "/here": [(307, {"Location": "/ok"}, b"", None)],
+            "/ok": [(200, {}, b"here", None)],
+        }
+        auth = {"Authorization": "Bearer t"}
+        assert forge.http_transport(f"{base}/away", auth)[:2] == (200, "there")
+        assert forge.http_transport(f"{base}/here", auth)[:2] == (200, "here")
+        assert other.requests == [("/ok", None)]
+    assert server.requests == [("/away", "Bearer t"), ("/here", "Bearer t"), ("/ok", "Bearer t")]
+
+
+@pytest.mark.parametrize("path, sent", [
+    ("/org/caf\u00e9", "/org/caf%C3%A9"),
+    ("/org/my repo", "/org/my%20repo"),
+    ("/org/r%41/r1@x?q=%zz", "/org/r%2541/r1@x?q=%25zz"),
+    ("/org/repo/r7@trunk", "/org/repo/r7@trunk"),
+], ids=["non-ascii", "space", "stray-percent", "legal"])
+def test_http_transport_percent_encodes_the_url(loopback, path, sent):
+    server, base = loopback
+    server.script = {sent: [(200, {}, b"found", None)]}
+    assert forge.http_transport(base + path, {})[:2] == (200, "found")
+    assert server.requests == [(sent, None)]
 
 
 def test_client_over_http_backs_off_then_falls_back(tmp_path, loopback):

@@ -12,11 +12,23 @@ from chronolint.cli import record_to_object, write_ndjson
 from conftest import make_record
 
 PACKAGE = Path(chronolint.__file__).parent
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def test_every_exported_name_resolves():
     assert [name for name in chronolint.__all__ if not hasattr(chronolint, name)] == []
     assert len(set(chronolint.__all__)) == len(chronolint.__all__)
+
+
+def test_the_benchmark_tracer_finds_every_function_it_wraps():
+    # perfbench/traced.py wraps package functions by name, private ones
+    # included; without this a rename shows only when the benchmark runs.
+    done = subprocess.run(
+        [sys.executable, "-c", "import traced; traced.install(traced.Tracer('probe'))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), str(PERFBENCH)])},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_no_module_imports_a_name_it_never_uses():
