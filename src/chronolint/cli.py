@@ -174,8 +174,9 @@ def anomaly_from_object(obj: dict, index: int) -> Anomaly:
     _check_string_fields(obj, where, ("commit", "repo", "evidence"))
     delta = obj.get("delta_seconds")
     # type(), not isinstance(): a JSON true is a bool, and bool subclasses int.
-    if delta is not None and (type(delta) is not int or delta < 1):
-        raise CommandError(f"{where}: delta_seconds must be a positive integer")
+    # Two int64 epochs differ by less than 2**64.
+    if delta is not None and (type(delta) is not int or not 1 <= delta < 2**64):
+        raise CommandError(f"{where}: delta_seconds must be a positive integer below 2**64")
     try:
         return Anomaly(
             kind=AnomalyKind(obj["kind"]),
@@ -206,7 +207,7 @@ def _load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSON, UTF-8 or int() digit limit
         raise CommandError(f"cannot read report {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise CommandError(f"{path} is not a schema v{SCHEMA_VERSION} report")

@@ -216,23 +216,27 @@ def policy_from_dict(data: dict) -> FilterPolicy:
     ``cutoff`` accepts either an integer epoch or a UTC date string such
     as ``2014-01-01`` / ``2014-01-01T00:00:00Z``.
     """
+    if not isinstance(data, dict):
+        raise ValueError("policy entry must be an object")
     if "kind" not in data:
         raise ValueError("policy entry needs a 'kind'")
     known = {"kind", "min_ts", "cutoff", "blocklist", "scope", "min_stars", "k"}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown policy fields: {sorted(unknown)}")
+    for field in ("min_ts", "min_stars", "k"):
+        _optional_int(data, field, "an integer")
 
     cutoff = data.get("cutoff")
     if isinstance(cutoff, str):
         cutoff = parse_utc(cutoff)
-    elif isinstance(cutoff, int):
-        cutoff = Timestamp(cutoff)
     elif cutoff is not None:
-        raise ValueError("cutoff must be an epoch integer or a date string")
+        cutoff = Timestamp(_optional_int(data, "cutoff", "an epoch integer or a date string"))
 
     blocklist = data.get("blocklist")
     if blocklist is not None:
+        if not isinstance(blocklist, list) or not all(isinstance(r, str) for r in blocklist):
+            raise ValueError("blocklist must be an array of repository ids")
         blocklist = frozenset(blocklist)
 
     return FilterPolicy(
@@ -244,6 +248,14 @@ def policy_from_dict(data: dict) -> FilterPolicy:
         min_stars=data.get("min_stars"),
         k=data.get("k"),
     )
+
+
+def _optional_int(data: dict, field: str, expected: str):
+    value = data.get(field)
+    # type(), not isinstance(): a JSON true is a bool, and bool subclasses int.
+    if value is not None and type(value) is not int:
+        raise ValueError(f"{field} must be {expected}")
+    return value
 
 
 def load_policies(source) -> list[FilterPolicy]:

@@ -71,6 +71,9 @@ class MetadataSource:
         if self.auth is not None and not isinstance(self.auth, str):
             raise ValueError(f"source {self.kind!r}: auth must be a string or null")
         if self.kind in ("PrimaryForge", "ArchiveFallback"):
+            if not self.endpoint.lower().startswith(("http://", "https://")):
+                raise ValueError(f"source {self.kind!r}: endpoint must be an http:// "
+                                 "or https:// URL template")
             try:
                 fields = set(_template_fields(self.endpoint))
             except ValueError as exc:
@@ -394,7 +397,7 @@ class ForgeClient:
     def _outcome_from_document(self, source: MetadataSource, commit_hash: str,
                                body: str) -> VerificationOutcome:
         try:
-            record = _record_from_object(json.loads(body))
+            record = _record_from_object(json.loads(body), {}, {})
         except (ValueError, json.JSONDecodeError) as exc:
             log.warning("unusable metadata document from %s: %s", source.kind, exc)
             raise NotFound(str(exc)) from exc

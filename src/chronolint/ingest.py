@@ -7,22 +7,35 @@ unit-separator pretty format (see the README for the exact recipe).
 Parsing is deliberately lenient: a record that fails to parse is reported
 and skipped, so a single mangled line cannot sink a multi-million-commit
 export. :func:`deduplicate` then runs over the already-parsed records.
+
+A parse streams its input one block at a time and holds only the records
+it keeps. Within one parse, every reference to a commit shares one hash
+string, and every repeat of a repo or person id one id string.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
 from dataclasses import dataclass
 
-from .model import CommitRecord, Timestamp, normalize_timestamp
+from .model import (
+    ASCII_INT,
+    EPOCH_MAX,
+    EPOCH_MIN,
+    CommitRecord,
+    Timestamp,
+    normalize_timestamp,
+)
 
 log = logging.getLogger(__name__)
 
-_HEX_HASH = re.compile(r"^[0-9a-f]{40}$")
-_SVN_HASH = re.compile(r"^r[0-9]+@\S+$")  # Subversion revisions: "r<N>@<repo>"
-_TZ_HHMM = re.compile(r"^([+-])([0-9]{2})([0-9]{2})$")
+# Matched with fullmatch: "$" would also match before a trailing newline.
+_HEX_HASH = re.compile(r"[0-9a-f]{40}")
+_SVN_HASH = re.compile(r"r[0-9]+@\S+")  # Subversion revisions: "r<N>@<repo>"
+_TZ_HHMM = re.compile(r"([+-])([0-9]{2})([0-9]{2})")
 
 _REQUIRED_KEYS = (
     "hash",
@@ -38,6 +51,9 @@ _DATE_UNITS = ("s", "ms", "us")
 
 GITLOG_FIELD_SEP = "\x1f"
 GITLOG_RECORD_SEP = "\x00"
+
+# Read size for a handle: bytes, or characters from a text handle.
+_READ_BLOCK = 1 << 20
 
 
 # ---- Result containers ----
@@ -98,115 +114,176 @@ class DedupReport:
 
 
 # ---- Field validators ----
+# The record functions check a field's usual type inline with type(); the
+# _require_* checks run only for any other type, to accept a subclass or
+# to raise with the field's name.
 
 
-def _canon_hash(raw, what: str = "hash") -> str:
-    """Validate a commit id; full-width hex ids are folded to lowercase."""
-    if not isinstance(raw, str):
+def _canon_hash(raw, what: str, hashes: dict) -> str:
+    """Validate a commit id; upper-case hex ids are folded to lowercase.
+
+    ``hashes`` maps each raw id already accepted in this parse to its
+    canonical string, so that every reference to a commit shares one
+    string object. A raw id that fails is not stored.
+    """
+    if type(raw) is str:
+        known = hashes.get(raw)
+        if known is not None:
+            return known
+    elif not isinstance(raw, str):
         raise ValueError(f"{what} must be a string")
     lowered = raw.lower()
-    if _HEX_HASH.match(lowered):
-        return lowered
-    if _SVN_HASH.match(raw):
-        return raw
-    raise ValueError(f"{what} {raw!r} is neither 40-char hex nor r<N>@<repo>")
+    if _HEX_HASH.fullmatch(lowered):
+        canonical = hashes.setdefault(lowered, lowered)
+    elif _SVN_HASH.fullmatch(raw):
+        canonical = raw
+    else:
+        raise ValueError(f"{what} {raw!r} is neither 40-char hex nor r<N>@<repo>")
+    hashes[raw] = canonical
+    return canonical
 
 
-def _require_int(value, what: str) -> int:
+def _require_int(value, what: str) -> None:
     # bool is an int subclass; a JSON `true` in a date field is garbage.
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
-    return value
 
 
-def _require_str(value, what: str) -> str:
+def _require_str(value, what: str) -> None:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {type(value).__name__}")
-    return value
 
 
-def _parse_tz_minutes(text: str) -> int:
-    """Accept git's +HHMM / -HHMM notation, or a bare signed minute count."""
-    m = _TZ_HHMM.match(text.strip())
+def _ascii_int(text: str) -> int:
+    """``int(text)`` for ASCII digits with an optional leading "-" only."""
+    if not ASCII_INT.fullmatch(text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)  # still raises past int()'s digit limit
+
+
+def _check_epoch_range(author_date: Timestamp, committer_date: Timestamp) -> None:
+    if not EPOCH_MIN <= author_date.epoch_seconds <= EPOCH_MAX:
+        raise ValueError("author_date is outside the int64 range of epoch seconds")
+    if not EPOCH_MIN <= committer_date.epoch_seconds <= EPOCH_MAX:
+        raise ValueError("committer_date is outside the int64 range of epoch seconds")
+
+
+def _parse_tz_minutes(text: str, tzs: dict) -> int:
+    """Accept git's +HHMM / -HHMM notation, or a bare signed minute count.
+
+    ``tzs`` remembers each text that parsed, with its minutes.
+    """
+    stripped = text.strip()
+    m = _TZ_HHMM.fullmatch(stripped)
     if m:
         sign = 1 if m.group(1) == "+" else -1
-        return sign * (int(m.group(2)) * 60 + int(m.group(3)))
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(f"unparseable timezone offset {text!r}") from None
+        minutes = sign * (int(m.group(2)) * 60 + int(m.group(3)))
+    else:
+        try:
+            minutes = _ascii_int(stripped)
+        except ValueError:
+            raise ValueError(f"unparseable timezone offset {text!r}") from None
+    tzs[text] = minutes
+    return minutes
 
 
 # ---- NDJSON format ----
 
 
-def _record_from_object(obj) -> CommitRecord:
+def _record_from_object(obj, hashes: dict, names: dict) -> CommitRecord:
+    """Validate one decoded NDJSON object; checks run, and fail, in a fixed
+    order, so a record with several faults always names the same one.
+
+    ``hashes`` is :func:`_canon_hash`'s memo. ``names`` maps each repo,
+    author and committer id to the first string seen with its value, so
+    that records share one string per id.
+    """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
-    missing = [k for k in _REQUIRED_KEYS if k not in obj]
-    if missing:
-        raise ValueError(f"missing required keys: {', '.join(missing)}")
+    try:
+        raw_hash = obj["hash"]
+        repo_id = obj["repo"]
+        raw_parents = obj["parents"]
+        raw_author_date = obj["author_date"]
+        raw_committer_date = obj["committer_date"]
+        author_id = obj["author"]
+        committer_id = obj["committer"]
+        message = obj["message"]
+    except KeyError:
+        missing = [k for k in _REQUIRED_KEYS if k not in obj]
+        raise ValueError(f"missing required keys: {', '.join(missing)}") from None
 
-    commit_hash = _canon_hash(obj["hash"])
-    repo_id = _require_str(obj["repo"], "repo")
+    commit_hash = _canon_hash(raw_hash, "hash", hashes)
+    if type(repo_id) is str:
+        repo_id = names.setdefault(repo_id, repo_id)
+    else:
+        _require_str(repo_id, "repo")
 
-    raw_parents = obj["parents"]
     if not isinstance(raw_parents, list):
         raise ValueError("parents must be an array")
-    parents = tuple(_canon_hash(p, "parent") for p in raw_parents)
+    parents = tuple([_canon_hash(p, "parent", hashes) for p in raw_parents])
 
     unit = obj.get("date_unit", "s")
     if unit not in _DATE_UNITS:
         raise ValueError(f"date_unit must be one of {_DATE_UNITS}, got {unit!r}")
 
     tz = obj.get("tz_offset_min", 0)
-    if isinstance(tz, bool) or not isinstance(tz, int):
+    if type(tz) is not int and (isinstance(tz, bool) or not isinstance(tz, int)):
         raise ValueError("tz_offset_min must be an integer")
 
-    author_date = normalize_timestamp(_require_int(obj["author_date"], "author_date"), unit, tz)
-    committer_date = normalize_timestamp(
-        _require_int(obj["committer_date"], "committer_date"), unit, tz
-    )
+    if type(raw_author_date) is not int:
+        _require_int(raw_author_date, "author_date")
+    author_date = normalize_timestamp(raw_author_date, unit, tz)
+    if type(raw_committer_date) is not int:
+        _require_int(raw_committer_date, "committer_date")
+    committer_date = normalize_timestamp(raw_committer_date, unit, tz)
 
     verified = obj.get("verified")
-    if verified is not None and not isinstance(verified, bool):
+    if verified is not None and type(verified) is not bool:
         raise ValueError("verified must be a boolean when present")
 
     stars = obj.get("stars")
     if stars is not None:
-        stars = _require_int(stars, "stars")
+        if type(stars) is not int:
+            _require_int(stars, "stars")
         if stars < 0:
             raise ValueError("stars must be non-negative")
 
-    return CommitRecord(
-        hash=commit_hash,
-        repo_id=repo_id,
-        parents=parents,
-        author_date=author_date,
-        committer_date=committer_date,
-        author_id=_require_str(obj["author"], "author"),
-        committer_id=_require_str(obj["committer"], "committer"),
-        message=_require_str(obj["message"], "message"),
-        verified=verified,
-        stars=stars,
-    )
+    if type(author_id) is str:
+        author_id = names.setdefault(author_id, author_id)
+    else:
+        _require_str(author_id, "author")
+    if type(committer_id) is str:
+        committer_id = names.setdefault(committer_id, committer_id)
+    else:
+        _require_str(committer_id, "committer")
+    if type(message) is not str:
+        _require_str(message, "message")
+    _check_epoch_range(author_date, committer_date)
+
+    return CommitRecord(commit_hash, repo_id, parents, author_date, committer_date,
+                        author_id, committer_id, message, verified, stars)
 
 
-def _parse_ndjson(text: str) -> ParseResult:
+def _parse_ndjson(lines) -> ParseResult:
     records: list[CommitRecord] = []
     malformed: list[MalformedRecord] = []
-    # NDJSON lines end at "\n" only. str.splitlines() would also split on
-    # U+2028, U+0085, \x1c and others, and U+2028 is legal inside a JSON string.
-    for line_number, line in enumerate(text.split("\n"), start=1):
+    hashes: dict[str, str] = {}
+    names: dict[str, str] = {}
+    loads = json.loads
+    for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = loads(line)
         except json.JSONDecodeError as exc:
             malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc.msg}"))
             continue
+        except ValueError as exc:  # an integer longer than int() converts
+            malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc}"))
+            continue
         try:
-            records.append(_record_from_object(obj))
+            records.append(_record_from_object(obj, hashes, names))
         except ValueError as exc:
             malformed.append(MalformedRecord(line_number, str(exc)))
     return ParseResult(records, malformed)
@@ -215,52 +292,96 @@ def _parse_ndjson(text: str) -> ParseResult:
 # ---- gitlog format ----
 
 
-def _record_from_gitlog_chunk(chunk: str, repo_id: str) -> CommitRecord:
+def _record_from_gitlog_chunk(chunk: str, repo_id: str, hashes: dict, names: dict,
+                              tzs: dict) -> CommitRecord:
+    """Validate one NUL-delimited gitlog record; the memos are as for
+    :func:`_record_from_object`, and ``tzs`` is :func:`_parse_tz_minutes`'s."""
     fields = chunk.split(GITLOG_FIELD_SEP, 8)
     if len(fields) != 9:
         raise ValueError(f"expected 9 unit-separated fields, got {len(fields)}")
     (raw_hash, raw_parents, c_epoch, c_tz, a_epoch, a_tz,
      committer_name, author_name, message) = fields
 
-    commit_hash = _canon_hash(raw_hash)
-    parents = tuple(_canon_hash(p, "parent") for p in raw_parents.split())
+    commit_hash = _canon_hash(raw_hash, "hash", hashes)
+    parents = tuple([_canon_hash(p, "parent", hashes) for p in raw_parents.split()])
 
     try:
-        committer_epoch = int(c_epoch)
-        author_epoch = int(a_epoch)
+        committer_epoch = _ascii_int(c_epoch)
+        author_epoch = _ascii_int(a_epoch)
     except ValueError:
         raise ValueError(f"non-integer epoch field: {c_epoch!r} / {a_epoch!r}") from None
 
-    committer_date = Timestamp(committer_epoch, _parse_tz_minutes(c_tz))
-    author_date = Timestamp(author_epoch, _parse_tz_minutes(a_tz))
+    c_minutes = tzs.get(c_tz)
+    if c_minutes is None:
+        c_minutes = _parse_tz_minutes(c_tz, tzs)
+    committer_date = Timestamp(committer_epoch, c_minutes)
+    a_minutes = tzs.get(a_tz)
+    if a_minutes is None:
+        a_minutes = _parse_tz_minutes(a_tz, tzs)
+    author_date = Timestamp(author_epoch, a_minutes)
+    _check_epoch_range(author_date, committer_date)
 
-    return CommitRecord(
-        hash=commit_hash,
-        repo_id=repo_id,
-        parents=parents,
-        author_date=author_date,
-        committer_date=committer_date,
-        author_id=author_name,
-        committer_id=committer_name,
-        message=message.rstrip("\n"),
-    )
+    return CommitRecord(commit_hash, repo_id, parents, author_date, committer_date,
+                        names.setdefault(author_name, author_name),
+                        names.setdefault(committer_name, committer_name),
+                        message.rstrip("\n"))
 
 
-def _parse_gitlog(text: str, repo_id: str) -> ParseResult:
+def _parse_gitlog(chunks, repo_id: str) -> ParseResult:
     records: list[CommitRecord] = []
     malformed: list[MalformedRecord] = []
+    hashes: dict[str, str] = {}
+    names: dict[str, str] = {}
+    tzs: dict[str, int] = {}
     ordinal = 0
-    for chunk in text.split(GITLOG_RECORD_SEP):
+    for chunk in chunks:
         # git prints a newline between entries; the NUL lands before it.
         chunk = chunk.lstrip("\n")
         if not chunk.strip():
             continue
         ordinal += 1
         try:
-            records.append(_record_from_gitlog_chunk(chunk, repo_id))
+            records.append(_record_from_gitlog_chunk(chunk, repo_id, hashes, names, tzs))
         except ValueError as exc:
             malformed.append(MalformedRecord(ordinal, str(exc)))
     return ParseResult(records, malformed)
+
+
+# ---- Reading ----
+
+
+def _pieces(stream, sep: str):
+    """Yield the text between ``sep``s in ``stream``, in order.
+
+    A handle is read ``_READ_BLOCK`` units at a time; the unfinished last
+    piece of a block is carried into the next, so one block, not the whole
+    input, is held at once. Bytes are decoded a block at a time, up to its
+    last ``sep``: ``sep`` is ASCII, so no UTF-8 sequence spans it, and
+    the text is the same as from decoding the whole input first.
+    """
+    if isinstance(stream, str):
+        yield from stream.split(sep)
+        return
+    if isinstance(stream, bytes):
+        stream = io.BytesIO(stream)
+    elif not hasattr(stream, "read"):
+        raise TypeError(f"cannot parse a {type(stream).__name__}")
+    empty = stream.read(0)  # b"" from a binary handle, "" from a text one
+    raw_sep = sep if isinstance(empty, str) else sep.encode()
+    carry: list = []  # the unfinished piece, which may span blocks
+    while block := stream.read(_READ_BLOCK):
+        cut = block.rfind(raw_sep)
+        if cut < 0:
+            carry.append(block)
+            continue
+        carry.append(block[:cut])
+        yield from _decode(empty.join(carry)).split(sep)
+        carry = [block[cut + 1:]]
+    yield _decode(empty.join(carry))
+
+
+def _decode(data) -> str:
+    return data if isinstance(data, str) else data.decode("utf-8", errors="replace")
 
 
 # ---- Public API ----
@@ -270,23 +391,16 @@ def parse_commit_stream(stream, format: str = "ndjson", repo_id: str = "") -> Pa
     """Parse an export stream into commit records, skipping bad records.
 
     ``stream`` may be bytes, text, or a file-like object (binary or text).
-    ``repo_id`` is required for the gitlog format, which carries no repo
-    field of its own; it is ignored for NDJSON, where each record names
-    its repository.
+    A file-like object is read in blocks, never whole. ``repo_id`` is
+    required for the gitlog format, which carries no repo field of its
+    own; it is ignored for NDJSON, where each record names its repository.
     """
-    if hasattr(stream, "read"):
-        stream = stream.read()
-    if isinstance(stream, bytes):
-        text = stream.decode("utf-8", errors="replace")
-    elif isinstance(stream, str):
-        text = stream
-    else:
-        raise TypeError(f"cannot parse a {type(stream).__name__}")
-
     if format == "ndjson":
-        result = _parse_ndjson(text)
+        # NDJSON lines end at "\n" only. str.splitlines() would also split on
+        # U+2028, U+0085, \x1c and others, and U+2028 is legal inside a JSON string.
+        result = _parse_ndjson(_pieces(stream, "\n"))
     elif format == "gitlog":
-        result = _parse_gitlog(text, repo_id)
+        result = _parse_gitlog(_pieces(stream, GITLOG_RECORD_SEP), repo_id)
     else:
         raise ValueError(f"unknown format {format!r} (expected 'ndjson' or 'gitlog')")
 

@@ -12,6 +12,11 @@ from enum import Enum
 TZ_OFFSET_MIN = -1080
 TZ_OFFSET_MAX = 1080
 
+# Epochs are int64 seconds. Ingest rejects a record with a date outside
+# this range, so two dates never differ by 2**64 seconds or more.
+EPOCH_MIN = -(2**63)
+EPOCH_MAX = 2**63 - 1
+
 # Floor-division factors for normalizing raw integer timestamps to seconds.
 _UNIT_FACTORS = {"s": 1, "seconds": 1, "ms": 10**3, "milliseconds": 10**3,
                  "us": 10**6, "microseconds": 10**6}
@@ -19,7 +24,7 @@ _UNIT_FACTORS = {"s": 1, "seconds": 1, "ms": 10**3, "milliseconds": 10**3,
 NO_NAME = "(no name)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Timestamp:
     """A commit timestamp: whole seconds since the Unix epoch, UTC.
 
@@ -40,7 +45,7 @@ class Timestamp:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitRecord:
     """One commit's identity and metadata, normalized to internal units."""
 
@@ -116,8 +121,9 @@ def normalize_timestamp(raw: int, unit: str, tz_offset_minutes: int = 0) -> Time
 _DAYS_EPOCH_SHIFT = 719468  # days from 0000-03-01 to 1970-01-01
 _ERA_DAYS = 146097          # days per 400-year era
 
+# An integer field in text: ASCII digits, with an optional leading "-".
 # int() alone would also take "+", "_", spaces and non-ASCII digits.
-_UTC_FIELD = re.compile(r"-?[0-9]+")
+ASCII_INT = re.compile(r"-?[0-9]+")
 
 
 def _civil_from_days(days: int) -> tuple[int, int, int]:
@@ -174,13 +180,13 @@ def parse_utc(text: str) -> Timestamp:
     # A leading '-' (negative year) splits into an empty first element.
     if len(ymd) > 1 and ymd[0] == "":
         ymd = ["-" + ymd[1]] + ymd[2:]
-    if len(ymd) != 3 or not all(_UTC_FIELD.fullmatch(p) for p in ymd):
+    if len(ymd) != 3 or not all(ASCII_INT.fullmatch(p) for p in ymd):
         raise ValueError(f"unparseable UTC date {text!r}")
     year, month, day = (int(p) for p in ymd)
     hh = mm = ss = 0
     if time_part:
         hms = time_part.split(":")
-        if len(hms) != 3 or not all(_UTC_FIELD.fullmatch(p) for p in hms):
+        if len(hms) != 3 or not all(ASCII_INT.fullmatch(p) for p in hms):
             raise ValueError(f"unparseable UTC time {text!r}")
         hh, mm, ss = (int(p) for p in hms)
     days = _days_from_civil(year, month, day)

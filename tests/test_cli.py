@@ -284,6 +284,26 @@ def test_filter_deduplicates_by_the_scan_rule(tmp_path, capsys):
     assert doc["dedup"]["duplicate_hashes"] == {hex_hash(0): 2}
 
 
+@pytest.mark.parametrize("policies", [
+    [{"kind": "MinTimestamp", "min_ts": "x"}],
+    [{"kind": "MinStars", "min_stars": "5"}],
+    [{"kind": "TopKStars", "k": 2.5}],
+    [5],
+    [{"kind": "TopKStars", "k": True}],
+    [{"kind": "BeforeDate", "cutoff": True}],
+    [{"kind": "ProjectBlocklist", "blocklist": "abc"}],
+    [{"kind": "ProjectBlocklist", "blocklist": [5]}],
+], ids=["min_ts-str", "min_stars-str", "k-float", "entry-int", "k-bool", "cutoff-bool",
+        "blocklist-str", "blocklist-int"])
+def test_filter_mistyped_policy_exits_two_with_one_line(tmp_path, capsys, policies):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    code, out, err = run(capsys, "filter", path, "--policy-file", policy_file(tmp_path, policies))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "bad policy file" in err
+
+
 def test_filter_unknown_policy_kind_exits_two(tmp_path, capsys):
     path = write_records(tmp_path / "in.ndjson", clean_records())
     policies = policy_file(tmp_path, [{"kind": "Mystery"}])
@@ -358,6 +378,21 @@ def test_stats_rejects_non_reports(tmp_path, capsys, payload):
     code, _, err = run(capsys, "stats", str(path))
     assert code == 2
     assert "report" in err
+
+
+@pytest.mark.parametrize("command", ["stats", "verify"])
+@pytest.mark.parametrize("payload", [
+    b'{"schema_version": 1, "x": "\xff"}',            # not UTF-8
+    b'{"schema_version": 1, "x": 1' + b"0" * 5000 + b"}",  # past int()'s digit limit
+], ids=["utf8", "digits"])
+def test_undecodable_report_exits_two_with_one_line(tmp_path, capsys, command, payload):
+    path = tmp_path / "junk.json"
+    path.write_bytes(payload)
+    extra = ["--sources", stub_sources(tmp_path, [])] if command == "verify" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert f"cannot read report {path}" in err
 
 
 @pytest.mark.parametrize("hash_id, field, value", [
@@ -451,6 +486,7 @@ def test_verify_rejects_bad_sources_config(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("endpoint", 5),
     ("endpoint", "https://forge.test/{repo}/{nope}"),
+    ("endpoint", "forge.test/{repo}/{hash}"),
     ("auth", 7),
     ("workers", True),
 ])
@@ -545,6 +581,8 @@ def test_verify_unreadable_stub_document_exits_two_with_one_line(tmp_path, capsy
     ("evidence", 7),
     ("delta_seconds", True),
     ("delta_seconds", 0),
+    pytest.param("delta_seconds", 2**64, id="delta_seconds-2**64"),
+    pytest.param("delta_seconds", 10**400, id="delta_seconds-10**400"),
 ])
 def test_mistyped_anomaly_entry_exits_two_naming_it(tmp_path, capsys, command, field, value):
     # The epoch-0 commit sorts first, so the out-of-order entry is not entry 0.
@@ -561,6 +599,27 @@ def test_mistyped_anomaly_entry_exits_two_naming_it(tmp_path, capsys, command, f
     assert out == ""
     assert len(err.splitlines()) == 1
     assert f"anomaly entry {index}" in err and field in err
+
+
+def test_epoch_beyond_int64_is_malformed_so_stats_never_overflows(tmp_path, capsys):
+    # Two int64 epochs are at most 2**64 - 1 seconds apart; stats takes that.
+    records = [make_record(0, committer_epoch=2**63 - 1),
+               make_record(1, parents=[0], committer_epoch=-(2**63))]
+    report = scan_report_path(tmp_path, capsys, records, "--detectors", "ooo")
+    doc = json.loads(Path(report).read_text(encoding="utf-8"))
+    assert [a["delta_seconds"] for a in doc["anomalies"]] == [2**64 - 1]
+    assert run(capsys, "stats", report)[0] == 0
+
+    bad = record_to_object(make_record(2))
+    bad["author_date"] = 10**400
+    path = tmp_path / "huge.ndjson"
+    path.write_text(json.dumps(record_to_object(make_record(3))) + "\n" + json.dumps(bad) + "\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "scan", str(path), "--snapshot-date", SNAPSHOT)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        f"chronolint: malformed record at {path}:2: "
+        "author_date is outside the int64 range of epoch seconds")
 
 
 # ---- run configuration ----

@@ -395,6 +395,20 @@ def test_load_policies_bare_array(tmp_path):
         {"kind": "MinTimestamp", "surprise": True},  # unknown field
         {"kind": "DropOutOfOrder", "scope": "file"},
         {"kind": "BeforeDate", "cutoff": 1.5},
+        # Typed fields: bool is not an int, a string is not a list of ids.
+        5,
+        {"kind": "MinTimestamp", "min_ts": "x"},
+        {"kind": "MinTimestamp", "min_ts": True},
+        {"kind": "MinTimestamp", "min_ts": 1.5},
+        {"kind": "MinStars", "min_stars": "5"},
+        {"kind": "MinStars", "min_stars": True},
+        {"kind": "TopKStars", "k": 2.5},
+        {"kind": "TopKStars", "k": True},
+        {"kind": "BeforeDate", "cutoff": True},
+        {"kind": "ProjectBlocklist", "blocklist": "abc"},
+        {"kind": "ProjectBlocklist", "blocklist": [5]},
+        {"kind": "ProjectBlocklist", "blocklist": {"a/b": 1}},
+        {"kind": "TopKStars", "k": 3, "min_ts": "x"},
     ],
 )
 def test_bad_policy_dicts_rejected(bad):

@@ -710,6 +710,11 @@ def test_load_sources_round_trip(tmp_path):
         {"sources": [{"kind": "PrimaryForge", "endpoint": "https://forge.test/{repo.x}"}]},
         {"sources": [{"kind": "ArchiveFallback", "endpoint": "https://a.test/{hash:{x}}"}]},
         {"sources": [{"kind": "ArchiveFallback", "endpoint": "https://a.test/{hash"}]},
+        # HTTP kinds need an http:// or https:// URL.
+        {"sources": [{"kind": "PrimaryForge", "endpoint": "forge.test/{repo}/{hash}"}]},
+        {"sources": [{"kind": "PrimaryForge", "endpoint": "file:///srv/{repo}/{hash}"}]},
+        {"sources": [{"kind": "ArchiveFallback", "endpoint": "ftp://a.test/{hash}"}]},
+        {"sources": [{"kind": "ArchiveFallback", "endpoint": "https:/a.test/{hash}"}]},
     ],
 )
 def test_bad_source_configs_rejected(tmp_path, payload):

@@ -2,13 +2,20 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chronolint import ingest
 from chronolint.ingest import DedupReport, deduplicate, parse_commit_stream
 from chronolint.model import CommitRecord, Timestamp
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # ---- Fixture helpers ----
@@ -286,3 +293,361 @@ def test_dedup_is_idempotent(hash_picks):
     assert report1.total_in == report1.unique_out + sum(
         count - 1 for _, count in report1.duplicate_hashes
     )
+
+
+# ---- Malformed-record reasons ----
+# Each reason reaches `scan`'s stderr, so the text is part of the command
+# line's contract. Where a record has several faults, the row fixes which
+# one is named.
+
+
+def ndjson_without(*keys) -> str:
+    obj = json.loads(ndjson_line())
+    for key in keys:
+        del obj[key]
+    return json.dumps(obj)
+
+
+NEITHER = "is neither 40-char hex nor r<N>@<repo>"
+
+NDJSON_REASONS = [
+    ("not json", "invalid JSON: Expecting value"),
+    ("{broken", "invalid JSON: Expecting property name enclosed in double quotes"),
+    ('{"a": 1} x', "invalid JSON: Extra data"),
+    ('"unterminated', "invalid JSON: Unterminated string starting at"),
+    ("[1, 2]", "record must be a JSON object"),
+    ("{}", "missing required keys: hash, repo, parents, author_date, committer_date, "
+           "author, committer, message"),
+    (ndjson_without("hash", "committer_date"), "missing required keys: hash, committer_date"),
+    (ndjson_line(hash=5), "hash must be a string"),
+    (ndjson_line(hash=["a" * 40]), "hash must be a string"),
+    (ndjson_line(parents=["abc"]), f"parent 'abc' {NEITHER}"),
+    (ndjson_line(hash="abc"), f"hash 'abc' {NEITHER}"),
+    (ndjson_line(hash="AB" * 19), f"hash '{'AB' * 19}' {NEITHER}"),
+    (ndjson_line(hash="a" * 40 + " "), f"hash '{'a' * 40} ' {NEITHER}"),
+    (ndjson_line(hash="r12@"), f"hash 'r12@' {NEITHER}"),
+    (ndjson_line(repo=7), "repo must be a string, got int"),
+    (ndjson_line(parents="x"), "parents must be an array"),
+    (ndjson_line(parents=[5]), "parent must be a string"),
+    (ndjson_line(parents=[["a" * 40]]), "parent must be a string"),
+    (ndjson_line(parents=["b" * 40, "zz"]), f"parent 'zz' {NEITHER}"),
+    (ndjson_line(date_unit="days"), "date_unit must be one of ('s', 'ms', 'us'), got 'days'"),
+    (ndjson_line(date_unit=["s"]), "date_unit must be one of ('s', 'ms', 'us'), got ['s']"),
+    (ndjson_line(tz_offset_min=True), "tz_offset_min must be an integer"),
+    (ndjson_line(tz_offset_min="5"), "tz_offset_min must be an integer"),
+    (ndjson_line(author_date="100"), "author_date must be an integer, got str"),
+    (ndjson_line(tz_offset_min=100000), "tz offset 100000 outside [-1080, 1080] minutes"),
+    (ndjson_line(committer_date=True), "committer_date must be an integer, got bool"),
+    (ndjson_line(committer_date=1.5), "committer_date must be an integer, got float"),
+    (ndjson_line(verified="yes"), "verified must be a boolean when present"),
+    (ndjson_line(stars=1.5), "stars must be an integer, got float"),
+    (ndjson_line(stars=False), "stars must be an integer, got bool"),
+    (ndjson_line(stars=-1), "stars must be non-negative"),
+    (ndjson_line(author=None), "author must be a string, got NoneType"),
+    (ndjson_line(committer=[]), "committer must be a string, got list"),
+    (ndjson_line(message=5), "message must be a string, got int"),
+    # Several faults: the first in check order is named.
+    (ndjson_line(hash=5, repo=7), "hash must be a string"),
+    (ndjson_line(hash="abc", parents="x"), f"hash 'abc' {NEITHER}"),
+    (ndjson_line(repo=7, parents=[5]), "repo must be a string, got int"),
+    (ndjson_line(date_unit="days", tz_offset_min="5"),
+     "date_unit must be one of ('s', 'ms', 'us'), got 'days'"),
+    (ndjson_line(author_date="x", tz_offset_min=100000), "author_date must be an integer, got str"),
+    (ndjson_line(tz_offset_min=100000, committer_date="x"),
+     "tz offset 100000 outside [-1080, 1080] minutes"),
+    (ndjson_line(verified="yes", stars="x"), "verified must be a boolean when present"),
+    (ndjson_line(stars=-1, message=5), "stars must be non-negative"),
+    (ndjson_line(author=1, committer=2, message=3), "author must be a string, got int"),
+    # The epoch range is checked last: the reason for every other fault is
+    # the one it had before that check existed.
+    (ndjson_line(author_date=10**400, message=5), "message must be a string, got int"),
+]
+
+
+def gitlog_fields(**overrides) -> str:
+    fields = {"hash": "a" * 40, "parents": "", "c_epoch": "1", "c_tz": "+0000",
+              "a_epoch": "1", "a_tz": "+0000", "cname": "x", "aname": "x", "message": "m"}
+    fields.update(overrides)
+    return "\x1f".join(fields.values())
+
+
+GITLOG_REASONS = [
+    ("only\x1fthree\x1ffields", "expected 9 unit-separated fields, got 3"),
+    ("no separators at all", "expected 9 unit-separated fields, got 1"),
+    (gitlog_fields(hash="xyz"), f"hash 'xyz' {NEITHER}"),
+    (gitlog_fields(parents="b" * 40 + " abc"), f"parent 'abc' {NEITHER}"),
+    (gitlog_fields(c_epoch="x"), "non-integer epoch field: 'x' / '1'"),
+    (gitlog_fields(a_epoch="1.5"), "non-integer epoch field: '1' / '1.5'"),
+    (gitlog_fields(c_epoch=""), "non-integer epoch field: '' / '1'"),
+    (gitlog_fields(c_tz="2x"), "unparseable timezone offset '2x'"),
+    (gitlog_fields(a_tz="EST"), "unparseable timezone offset 'EST'"),
+    (gitlog_fields(c_tz="+2000"), "tz offset 1200 outside [-1080, 1080] minutes"),
+    (gitlog_fields(a_tz="1081"), "tz offset 1081 outside [-1080, 1080] minutes"),
+    # Several faults: the first in check order is named.
+    (gitlog_fields(hash="xyz", c_epoch="x"), f"hash 'xyz' {NEITHER}"),
+    (gitlog_fields(c_epoch="x", c_tz="EST"), "non-integer epoch field: 'x' / '1'"),
+    (gitlog_fields(c_tz="+2000", a_tz="EST"), "tz offset 1200 outside [-1080, 1080] minutes"),
+    (gitlog_fields(c_tz="EST", a_tz="+2000"), "unparseable timezone offset 'EST'"),
+    (gitlog_fields(c_epoch=str(2**63), a_tz="EST"), "unparseable timezone offset 'EST'"),
+]
+
+
+@pytest.mark.parametrize("line, reason", NDJSON_REASONS,
+                         ids=[str(i) for i in range(len(NDJSON_REASONS))])
+def test_ndjson_malformed_reason(line, reason):
+    text = ndjson_line(hash="f" * 40) + "\n\n" + line + "\n"
+    result = parse_commit_stream(text.encode(), "ndjson")
+    assert [r.hash for r in result.records] == ["f" * 40]
+    assert [(m.line_number, m.reason) for m in result.malformed] == [(3, reason)]
+
+
+@pytest.mark.parametrize("chunk, reason", GITLOG_REASONS,
+                         ids=[str(i) for i in range(len(GITLOG_REASONS))])
+def test_gitlog_malformed_reason(chunk, reason):
+    raw = gitlog_fields(hash="f" * 40) + "\x00\n\x00\n" + chunk + "\x00\n"
+    result = parse_commit_stream(raw.encode(), "gitlog", repo_id="r")
+    assert [r.hash for r in result.records] == ["f" * 40]
+    assert [(m.line_number, m.reason) for m in result.malformed] == [(2, reason)]
+
+
+def test_failed_hash_memo_keeps_naming_the_field():
+    # The same raw string fails as a parent, then as a hash, then as a
+    # parent again: it is never remembered as a valid hash.
+    lines = [ndjson_line(hash="b" * 40, parents=["abc"]), ndjson_line(hash="abc"),
+             ndjson_line(hash="c" * 40, parents=["abc"])]
+    result = parse_commit_stream("\n".join(lines), "ndjson")
+    assert [m.reason for m in result.malformed] == [
+        f"parent 'abc' {NEITHER}", f"hash 'abc' {NEITHER}", f"parent 'abc' {NEITHER}"]
+
+
+def test_scan_stderr_names_every_malformed_record(tmp_path):
+    # The whole stderr of a real process, logging included, byte for byte.
+    good = ndjson_line(hash="f" * 40)
+    (tmp_path / "bad.ndjson").write_text(
+        "\n".join([good] + [line for line, _ in NDJSON_REASONS]) + "\n", encoding="utf-8")
+    (tmp_path / "bad.log").write_text(
+        "".join(chunk + "\x00\n" for chunk in [gitlog_fields(hash="f" * 40)]
+                + [chunk for chunk, _ in GITLOG_REASONS]), encoding="utf-8")
+    for name, table, extra in (("bad.ndjson", NDJSON_REASONS, []),
+                               ("bad.log", GITLOG_REASONS, ["--format", "gitlog", "--repo", "r"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronolint.cli", "scan", name,
+             "--snapshot-date", "2020-01-01", *extra],
+            cwd=tmp_path, capture_output=True, text=True, encoding="utf-8",
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+        )
+        n = len(table)
+        expected = (
+            f"skipped {n} malformed record(s) of {n + 1}\n"
+            + "".join(f"chronolint: malformed record at {name}:{i}: {reason}\n"
+                      for i, (_, reason) in enumerate(table, start=2))
+            + f"chronolint: error: {n} malformed record(s); fix or pre-filter the input\n"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+
+# ---- Input forms and streaming ----
+
+
+# U+2028 inside a message, a CRLF line, blank and whitespace lines, and
+# invalid UTF-8 at the end of a record.
+MIXED_NDJSON = b"\n".join([
+    ndjson_line(hash="a" * 40, message="one@line").replace("@", "\u2028").encode(),
+    ndjson_line(hash="b" * 40, parents=["a" * 40]).encode() + b"\r",
+    b"",
+    ndjson_line(hash="c" * 40, parents=["b" * 40], message="@").encode().replace(b"@", b"\xe2\x80"),
+    b'{"hash": "\xff',
+    b"   ",
+    b"\xc3",
+    ndjson_line(hash="d" * 40, parents=["c" * 40, "a" * 40]).encode(),
+    b"[1]",
+]) + b"\n"
+
+# Messages with a body, U+2028 and a UTF-8 sequence cut short by the NUL.
+MIXED_GITLOG = b"".join(
+    gitlog_record(h, p, 10 + i, tz, 5 + i, tz, "c\u00e9", "a", m).encode()
+    for i, (h, p, tz, m) in enumerate([
+        ("a" * 40, "", "+0200", "root\n\nbody\u2028more\n"),
+        ("b" * 40, "a" * 40, "-0430", "x" * 50),
+        ("c" * 40, "b" * 40 + " " + "a" * 40, "+0200", "cut \ud7ff"),
+        ("zz", "", "+0000", "bad hash"),
+        ("d" * 40, "c" * 40, "330", "last"),
+    ])
+).replace(b"cut \xed\x9f\xbf", b"cut \xed\x9f") + b"\n"
+
+
+@pytest.mark.parametrize("data, fmt", [(MIXED_NDJSON, "ndjson"), (MIXED_GITLOG, "gitlog")],
+                         ids=["ndjson", "gitlog"])
+def test_bytes_str_and_handle_parse_alike(data, fmt, monkeypatch):
+    expected = parse_commit_stream(data, fmt, repo_id="r")
+    assert expected.records and expected.malformed
+    assert parse_commit_stream(data.decode("utf-8", errors="replace"), fmt,
+                               repo_id="r") == expected
+    for block in (1, 2, 3, 7, 64, 1 << 20):
+        monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+        assert parse_commit_stream(io.BytesIO(data), fmt, repo_id="r") == expected, block
+
+
+def test_ndjson_input_forms_keep_odd_lines_whole():
+    result = parse_commit_stream(io.BytesIO(MIXED_NDJSON), "ndjson")
+    assert [r.hash for r in result.records] == [c * 40 for c in "abcd"]
+    assert result.records[0].message == "one\u2028line"
+    assert result.records[2].message == "\ufffd"
+    assert [m.line_number for m in result.malformed] == [5, 7, 9]
+
+
+def test_gitlog_record_straddling_blocks(monkeypatch):
+    result = parse_commit_stream(MIXED_GITLOG, "gitlog", repo_id="r")
+    assert [r.hash for r in result.records] == [c * 40 for c in "abcd"]
+    assert result.records[0].message == "root\n\nbody\u2028more"
+    assert result.records[2].message == "cut \ufffd"
+    assert result.records[1].committer_id == "c\u00e9"
+    assert [(m.line_number, m.reason) for m in result.malformed] == [
+        (4, f"hash 'zz' {NEITHER}")]
+    # The second record spans many 7-byte blocks.
+    monkeypatch.setattr(ingest, "_READ_BLOCK", 7)
+    assert parse_commit_stream(io.BytesIO(MIXED_GITLOG), "gitlog", repo_id="r") == result
+
+
+class SizedReadsOnly(io.BytesIO):
+    """A binary handle that fails any read() that would take the whole input."""
+
+    def read(self, size=-1):
+        assert size is not None and size >= 0, "read() without a size"
+        return super().read(size)
+
+
+@pytest.mark.parametrize("data, fmt", [(MIXED_NDJSON, "ndjson"), (MIXED_GITLOG, "gitlog")],
+                         ids=["ndjson", "gitlog"])
+def test_binary_handle_is_read_in_blocks(data, fmt):
+    result = parse_commit_stream(SizedReadsOnly(data), fmt, repo_id="r")
+    assert result == parse_commit_stream(data, fmt, repo_id="r")
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "gitlog"])
+def test_parent_reference_shares_the_hash_object(fmt):
+    if fmt == "ndjson":
+        # The child comes first, as in git log order, and spells the hash in capitals.
+        data = "\n".join([ndjson_line(hash="b" * 40, parents=["A" * 40]),
+                          ndjson_line(hash="a" * 40),
+                          ndjson_line(hash="c" * 40, parents=["a" * 40, "b" * 40])])
+    else:
+        data = (gitlog_record("b" * 40, "A" * 40, 2, "+0000", 2, "+0000", "x", "x", "m")
+                + gitlog_record("a" * 40, "", 1, "+0000", 1, "+0000", "x", "x", "m")
+                + gitlog_record("c" * 40, "a" * 40 + " " + "b" * 40, 3, "+0000", 3,
+                                "+0000", "x", "x", "m"))
+    child, parent, merge = parse_commit_stream(data, fmt, repo_id="r").records
+    assert child.parents[0] is parent.hash
+    assert merge.parents[0] is parent.hash
+    assert merge.parents[1] is child.hash
+    # Repo and person ids are shared the same way.
+    assert merge.repo_id is child.repo_id
+    assert merge.author_id is child.author_id is child.committer_id
+
+
+def test_str_input_splits_on_newline_only():
+    text = (ndjson_line(message="a@b").replace("@", "\u2028") + "\r\n"
+            + ndjson_line(hash="b" * 40, message="@").replace("@", "\x85"))
+    result = parse_commit_stream(text, "ndjson")
+    assert [r.message for r in result.records] == ["a\u2028b", "\x85"]
+    assert not result.malformed
+
+
+def test_bad_stream_type_raises():
+    with pytest.raises(TypeError):
+        parse_commit_stream(12345, "ndjson")
+
+
+# ---- Hash anchoring, ASCII numbers, epoch range ----
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({"hash": "a" * 40 + "\n"}, f"hash {'a' * 40 + chr(10)!r} {NEITHER}"),
+    ({"hash": "r12@gcc\n"}, f"hash 'r12@gcc\\n' {NEITHER}"),
+    ({"parents": ["b" * 40 + "\n"]}, f"parent {'b' * 40 + chr(10)!r} {NEITHER}"),
+], ids=["hex", "svn", "parent"])
+def test_hash_with_a_trailing_newline_is_malformed(overrides, reason):
+    lines = [ndjson_line(hash="b" * 40), ndjson_line(**overrides)]
+    result = parse_commit_stream("\n".join(lines), "ndjson")
+    assert [m.reason for m in result.malformed] == [reason]
+    assert len(deduplicate(result.records)[0]) == 1
+
+
+def test_gitlog_hash_with_a_trailing_newline_is_malformed():
+    raw = gitlog_fields(hash="b" * 40) + "\x00" + gitlog_fields(hash="b" * 40 + "\n") + "\x00"
+    result = parse_commit_stream(raw, "gitlog", repo_id="r")
+    assert [r.hash for r in result.records] == ["b" * 40]
+    assert [m.line_number for m in result.malformed] == [2]
+
+
+@pytest.mark.parametrize("epoch", [
+    "\uff11\uff13\uff15",  # full-width digits, which int() reads as 135
+    "\u0661\u0663", "1_000", "+5", " 5", "5 ", "5\n",
+])
+@pytest.mark.parametrize("field", ["c_epoch", "a_epoch"])
+def test_gitlog_epoch_takes_ascii_digits_only(field, epoch):
+    result = parse_commit_stream(gitlog_fields(**{field: epoch}), "gitlog", repo_id="r")
+    assert not result.records
+    c_epoch, a_epoch = (epoch, "1") if field == "c_epoch" else ("1", epoch)
+    assert [m.reason for m in result.malformed] == [
+        f"non-integer epoch field: {c_epoch!r} / {a_epoch!r}"]
+
+
+@pytest.mark.parametrize("tz", ["\uff13\uff13\uff10", "3_0", "+330"])
+@pytest.mark.parametrize("field", ["c_tz", "a_tz"])
+def test_gitlog_tz_takes_ascii_digits_only(field, tz):
+    result = parse_commit_stream(gitlog_fields(**{field: tz}), "gitlog", repo_id="r")
+    assert not result.records
+    assert [m.reason for m in result.malformed] == [f"unparseable timezone offset {tz!r}"]
+
+
+def test_gitlog_numbers_that_stay_valid():
+    raw = gitlog_fields(c_epoch="-5", a_epoch="007", c_tz=" -90 ", a_tz="+0530")
+    (rec,) = parse_commit_stream(raw, "gitlog", repo_id="r").records
+    assert rec.committer_date == Timestamp(-5, -90)
+    assert rec.author_date == Timestamp(7, 330)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@pytest.mark.parametrize("field", ["author_date", "committer_date"])
+@pytest.mark.parametrize("raw, unit", [
+    (INT64_MAX + 1, "s"), (INT64_MIN - 1, "s"), (10**400, "s"),
+    ((INT64_MAX + 1) * 1000, "ms"), (INT64_MIN * 10**6 - 1, "us"),
+], ids=["max+1", "min-1", "1e400", "ms", "us"])
+def test_ndjson_epoch_outside_int64_is_malformed(field, raw, unit):
+    result = parse_commit_stream(ndjson_line(**{field: raw, "date_unit": unit}), "ndjson")
+    assert [m.reason for m in result.malformed] == [
+        f"{field} is outside the int64 range of epoch seconds"]
+
+
+@pytest.mark.parametrize("field, name", [("c_epoch", "committer_date"),
+                                         ("a_epoch", "author_date")])
+@pytest.mark.parametrize("epoch", [INT64_MAX + 1, INT64_MIN - 1], ids=["max+1", "min-1"])
+def test_gitlog_epoch_outside_int64_is_malformed(field, name, epoch):
+    result = parse_commit_stream(gitlog_fields(**{field: str(epoch)}), "gitlog", repo_id="r")
+    assert [m.reason for m in result.malformed] == [
+        f"{name} is outside the int64 range of epoch seconds"]
+
+
+def test_int64_epoch_bounds_stay_valid():
+    lines = [ndjson_line(author_date=INT64_MIN, committer_date=INT64_MAX),
+             ndjson_line(author_date=(INT64_MAX + 1) * 1000 - 1,
+                         committer_date=INT64_MIN * 1000, date_unit="ms")]
+    gitlog = gitlog_fields(c_epoch=str(INT64_MAX), a_epoch=str(INT64_MIN))
+    for result in (parse_commit_stream("\n".join(lines), "ndjson"),
+                   parse_commit_stream(gitlog, "gitlog", repo_id="r")):
+        assert not result.malformed
+        for rec in result.records:
+            assert {rec.author_date.epoch_seconds, rec.committer_date.epoch_seconds} == {
+                INT64_MIN, INT64_MAX}
+
+
+def test_ndjson_integer_beyond_the_digit_limit_is_malformed():
+    # json.loads raises a plain ValueError, not a JSONDecodeError, here.
+    line = ndjson_line(stars=1).replace('"stars": 1', '"stars": 1' + "0" * 5000)
+    result = parse_commit_stream(line, "ndjson")
+    assert not result.records
+    (bad,) = result.malformed
+    assert bad.line_number == 1 and bad.reason.startswith("invalid JSON: Exceeds the limit")
