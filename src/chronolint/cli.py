@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
+from types import NoneType, SimpleNamespace
 
 from . import analytics
 from .detectors import (
@@ -46,6 +46,7 @@ from .model import (
     Timestamp,
     format_utc,
     parse_utc,
+    typed,
 )
 
 SCHEMA_VERSION = 1
@@ -158,35 +159,25 @@ def anomaly_to_object(anomaly: Anomaly) -> dict:
     return obj
 
 
-def _check_string_fields(obj, where: str, fields) -> None:
-    """A report entry must be an object whose ``fields``, where present,
-    are strings."""
-    if not isinstance(obj, dict):
-        raise CommandError(f"{where}: not an object")
-    for field in fields:
-        if not isinstance(obj.get(field, ""), str):
-            raise CommandError(f"{where}: {field} must be a string")
-
-
 def anomaly_from_object(obj: dict, index: int) -> Anomaly:
     """Rebuild entry ``index`` of a report's anomaly list, checking its types."""
-    where = f"unreadable anomaly entry {index}"
-    _check_string_fields(obj, where, ("commit", "repo", "evidence"))
-    delta = obj.get("delta_seconds")
-    # type(), not isinstance(): a JSON true is a bool, and bool subclasses int.
-    # Two int64 epochs differ by less than 2**64.
-    if delta is not None and (type(delta) is not int or not 1 <= delta < 2**64):
-        raise CommandError(f"{where}: delta_seconds must be a positive integer below 2**64")
     try:
+        delta = typed(typed(obj, dict, "the entry").get("delta_seconds"), (int, NoneType),
+                      "delta_seconds")
+        # Two int64 epochs differ by less than 2**64.
+        if delta is not None and not 1 <= delta < 2**64:
+            raise ValueError("delta_seconds must be a positive integer below 2**64")
         return Anomaly(
-            kind=AnomalyKind(obj["kind"]),
-            commit_hash=obj["commit"],
-            repo_id=obj["repo"],
-            evidence=obj.get("evidence", ""),
+            kind=AnomalyKind(typed(obj["kind"], str, "kind")),
+            commit_hash=typed(obj["commit"], str, "commit"),
+            repo_id=typed(obj["repo"], str, "repo"),
+            evidence=typed(obj.get("evidence", ""), str, "evidence"),
             delta_seconds=delta,
         )
-    except (KeyError, ValueError) as exc:
-        raise CommandError(f"{where}: {exc}") from exc
+    except KeyError as exc:
+        raise CommandError(f"unreadable anomaly entry {index}: missing {exc}") from exc
+    except ValueError as exc:
+        raise CommandError(f"unreadable anomaly entry {index}: {exc}") from exc
 
 
 def _now_utc() -> str:
@@ -203,21 +194,21 @@ def _emit_document(doc: dict, path: str | None, stream=None) -> None:
         (stream or sys.stdout).write(text)
 
 
-def _load_document(path: str) -> dict:
+def _load_scan_report(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: JSON, UTF-8 or int() digit limit
         raise CommandError(f"cannot read report {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise CommandError(f"{path} is not a schema v{SCHEMA_VERSION} report")
-    return doc
-
-
-def _load_scan_report(path: str) -> dict:
-    doc = _load_document(path)
-    if not isinstance(doc.get("anomalies"), list) or not isinstance(doc.get("summary"), dict):
-        raise CommandError(f"{path} lacks the anomalies/summary sections of a scan report")
+    try:
+        version = typed(typed(doc, dict, "the document").get("schema_version"), int,
+                        "schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"schema_version is {version}")
+        typed(doc.get("anomalies"), list, "anomalies")
+        typed(doc.get("summary"), dict, "summary")
+    except ValueError as exc:
+        raise CommandError(f"{path} is not a schema v{SCHEMA_VERSION} scan report: {exc}") from exc
     return doc
 
 
@@ -226,12 +217,15 @@ def _report_anomalies(report: dict) -> list[Anomaly]:
 
 
 def _report_commits(report: dict) -> dict:
-    commits = report.get("commits", {})
-    if not isinstance(commits, dict):
-        raise CommandError("the report's commits section is not an object")
-    for commit_hash, entry in commits.items():
-        _check_string_fields(entry, f"unreadable commits entry {commit_hash}",
-                             ("committer", "message"))
+    where = "unreadable commits section"
+    try:
+        commits = typed(report.get("commits", {}), dict, "commits")
+        for commit_hash, entry in commits.items():
+            where = f"unreadable commits entry {commit_hash}"
+            typed(typed(entry, dict, "the entry").get("committer", ""), str, "committer")
+            typed(entry.get("message", ""), str, "message")
+    except ValueError as exc:
+        raise CommandError(f"{where}: {exc}") from exc
     return commits
 
 

@@ -13,25 +13,18 @@ repaired.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from .detectors import DetectorConfig, detect_out_of_order_parents
 from .graph import build_graph, group_by_repo
-from .model import Timestamp, canonical_repo_id, parse_utc
-
-POLICY_KINDS = (
-    "MinTimestamp",
-    "BeforeDate",
-    "ProjectBlocklist",
-    "DropOutOfOrder",
-    "MinStars",
-    "TopKStars",
-)
+from .model import Timestamp, canonical_repo_id, parse_utc, typed
 
 
 @dataclass(frozen=True)
 class FilterPolicy:
-    """One declarative cleaning step: a kind plus its parameters."""
+    """One declarative cleaning step: a kind plus the one field it takes
+    (see ``_KINDS``); every other field stays None."""
 
     kind: str
     min_ts: int | None = None
@@ -42,47 +35,28 @@ class FilterPolicy:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "MinTimestamp":
-            if self.min_ts is None:
-                object.__setattr__(self, "min_ts", 1)
-        elif self.kind == "BeforeDate":
-            if self.cutoff is None:
-                raise ValueError("BeforeDate needs a cutoff")
-        elif self.kind == "ProjectBlocklist":
-            if self.blocklist is None:
-                raise ValueError("ProjectBlocklist needs a blocklist")
-            object.__setattr__(
-                self, "blocklist", frozenset(canonical_repo_id(r) for r in self.blocklist)
-            )
-        elif self.kind == "DropOutOfOrder":
-            if self.scope is None:
-                object.__setattr__(self, "scope", "commit")
-            if self.scope not in ("commit", "project"):
-                raise ValueError(f"scope must be commit or project, got {self.scope!r}")
-        elif self.kind == "MinStars":
-            if self.min_stars is None or self.min_stars < 0:
-                raise ValueError("MinStars needs min_stars >= 0")
-        elif self.kind == "TopKStars":
-            if self.k is None or self.k < 1:
-                raise ValueError("TopKStars needs k >= 1")
+        spec = _KINDS[self.kind]
+        others = [f.name for f in fields(self)[1:]
+                  if f.name != spec.field and getattr(self, f.name) is not None]
+        if others:
+            raise ValueError(f"{self.kind} takes only {spec.field!r}, got {others}")
+        value = getattr(self, spec.field)
+        if value is None:
+            if spec.default is None:
+                raise ValueError(f"{self.kind} needs {spec.field}")
+            value = spec.default
+        if spec.check and not spec.check[0](value):
+            raise ValueError(f"{self.kind} needs {spec.field} {spec.check[1]}, got {value!r}")
+        if spec.field == "blocklist":
+            value = frozenset(canonical_repo_id(r) for r in value)
+        object.__setattr__(self, spec.field, value)
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.min_ts is not None:
-            out["min_ts"] = self.min_ts
-        if self.cutoff is not None:
-            out["cutoff"] = self.cutoff.epoch_seconds
-        if self.blocklist is not None:
-            out["blocklist"] = sorted(self.blocklist)
-        if self.scope is not None:
-            out["scope"] = self.scope
-        if self.min_stars is not None:
-            out["min_stars"] = self.min_stars
-        if self.k is not None:
-            out["k"] = self.k
-        return out
+        spec = _KINDS[self.kind]
+        value = getattr(self, spec.field)
+        return {"kind": self.kind, spec.field: spec.dump(value) if spec.dump else value}
 
 
 @dataclass(frozen=True)
@@ -207,6 +181,43 @@ def select_top_k_by_stars(repos, k: int) -> set[str]:
     return {repo_id for repo_id, _ in ranked[:k]}
 
 
+# ---- Policy kinds ----
+
+
+class _Kind(NamedTuple):
+    """The one field that a policy kind takes, and the filter it runs."""
+
+    field: str
+    json_type: type | tuple           # the field's type in a policy file
+    default: object                   # None: the field is required
+    run: Callable                     # (records, value, cfg) -> (kept, ledger)
+    check: tuple | None = None        # (test of a value, what the test asks)
+    load: Callable | None = None      # a policy file's value -> the policy's
+    dump: Callable | None = None      # the policy's value -> a policy file's
+
+
+_KINDS = {
+    "MinTimestamp": _Kind(
+        "min_ts", int, 1, lambda rs, v, cfg: filter_min_timestamp(rs, v, cfg.date_field)),
+    "BeforeDate": _Kind(
+        "cutoff", (int, str), None, lambda rs, v, cfg: filter_before_date(rs, v, cfg.date_field),
+        load=lambda v: parse_utc(v) if isinstance(v, str) else Timestamp(v),
+        dump=lambda cutoff: cutoff.epoch_seconds),
+    "ProjectBlocklist": _Kind(
+        "blocklist", list, None, lambda rs, v, cfg: filter_blocklist(rs, v),
+        load=lambda v: frozenset(typed(r, str, "a blocklist entry") for r in v), dump=sorted),
+    "DropOutOfOrder": _Kind(
+        "scope", str, "commit", lambda rs, v, cfg: filter_out_of_order(rs, v, cfg),
+        check=(lambda v: v in ("commit", "project"), "'commit' or 'project'")),
+    "MinStars": _Kind(
+        "min_stars", int, None, lambda rs, v, cfg: filter_by_stars(rs, v),
+        check=(lambda v: v >= 0, ">= 0")),
+    "TopKStars": _Kind(
+        "k", int, None, lambda rs, v, cfg: filter_top_k_stars(rs, v),
+        check=(lambda v: v >= 1, ">= 1")),
+}
+
+
 # ---- Policy files ----
 
 
@@ -216,83 +227,36 @@ def policy_from_dict(data: dict) -> FilterPolicy:
     ``cutoff`` accepts either an integer epoch or a UTC date string such
     as ``2014-01-01`` / ``2014-01-01T00:00:00Z``.
     """
-    if not isinstance(data, dict):
-        raise ValueError("policy entry must be an object")
-    if "kind" not in data:
+    if "kind" not in typed(data, dict, "a policy entry"):
         raise ValueError("policy entry needs a 'kind'")
-    known = {"kind", "min_ts", "cutoff", "blocklist", "scope", "min_stars", "k"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown policy fields: {sorted(unknown)}")
-    for field in ("min_ts", "min_stars", "k"):
-        _optional_int(data, field, "an integer")
-
-    cutoff = data.get("cutoff")
-    if isinstance(cutoff, str):
-        cutoff = parse_utc(cutoff)
-    elif cutoff is not None:
-        cutoff = Timestamp(_optional_int(data, "cutoff", "an epoch integer or a date string"))
-
-    blocklist = data.get("blocklist")
-    if blocklist is not None:
-        if not isinstance(blocklist, list) or not all(isinstance(r, str) for r in blocklist):
-            raise ValueError("blocklist must be an array of repository ids")
-        blocklist = frozenset(blocklist)
-
-    return FilterPolicy(
-        kind=data["kind"],
-        min_ts=data.get("min_ts"),
-        cutoff=cutoff,
-        blocklist=blocklist,
-        scope=data.get("scope"),
-        min_stars=data.get("min_stars"),
-        k=data.get("k"),
-    )
+    kind = typed(data["kind"], str, "kind")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown policy kind {kind!r}")
+    spec = _KINDS[kind]
+    extra = sorted(set(data) - {"kind", spec.field})
+    if extra:
+        raise ValueError(f"{kind} takes only {spec.field!r}, got {extra}")
+    value = data.get(spec.field)
+    if value is not None:
+        value = typed(value, spec.json_type, spec.field)
+        value = spec.load(value) if spec.load else value
+    return FilterPolicy(kind, **{spec.field: value})
 
 
-def _optional_int(data: dict, field: str, expected: str):
-    value = data.get(field)
-    # type(), not isinstance(): a JSON true is a bool, and bool subclasses int.
-    if value is not None and type(value) is not int:
-        raise ValueError(f"{field} must be {expected}")
-    return value
-
-
-def load_policies(source) -> list[FilterPolicy]:
+def load_policies(path) -> list[FilterPolicy]:
     """Read policies from a JSON file: either ``{"policies": [...]}`` or a
-    bare array. ``source`` may be a path or an open file."""
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-    if isinstance(data, dict):
-        items = data.get("policies")
-        if not isinstance(items, list):
-            raise ValueError("policy file object needs a 'policies' array")
-    elif isinstance(data, list):
-        items = data
-    else:
-        raise ValueError("policy file must hold an object or an array")
-    return [policy_from_dict(item) for item in items]
+    bare array."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if isinstance(typed(data, (dict, list), "a policy file"), dict):
+        data = typed(data.get("policies"), list, "a policy file's 'policies'")
+    return [policy_from_dict(item) for item in data]
 
 
 def apply_policy(records, policy: FilterPolicy, cfg: DetectorConfig | None = None):
     """Apply one policy; date-based policies respect cfg.date_field."""
-    date_field = (cfg or DetectorConfig()).date_field
-    if policy.kind == "MinTimestamp":
-        return filter_min_timestamp(records, policy.min_ts, date_field=date_field)
-    if policy.kind == "BeforeDate":
-        return filter_before_date(records, policy.cutoff, date_field=date_field)
-    if policy.kind == "ProjectBlocklist":
-        return filter_blocklist(records, policy.blocklist)
-    if policy.kind == "DropOutOfOrder":
-        return filter_out_of_order(records, scope=policy.scope, cfg=cfg)
-    if policy.kind == "MinStars":
-        return filter_by_stars(records, policy.min_stars)
-    if policy.kind == "TopKStars":
-        return filter_top_k_stars(records, policy.k)
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
+    spec = _KINDS[policy.kind]
+    return spec.run(records, getattr(policy, spec.field), cfg or DetectorConfig())
 
 
 def apply_policies(records, policies, cfg: DetectorConfig | None = None):

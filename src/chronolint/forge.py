@@ -24,9 +24,10 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import NoneType
 
 from .ingest import _record_from_object
-from .model import Anomaly, AnomalyKind
+from .model import Anomaly, AnomalyKind, typed
 
 log = logging.getLogger(__name__)
 
@@ -66,10 +67,9 @@ class MetadataSource:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if not isinstance(self.endpoint, str) or not self.endpoint:
+        if not typed(self.endpoint, str, f"source {self.kind!r}: endpoint"):
             raise ValueError(f"source {self.kind!r} needs an endpoint")
-        if self.auth is not None and not isinstance(self.auth, str):
-            raise ValueError(f"source {self.kind!r}: auth must be a string or null")
+        typed(self.auth, (str, NoneType), f"source {self.kind!r}: auth")
         if self.kind in ("PrimaryForge", "ArchiveFallback"):
             if not self.endpoint.lower().startswith(("http://", "https://")):
                 raise ValueError(f"source {self.kind!r}: endpoint must be an http:// "
@@ -159,9 +159,11 @@ class CacheStore:
                 if not line.strip():
                     continue
                 try:
-                    entry = json.loads(line)
-                    self._entries[(entry["repo"], entry["hash"])] = _outcome_from_entry(entry)
-                except (KeyError, TypeError, ValueError) as exc:
+                    repo_id, outcome = _outcome_from_entry(json.loads(line))
+                    self._entries[(repo_id, outcome.commit_hash)] = outcome
+                except KeyError as exc:
+                    raise ValueError(f"corrupt cache {self.path} line {number}: missing {exc}") from exc
+                except ValueError as exc:
                     raise ValueError(f"corrupt cache {self.path} line {number}: {exc}") from exc
 
     def _error(self, action: str, exc: OSError) -> OSError:
@@ -215,13 +217,16 @@ def _entry_from_outcome(repo_id: str, outcome: VerificationOutcome) -> dict:
     }
 
 
-def _outcome_from_entry(entry: dict) -> VerificationOutcome:
-    return VerificationOutcome(
-        commit_hash=entry["hash"],
-        status=VerificationStatus(entry["status"]),
-        verified_flag=entry["verified"],
-        parents=None if entry["parents"] is None else tuple(entry["parents"]),
-        committer_date=entry["committer_date"],
+def _outcome_from_entry(entry) -> tuple[str, VerificationOutcome]:
+    """Read a cache line's object back as (repo, outcome); every key must be there."""
+    repo_id = typed(typed(entry, dict, "the line")["repo"], str, "repo")
+    parents = typed(entry["parents"], (list, NoneType), "parents")
+    return repo_id, VerificationOutcome(
+        commit_hash=typed(entry["hash"], str, "hash"),
+        status=VerificationStatus(typed(entry["status"], str, "status")),
+        verified_flag=typed(entry["verified"], (bool, NoneType), "verified"),
+        parents=None if parents is None else tuple(typed(p, str, "a parent") for p in parents),
+        committer_date=typed(entry["committer_date"], (int, NoneType), "committer_date"),
     )
 
 
@@ -481,13 +486,9 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
     """
     with open(source, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(data.get("sources"), list):
-        raise ValueError("source config needs a 'sources' array")
     sources = []
-    for item in data["sources"]:
-        if not isinstance(item, dict):
-            raise ValueError("each source must be an object")
-        unknown = sorted(set(item) - {"kind", "endpoint", "auth"})
+    for item in typed(typed(data, dict, "a sources config").get("sources"), list, "sources"):
+        unknown = sorted(set(typed(item, dict, "a source")) - {"kind", "endpoint", "auth"})
         if unknown:
             raise ValueError(f"unknown source fields: {unknown}")
         sources.append(
@@ -499,8 +500,7 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
         )
     if not sources:
         raise ValueError("configure at least one metadata source")
-    workers = data.get("workers", DEFAULT_WORKERS)
-    # type(), not isinstance(): a JSON true is a bool, and bool subclasses int.
-    if type(workers) is not int or workers < 1:
-        raise ValueError("workers must be a positive integer")
+    workers = typed(data.get("workers", DEFAULT_WORKERS), int, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     return sources, workers

@@ -28,6 +28,7 @@ from .model import (
     CommitRecord,
     Timestamp,
     normalize_timestamp,
+    typed,
 )
 
 log = logging.getLogger(__name__)
@@ -114,9 +115,8 @@ class DedupReport:
 
 
 # ---- Field validators ----
-# The record functions check a field's usual type inline with type(); the
-# _require_* checks run only for any other type, to accept a subclass or
-# to raise with the field's name.
+# The record functions check a field's usual type inline with type(), and
+# call model.typed only for any other type, to raise with the field's name.
 
 
 def _canon_hash(raw, what: str, hashes: dict) -> str:
@@ -143,17 +143,6 @@ def _canon_hash(raw, what: str, hashes: dict) -> str:
     return canonical
 
 
-def _require_int(value, what: str) -> None:
-    # bool is an int subclass; a JSON `true` in a date field is garbage.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
-
-
-def _require_str(value, what: str) -> None:
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {type(value).__name__}")
-
-
 def _ascii_int(text: str) -> int:
     """``int(text)`` for ASCII digits with an optional leading "-" only."""
     if not ASCII_INT.fullmatch(text):
@@ -175,14 +164,16 @@ def _parse_tz_minutes(text: str, tzs: dict) -> int:
     """
     stripped = text.strip()
     m = _TZ_HHMM.fullmatch(stripped)
-    if m:
-        sign = 1 if m.group(1) == "+" else -1
-        minutes = sign * (int(m.group(2)) * 60 + int(m.group(3)))
-    else:
+    if m is None:
         try:
             minutes = _ascii_int(stripped)
         except ValueError:
             raise ValueError(f"unparseable timezone offset {text!r}") from None
+    elif m.group(3) < "60":
+        sign = 1 if m.group(1) == "+" else -1
+        minutes = sign * (int(m.group(2)) * 60 + int(m.group(3)))
+    else:
+        raise ValueError(f"unparseable timezone offset {text!r}")
     tzs[text] = minutes
     return minutes
 
@@ -217,7 +208,7 @@ def _record_from_object(obj, hashes: dict, names: dict) -> CommitRecord:
     if type(repo_id) is str:
         repo_id = names.setdefault(repo_id, repo_id)
     else:
-        _require_str(repo_id, "repo")
+        typed(repo_id, str, "repo")
 
     if not isinstance(raw_parents, list):
         raise ValueError("parents must be an array")
@@ -228,14 +219,14 @@ def _record_from_object(obj, hashes: dict, names: dict) -> CommitRecord:
         raise ValueError(f"date_unit must be one of {_DATE_UNITS}, got {unit!r}")
 
     tz = obj.get("tz_offset_min", 0)
-    if type(tz) is not int and (isinstance(tz, bool) or not isinstance(tz, int)):
+    if type(tz) is not int:
         raise ValueError("tz_offset_min must be an integer")
 
     if type(raw_author_date) is not int:
-        _require_int(raw_author_date, "author_date")
+        typed(raw_author_date, int, "author_date")
     author_date = normalize_timestamp(raw_author_date, unit, tz)
     if type(raw_committer_date) is not int:
-        _require_int(raw_committer_date, "committer_date")
+        typed(raw_committer_date, int, "committer_date")
     committer_date = normalize_timestamp(raw_committer_date, unit, tz)
 
     verified = obj.get("verified")
@@ -245,20 +236,20 @@ def _record_from_object(obj, hashes: dict, names: dict) -> CommitRecord:
     stars = obj.get("stars")
     if stars is not None:
         if type(stars) is not int:
-            _require_int(stars, "stars")
+            typed(stars, int, "stars")
         if stars < 0:
             raise ValueError("stars must be non-negative")
 
     if type(author_id) is str:
         author_id = names.setdefault(author_id, author_id)
     else:
-        _require_str(author_id, "author")
+        typed(author_id, str, "author")
     if type(committer_id) is str:
         committer_id = names.setdefault(committer_id, committer_id)
     else:
-        _require_str(committer_id, "committer")
+        typed(committer_id, str, "committer")
     if type(message) is not str:
-        _require_str(message, "message")
+        typed(message, str, "message")
     _check_epoch_range(author_date, committer_date)
 
     return CommitRecord(commit_hash, repo_id, parents, author_date, committer_date,

@@ -23,6 +23,23 @@ _UNIT_FACTORS = {"s": 1, "seconds": 1, "ms": 10**3, "milliseconds": 10**3,
 
 NO_NAME = "(no name)"
 
+# What an error message calls each JSON type.
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+                    float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def typed(value, json_type, field: str):
+    """Return ``value`` if its type is exactly ``json_type``, a type or a
+    tuple of types; else raise ``ValueError("<field> must be <...>, got
+    <type>")``. Exactly, so that a JSON ``true`` is not an integer."""
+    if type(value) is json_type:
+        return value
+    types = json_type if isinstance(json_type, tuple) else (json_type,)
+    if type(value) not in types:
+        expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+        raise ValueError(f"{field} must be {expected}, got {type(value).__name__}")
+    return value
+
 
 @dataclass(frozen=True, slots=True)
 class Timestamp:

@@ -1,11 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chronolint import filters
+from chronolint import filters, forge
 from chronolint.cli import AuditRun, main, record_to_object, write_ndjson
 from chronolint.detectors import DetectorConfig
 from chronolint.ingest import parse_commit_stream
@@ -293,8 +300,10 @@ def test_filter_deduplicates_by_the_scan_rule(tmp_path, capsys):
     [{"kind": "BeforeDate", "cutoff": True}],
     [{"kind": "ProjectBlocklist", "blocklist": "abc"}],
     [{"kind": "ProjectBlocklist", "blocklist": [5]}],
+    # Another kind's field: ran as plain TopKStars before the one-field rule.
+    [{"kind": "TopKStars", "k": 3, "min_ts": 5}],
 ], ids=["min_ts-str", "min_stars-str", "k-float", "entry-int", "k-bool", "cutoff-bool",
-        "blocklist-str", "blocklist-int"])
+        "blocklist-str", "blocklist-int", "k-with-min_ts"])
 def test_filter_mistyped_policy_exits_two_with_one_line(tmp_path, capsys, policies):
     path = write_records(tmp_path / "in.ndjson", clean_records())
     code, out, err = run(capsys, "filter", path, "--policy-file", policy_file(tmp_path, policies))
@@ -393,6 +402,22 @@ def test_undecodable_report_exits_two_with_one_line(tmp_path, capsys, command, p
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert f"cannot read report {path}" in err
+
+
+@pytest.mark.parametrize("command", ["stats", "verify"])
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+def test_schema_version_must_be_the_integer_1(tmp_path, capsys, command, version):
+    # Both equal 1 in Python, and both were read as v1 before the JSON type rule.
+    report = scan_report_path(tmp_path, capsys, ooo_fixture())
+    doc = json.loads(Path(report).read_text(encoding="utf-8"))
+    doc["schema_version"] = version
+    Path(report).write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--sources", stub_sources(tmp_path, ooo_fixture())] if command == "verify" else []
+    code, out, err = run(capsys, command, report, *extra)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"chronolint: error: {report} is not a schema v1 scan report: "
+        f"schema_version must be an integer, got {type(version).__name__}"]
 
 
 @pytest.mark.parametrize("hash_id, field, value", [
@@ -542,6 +567,43 @@ def test_verify_corrupt_cache_line_exits_two_with_one_line(tmp_path, capsys):
     assert f"{cache} line 1" in err
 
 
+# One cache line for the candidate's parent, as `verify` writes it.
+CACHE_LINE = {"repo": "example/repo", "hash": hex_hash(0), "status": "confirmed_on_forge",
+              "verified": None, "parents": [], "committer_date": 1_000_000_600}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("committer_date", "9"),  # a TypeError traceback before the JSON type rule
+    ("parents", "ab"),  # read as the two parents 'a' and 'b' before
+    ("parents", [5]),
+    ("verified", "yes"),
+    ("hash", 5),
+])
+def test_verify_mistyped_cache_line_exits_two_with_one_line(tmp_path, capsys, field, value):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    cache = tmp_path / "cache.ndjson"
+    cache.write_text(json.dumps({**CACHE_LINE, field: value}) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", report, "--sources",
+                         cached_sources(tmp_path, records, cache))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"chronolint: error: corrupt cache {cache} line 1: ")
+
+
+def test_verify_reads_an_unverifiable_cache_line_with_null_fields(tmp_path, capsys):
+    # Guard: null parents and committer_date are how an unverifiable line is written.
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    cache = tmp_path / "cache.ndjson"
+    line = {**CACHE_LINE, "status": "unverifiable", "parents": None, "committer_date": None}
+    cache.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", report, "--sources",
+                       cached_sources(tmp_path, records, cache))
+    assert code == 0  # the parent's date is unknown, so the candidate is dropped
+    assert json.loads(out)["accounting"]["confirmed_on_forge"] == 1
+
+
 @pytest.mark.parametrize("unusable", ["directory", "under-a-file"])
 def test_verify_unusable_cache_exits_two_with_one_line(tmp_path, capsys, unusable):
     records = ooo_fixture()
@@ -599,6 +661,20 @@ def test_mistyped_anomaly_entry_exits_two_naming_it(tmp_path, capsys, command, f
     assert out == ""
     assert len(err.splitlines()) == 1
     assert f"anomaly entry {index}" in err and field in err
+
+
+@pytest.mark.parametrize("command", ["stats", "verify"])
+def test_anomaly_entry_without_commit_names_the_missing_field(tmp_path, capsys, command):
+    # The message was the bare KeyError text "'commit'" before.
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    doc = json.loads(Path(report).read_text(encoding="utf-8"))
+    del doc["anomalies"][0]["commit"]
+    Path(report).write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--sources", stub_sources(tmp_path, records)] if command == "verify" else []
+    code, out, err = run(capsys, command, report, *extra)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["chronolint: error: unreadable anomaly entry 0: missing 'commit'"]
 
 
 def test_epoch_beyond_int64_is_malformed_so_stats_never_overflows(tmp_path, capsys):
@@ -679,3 +755,126 @@ def test_record_serialization_keeps_committer_timezone():
     assert obj["tz_offset_min"] == 330
     (back,) = parse_commit_stream(json.dumps(obj)).records
     assert back.committer_date == rec.committer_date
+
+
+# ---- any one value of an input document ----
+
+# JSON values. Strings leave out path separators: a replaced LocalCache
+# endpoint is a file that verify creates, and it must stay in the test's
+# working directory.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(blacklist_characters="/\\"), max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(value, path=()):
+    """The path of ``value`` itself and of every value nested in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from json_paths(item, path + (key,))
+
+
+def replaced(doc, path, new):
+    if not path:
+        return new
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+@pytest.fixture(scope="module")
+def valid_documents(tmp_path_factory):
+    """Valid commit records, policy file, sources config, scan report (one
+    out-of-order candidate, so a verify starts at most two threads whatever
+    ``workers`` says) and cache line, with the stub they refer to."""
+    root = tmp_path_factory.mktemp("documents")
+    records = ooo_fixture()
+    commits = write_records(root / "in.ndjson", records)
+    stub = root / "stub"
+    stub.mkdir()
+    for rec in records:
+        (stub / f"{rec.hash}.json").write_text(json.dumps(record_to_object(rec)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["scan", commits, "--snapshot-date", SNAPSHOT, "--report", str(root / "scan.json")])
+    documents = {
+        "commits": [record_to_object(rec) for rec in records],
+        "policies": {"policies": [
+            {"kind": "MinTimestamp", "min_ts": 1},
+            {"kind": "BeforeDate", "cutoff": "2000-01-01"},
+            {"kind": "ProjectBlocklist", "blocklist": ["other/repo"]},
+            {"kind": "DropOutOfOrder", "scope": "commit"},
+            {"kind": "MinStars", "min_stars": 0},
+            {"kind": "TopKStars", "k": 2},
+        ]},
+        "sources": {"workers": 2, "sources": [
+            {"kind": "LocalCache", "endpoint": str(root / "cache.ndjson")},
+            {"kind": "FileStub", "endpoint": str(stub)},
+            {"kind": "ArchiveFallback", "endpoint": "https://archive.test/{hash}"},
+        ]},
+        "report": json.loads((root / "scan.json").read_text(encoding="utf-8")),
+        "cache": CACHE_LINE,
+    }
+    return root, commits, documents
+
+
+def _no_network():
+    raise OSError("the tests make no network connections")
+
+
+# The documents each command reads.
+READS = {"scan": ["commits"], "filter": ["policies"], "stats": ["report"],
+         "verify": ["sources", "report", "cache"]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(READS)))
+def test_any_one_replaced_value_exits_0_1_or_2_with_one_error_line(
+        valid_documents, data, command):
+    root, commits, documents = valid_documents
+    name = data.draw(st.sampled_from(READS[command]), label="document")
+    doc = documents[name]
+    path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+    docs = {**documents, name: replaced(doc, path, data.draw(JSON_VALUES, label="value"))}
+    for key in ("policies", "sources", "report"):
+        (root / f"{key}.json").write_text(json.dumps(docs[key]), encoding="utf-8")
+    (root / "cache.ndjson").write_text(json.dumps(docs["cache"]) + "\n", encoding="utf-8")
+    records = docs["commits"] if isinstance(docs["commits"], list) else [docs["commits"]]
+    (root / "scan.ndjson").write_text("".join(json.dumps(r) + "\n" for r in records),
+                                      encoding="utf-8")
+    argv = {
+        "scan": ["scan", str(root / "scan.ndjson"), "--snapshot-date", SNAPSHOT,
+                 "--report", str(root / "scanned.json")],
+        "filter": ["filter", commits, "--policy-file", str(root / "policies.json"),
+                   "--output", str(root / "out.ndjson"), "--report", str(root / "ledger.json")],
+        "stats": ["stats", str(root / "report.json"), "--report", str(root / "stats.json")],
+        "verify": ["verify", str(root / "report.json"), "--sources", str(root / "sources.json"),
+                   "--report", str(root / "verified.json")],
+    }[command]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with mock.patch.object(forge, "_opener", _no_network), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        # Two exits 2 explain themselves first: scan names each malformed
+        # record, and verify prints its accounting when no source resolved
+        # any candidate. Every other exit 2 is the one line.
+        if command != "scan" and "no metadata source" not in lines[-1]:
+            assert len(lines) == 1, lines
+        assert lines[-1].startswith("chronolint: error: ")

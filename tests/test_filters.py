@@ -409,11 +409,43 @@ def test_load_policies_bare_array(tmp_path):
         {"kind": "ProjectBlocklist", "blocklist": [5]},
         {"kind": "ProjectBlocklist", "blocklist": {"a/b": 1}},
         {"kind": "TopKStars", "k": 3, "min_ts": "x"},
+        # A kind takes only its own field; the first two were accepted
+        # before that rule. `{"kind": 5}` was refused before too, as an
+        # unknown kind (a guard); its message is pinned below.
+        {"kind": "TopKStars", "k": 3, "min_ts": 5},
+        {"kind": "MinTimestamp", "scope": "project"},
+        {"kind": 5},
     ],
 )
 def test_bad_policy_dicts_rejected(bad):
     with pytest.raises(ValueError):
         policy_from_dict(bad)
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ({"kind": "TopKStars", "k": 3, "min_ts": 5}, "TopKStars takes only 'k', got ['min_ts']"),
+    ({"kind": "MinTimestamp", "scope": "project"},
+     "MinTimestamp takes only 'min_ts', got ['scope']"),
+    ({"kind": 5}, "kind must be a string, got int"),
+    ({"kind": "TopKStars", "k": True}, "k must be an integer, got bool"),
+    ({"kind": "BeforeDate", "cutoff": 1.5}, "cutoff must be an integer or a string, got float"),
+    ({"kind": "ProjectBlocklist", "blocklist": [5]}, "a blocklist entry must be a string, got int"),
+    ({"kind": "MinStars", "min_stars": -1}, "MinStars needs min_stars >= 0, got -1"),
+    ({"kind": "BeforeDate"}, "BeforeDate needs cutoff"),
+], ids=["k-with-min_ts", "min_ts-with-scope", "kind-int", "k-bool", "cutoff-float",
+        "blocklist-int", "min_stars-negative", "cutoff-missing"])
+def test_bad_policy_dict_reason_names_the_field(bad, reason):
+    # Each row failed before the one-field rule and the shared JSON type
+    # check: the first two were accepted, and the rest had other messages.
+    with pytest.raises(ValueError) as raised:
+        policy_from_dict(bad)
+    assert str(raised.value) == reason
+
+
+def test_a_policy_takes_only_its_own_field_from_python_too():
+    with pytest.raises(ValueError, match="takes only 'k'"):
+        FilterPolicy(kind="TopKStars", k=3, min_ts=5)
+    assert FilterPolicy(kind="TopKStars", k=3).to_dict() == {"kind": "TopKStars", "k": 3}
 
 
 def test_policy_dict_round_trip():

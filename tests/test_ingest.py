@@ -389,6 +389,11 @@ GITLOG_REASONS = [
     (gitlog_fields(c_tz="+2000", a_tz="EST"), "tz offset 1200 outside [-1080, 1080] minutes"),
     (gitlog_fields(c_tz="EST", a_tz="+2000"), "unparseable timezone offset 'EST'"),
     (gitlog_fields(c_epoch=str(2**63), a_tz="EST"), "unparseable timezone offset 'EST'"),
+    # HHMM minutes run 00-59; these were read as 99, -141, -681 and 60 minutes before.
+    (gitlog_fields(c_tz="+0099"), "unparseable timezone offset '+0099'"),
+    (gitlog_fields(a_tz="-0181"), "unparseable timezone offset '-0181'"),
+    (gitlog_fields(c_tz="-1081"), "unparseable timezone offset '-1081'"),
+    (gitlog_fields(c_tz="+0060", a_tz="EST"), "unparseable timezone offset '+0060'"),
 ]
 
 
@@ -606,6 +611,14 @@ def test_gitlog_numbers_that_stay_valid():
     (rec,) = parse_commit_stream(raw, "gitlog", repo_id="r").records
     assert rec.committer_date == Timestamp(-5, -90)
     assert rec.author_date == Timestamp(7, 330)
+
+
+def test_gitlog_hhmm_minutes_up_to_59_parse():
+    # Guard for the 00-59 minute rule: the largest minute and the widest offset.
+    raw = gitlog_fields(c_tz="+0059", a_tz="-1800")
+    (rec,) = parse_commit_stream(raw, "gitlog", repo_id="r").records
+    assert rec.committer_date == Timestamp(1, 59)
+    assert rec.author_date == Timestamp(1, -1080)
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1

@@ -49,6 +49,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_the_json_type_rule_lives_only_in_model():
+    # A `type(x) is int` check in a reader is a copy of model.typed; ingest's
+    # parse keeps its inline checks as a fast path, and is not scanned.
+    copies = []
+    for name in ("cli.py", "filters.py", "forge.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            calls_type = any(isinstance(o, ast.Call) and isinstance(o.func, ast.Name)
+                             and o.func.id == "type" for o in operands)
+            names_json = any(isinstance(o, ast.Name)
+                             and o.id in ("int", "str", "bool", "list", "dict") for o in operands)
+            if calls_type and names_json and any(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                copies.append(f"{name}:{node.lineno}")
+    assert copies == []
+
+
 def test_runtime_imports_only_the_standard_library():
     allowed = sys.stdlib_module_names | {"chronolint"}
     outside = []
