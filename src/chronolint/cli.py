@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from types import NoneType, SimpleNamespace
@@ -40,10 +41,12 @@ from .forge import load_sources, verify_anomalies
 from .graph import CycleDetected, build_graph, group_by_repo
 from .ingest import deduplicate, parse_commit_stream
 from .model import (
+    OUT_OF_ORDER_KINDS,
     Anomaly,
     AnomalyKind,
     CommitRecord,
     Timestamp,
+    decode_json,
     format_utc,
     parse_utc,
     typed,
@@ -55,7 +58,6 @@ EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 DETECTOR_NAMES = ("old", "future", "ooo", "signatures", "verified")
-OUT_OF_ORDER_KINDS = (AnomalyKind.OUT_OF_ORDER_LINEAR, AnomalyKind.OUT_OF_ORDER_PARENT)
 
 
 class CommandError(Exception):
@@ -184,20 +186,41 @@ def _now_utc() -> str:
     return format_utc(Timestamp(int(time.time())))
 
 
+@contextmanager
+def _writing(path):
+    """Turn an ``OSError`` from writing ``path`` into unusable output (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_document(doc: dict, path: str | None, stream=None) -> None:
     """Write ``doc`` as indented JSON to ``path``, else to ``stream``
     (default stdout)."""
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with _writing(path):
+            Path(path).write_text(text, encoding="utf-8")
     else:
         (stream or sys.stdout).write(text)
+
+
+def _write_csv(directory: str, name: str, header, rows) -> None:
+    """Write one table to ``directory/name``, making the directory as needed."""
+    with _writing(directory):
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    path = Path(directory) / name
+    with _writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_scan_report(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = decode_json(fh.read())
     except (OSError, ValueError) as exc:  # ValueError: JSON, UTF-8 or int() digit limit
         raise CommandError(f"cannot read report {path}: {exc}") from exc
     try:
@@ -332,21 +355,14 @@ def _dedup_to_object(dedup) -> dict:
 
 
 def _scan_csv(directory: str, anomalies, summary: dict) -> None:
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "anomalies.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "repo", "commit", "delta_seconds", "evidence"])
-        for a in anomalies:
-            writer.writerow([
-                a.kind.value, a.repo_id, a.commit_hash,
-                "" if a.delta_seconds is None else a.delta_seconds, a.evidence,
-            ])
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "commits", "projects"])
-        for kind in sorted(summary):
-            writer.writerow([kind, summary[kind]["commits"], summary[kind]["projects"]])
+    _write_csv(directory, "anomalies.csv",
+               ["kind", "repo", "commit", "delta_seconds", "evidence"],
+               ([a.kind.value, a.repo_id, a.commit_hash,
+                 "" if a.delta_seconds is None else a.delta_seconds, a.evidence]
+                for a in anomalies))
+    _write_csv(directory, "summary.csv", ["kind", "commits", "projects"],
+               ([kind, summary[kind]["commits"], summary[kind]["projects"]]
+                for kind in sorted(summary)))
 
 
 def cmd_scan(args) -> int:
@@ -406,7 +422,7 @@ def cmd_scan(args) -> int:
 def cmd_filter(args) -> int:
     try:
         policies = load_policies(args.policy_file)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CommandError(f"bad policy file: {exc}") from exc
     cfg = _detector_config(args)
     records = _read_records(args.inputs, args.format, args.repo)
@@ -417,7 +433,7 @@ def cmd_filter(args) -> int:
         raise CommandError(str(exc)) from exc
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _writing(args.output), open(args.output, "w", encoding="utf-8") as fh:
             write_ndjson(retained, fh)
     else:
         write_ndjson(retained, sys.stdout)
@@ -471,28 +487,17 @@ def _stats_tables(report: dict, exclude_terms) -> dict:
 
 
 def _stats_csv(directory: str, tables: dict) -> None:
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def table(name: str, header, rows):
-        with open(out / name, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-
     if tables["deltas"]:
-        table("deltas.csv", ["stat", "value"], sorted(tables["deltas"].items()))
+        _write_csv(directory, "deltas.csv", ["stat", "value"], sorted(tables["deltas"].items()))
     if tables["histogram"]:
-        table(
-            "histogram.csv", ["bucket", "count"],
-            [(b["label"], b["count"]) for b in tables["histogram"]["buckets"]],
-        )
-    table("tokens.csv", ["token", "count"],
-          [(r["token"], r["count"]) for r in tables["tokens"]["rows"]])
-    table("top_committers.csv", ["committer", "commits"],
-          [(r["committer"], r["commits"]) for r in tables["top_committers"]])
-    table("top_projects.csv", ["project", "commits"],
-          [(r["project"], r["commits"]) for r in tables["top_projects"]])
+        _write_csv(directory, "histogram.csv", ["bucket", "count"],
+                   [(b["label"], b["count"]) for b in tables["histogram"]["buckets"]])
+    _write_csv(directory, "tokens.csv", ["token", "count"],
+               [(r["token"], r["count"]) for r in tables["tokens"]["rows"]])
+    _write_csv(directory, "top_committers.csv", ["committer", "commits"],
+               [(r["committer"], r["commits"]) for r in tables["top_committers"]])
+    _write_csv(directory, "top_projects.csv", ["project", "commits"],
+               [(r["project"], r["commits"]) for r in tables["top_projects"]])
 
 
 def cmd_stats(args) -> int:
@@ -515,7 +520,7 @@ def cmd_verify(args) -> int:
     candidates = [a for a in _report_anomalies(report) if a.kind in OUT_OF_ORDER_KINDS]
     try:
         sources, workers = load_sources(args.sources)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CommandError(f"bad sources config: {exc}") from exc
     try:
         confirmed, dropped, accounting = verify_anomalies(candidates, sources, workers=workers)

@@ -27,7 +27,7 @@ from pathlib import Path
 from types import NoneType
 
 from .ingest import _record_from_object
-from .model import Anomaly, AnomalyKind, typed
+from .model import OUT_OF_ORDER_KINDS, Anomaly, decode_json, typed
 
 log = logging.getLogger(__name__)
 
@@ -159,7 +159,7 @@ class CacheStore:
                 if not line.strip():
                     continue
                 try:
-                    repo_id, outcome = _outcome_from_entry(json.loads(line))
+                    repo_id, outcome = _outcome_from_entry(decode_json(line))
                     self._entries[(repo_id, outcome.commit_hash)] = outcome
                 except KeyError as exc:
                     raise ValueError(f"corrupt cache {self.path} line {number}: missing {exc}") from exc
@@ -402,8 +402,8 @@ class ForgeClient:
     def _outcome_from_document(self, source: MetadataSource, commit_hash: str,
                                body: str) -> VerificationOutcome:
         try:
-            record = _record_from_object(json.loads(body), {}, {})
-        except (ValueError, json.JSONDecodeError) as exc:
+            record = _record_from_object(decode_json(body), {}, {})
+        except ValueError as exc:
             log.warning("unusable metadata document from %s: %s", source.kind, exc)
             raise NotFound(str(exc)) from exc
         if record.hash != commit_hash:
@@ -435,9 +435,8 @@ class ForgeClient:
         (confirmed, dropped, accounting-by-status); confirmed plus
         dropped is exactly the input.
         """
-        verifiable = (AnomalyKind.OUT_OF_ORDER_LINEAR, AnomalyKind.OUT_OF_ORDER_PARENT)
         for anomaly in anomalies:
-            if anomaly.kind not in verifiable:
+            if anomaly.kind not in OUT_OF_ORDER_KINDS:
                 raise ValueError("verification expects out-of-order candidates")
 
         def check(anomaly: Anomaly):
@@ -485,7 +484,7 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
     "auth": ...}, ...]}``; ``workers`` is optional.
     """
     with open(source, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = decode_json(fh.read())
     sources = []
     for item in typed(typed(data, dict, "a sources config").get("sources"), list, "sources"):
         unknown = sorted(set(typed(item, dict, "a source")) - {"kind", "endpoint", "auth"})

@@ -27,6 +27,7 @@ from .model import (
     EPOCH_MIN,
     CommitRecord,
     Timestamp,
+    decode_json,
     normalize_timestamp,
     typed,
 )
@@ -261,7 +262,7 @@ def _parse_ndjson(lines) -> ParseResult:
     malformed: list[MalformedRecord] = []
     hashes: dict[str, str] = {}
     names: dict[str, str] = {}
-    loads = json.loads
+    loads = decode_json
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -270,7 +271,7 @@ def _parse_ndjson(lines) -> ParseResult:
         except json.JSONDecodeError as exc:
             malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc.msg}"))
             continue
-        except ValueError as exc:  # an integer longer than int() converts
+        except ValueError as exc:  # an integer longer than int() converts, or nesting too deep
             malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc}"))
             continue
         try:

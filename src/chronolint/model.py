@@ -5,6 +5,7 @@ All timestamp comparisons in the toolkit go through ``epoch_seconds``; the
 recorded timezone offset is carried along for reporting but never applied.
 """
 
+import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -39,6 +40,16 @@ def typed(value, json_type, field: str):
         expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
         raise ValueError(f"{field} must be {expected}, got {type(value).__name__}")
     return value
+
+
+def decode_json(text: str | bytes):
+    """``json.loads``, except that a document nested deeper than the
+    recursion limit raises ``ValueError``, as any other undecodable
+    document does, instead of ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply to decode") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,9 +106,8 @@ class AnomalyKind(str, Enum):
     VERIFIED_MISMATCH = "verified_mismatch"
 
 
-_OUT_OF_ORDER_KINDS = frozenset(
-    {AnomalyKind.OUT_OF_ORDER_LINEAR, AnomalyKind.OUT_OF_ORDER_PARENT}
-)
+# The kinds that carry a delta and that `verify` re-checks.
+OUT_OF_ORDER_KINDS = frozenset({AnomalyKind.OUT_OF_ORDER_LINEAR, AnomalyKind.OUT_OF_ORDER_PARENT})
 
 
 @dataclass(frozen=True)
@@ -112,7 +122,7 @@ class Anomaly:
     delta_seconds: int | None = None
 
     def __post_init__(self):
-        if (self.delta_seconds is not None) != (self.kind in _OUT_OF_ORDER_KINDS):
+        if (self.delta_seconds is not None) != (self.kind in OUT_OF_ORDER_KINDS):
             raise ValueError(
                 "delta_seconds must be set exactly for out-of-order anomalies"
             )

@@ -242,7 +242,7 @@ def test_criterion_06_filter_ledger_balance():
             survivors = {r.repo_id for r in retained}
             assert ledger.removed_projects == len(repos - survivors)
 
-        cleaned, _ = filters.filter_out_of_order(records, scope="commit")
+        cleaned, _ = filters.apply_policy(records, filters.FilterPolicy("DropOutOfOrder", "commit"))
         rescan, _, _ = run_scan(cleaned, DetectorConfig(), enabled=("ooo",))
         assert rescan == []
 
@@ -277,7 +277,7 @@ def test_criterion_07_min_timestamp_efficacy():
     old_hashes = {a.commit_hash for a in detect_old(records, cfg)}
     assert len(old_hashes) == 3612
 
-    retained, ledger = filters.filter_min_timestamp(records, 1)
+    retained, ledger = filters.apply_policy(records, filters.FilterPolicy("MinTimestamp", 1))
     assert ledger.removed_commits + ledger.retained_commits == len(records)
     removed_old = len(old_hashes - {r.hash for r in retained})
 

@@ -247,8 +247,9 @@ def test_filter_chained_policies_match_sequential_oracle(tmp_path, capsys):
                      "--report", str(tmp_path / "ledger.json"))
     assert code == 0
 
-    step1, ledger1 = filters.filter_before_date(records, parse_utc(cutoff))
-    step2, ledger2 = filters.filter_out_of_order(step1, scope="commit")
+    step1, ledger1 = filters.apply_policy(
+        records, filters.FilterPolicy("BeforeDate", parse_utc(cutoff)))
+    step2, ledger2 = filters.apply_policy(step1, filters.FilterPolicy("DropOutOfOrder", "commit"))
     doc = json.loads((tmp_path / "ledger.json").read_text())
     assert [e["removed_commits"] for e in doc["ledgers"]] == [
         ledger1.removed_commits, ledger2.removed_commits,
@@ -696,6 +697,118 @@ def test_epoch_beyond_int64_is_malformed_so_stats_never_overflows(tmp_path, caps
     assert err.splitlines()[0] == (
         f"chronolint: malformed record at {path}:2: "
         "author_date is outside the int64 range of epoch seconds")
+
+
+# ---- documents nested deeper than the recursion limit ----
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def assert_one_error_line(code, out, err, start):
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"chronolint: error: {start}")
+
+
+def test_scan_deep_ndjson_line_is_a_malformed_record(tmp_path, capsys):
+    path = tmp_path / "in.ndjson"
+    path.write_text(json.dumps(record_to_object(make_record(0))) + "\n" + DEEP + "\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "scan", str(path), "--snapshot-date", SNAPSHOT)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0].startswith(
+        f"chronolint: malformed record at {path}:2: invalid JSON: ")
+    assert err.splitlines()[1] == (
+        "chronolint: error: 1 malformed record(s); fix or pre-filter the input")
+
+
+def test_stats_deep_report_exits_two_with_one_line(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(DEEP, encoding="utf-8")
+    assert_one_error_line(*run(capsys, "stats", str(report)), f"cannot read report {report}: ")
+
+
+def test_filter_deep_policy_file_exits_two_with_one_line(tmp_path, capsys):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    policies = tmp_path / "policies.json"
+    policies.write_text(DEEP, encoding="utf-8")
+    assert_one_error_line(*run(capsys, "filter", path, "--policy-file", str(policies)),
+                          "bad policy file: ")
+
+
+def test_verify_deep_sources_config_exits_two_with_one_line(tmp_path, capsys):
+    report = scan_report_path(tmp_path, capsys, ooo_fixture())
+    sources = tmp_path / "sources.json"
+    sources.write_text(DEEP, encoding="utf-8")
+    assert_one_error_line(*run(capsys, "verify", report, "--sources", str(sources)),
+                          "bad sources config: ")
+
+
+def test_verify_deep_cache_line_exits_two_with_one_line(tmp_path, capsys):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    cache = tmp_path / "cache.ndjson"
+    cache.write_text(DEEP + "\n", encoding="utf-8")
+    assert_one_error_line(
+        *run(capsys, "verify", report, "--sources", cached_sources(tmp_path, records, cache)),
+        f"corrupt cache {cache} line 1: ")
+
+
+def test_verify_deep_stub_document_falls_through_to_the_next_source(tmp_path, capsys):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    config = json.loads(Path(stub_sources(tmp_path, records)).read_text(encoding="utf-8"))
+    deep = tmp_path / "deep"
+    deep.mkdir()
+    (deep / f"{records[1].hash}.json").write_text(DEEP, encoding="utf-8")
+    config["sources"].insert(0, {"kind": "FileStub", "endpoint": str(deep)})
+    sources = tmp_path / "deep.json"
+    sources.write_text(json.dumps(config), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", report, "--sources", str(sources))
+    assert code == 1
+    assert [a["commit"] for a in json.loads(out)["confirmed"]] == [records[1].hash]
+
+
+# ---- outputs that cannot be written ----
+
+
+def test_scan_unwritable_report_exits_two_with_one_line(tmp_path, capsys):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    target = tmp_path / "missing" / "x.json"
+    assert_one_error_line(
+        *run(capsys, "scan", path, "--snapshot-date", SNAPSHOT, "--report", str(target)),
+        f"cannot write {target}: ")
+
+
+@pytest.mark.parametrize("unwritable", ["csv-dir-is-a-file", "csv-table-is-a-directory"])
+def test_scan_unwritable_csv_exits_two_with_one_line(tmp_path, capsys, unwritable):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    csv_dir = tmp_path / "csv"
+    if unwritable == "csv-dir-is-a-file":
+        csv_dir.write_text("", encoding="utf-8")
+        target = csv_dir
+    else:
+        target = csv_dir / "summary.csv"
+        target.mkdir(parents=True)
+    code, _, err = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT,
+                       "--report", str(tmp_path / "r.json"), "--csv-dir", str(csv_dir))
+    assert_one_error_line(code, "", err, f"cannot write {target}: ")
+
+
+def test_filter_unwritable_output_exits_two_with_one_line(tmp_path, capsys):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    target = tmp_path / "missing" / "o.ndjson"
+    assert_one_error_line(
+        *run(capsys, "filter", path, "--policy-file", policy_file(tmp_path, []),
+             "--output", str(target)),
+        f"cannot write {target}: ")
+
+
+def test_stats_unwritable_report_exits_two_with_one_line(tmp_path, capsys):
+    report = scan_report_path(tmp_path, capsys, ooo_fixture())
+    target = tmp_path / "missing" / "s.json"
+    assert_one_error_line(*run(capsys, "stats", report, "--report", str(target)),
+                          f"cannot write {target}: ")
 
 
 # ---- run configuration ----

@@ -8,19 +8,13 @@ from hypothesis import strategies as st
 
 from chronolint.detectors import DetectorConfig, detect_old, detect_out_of_order_parents
 from chronolint.filters import (
+    _KINDS,
     FilterPolicy,
     apply_policies,
     apply_policy,
-    filter_before_date,
-    filter_blocklist,
-    filter_by_stars,
-    filter_min_timestamp,
-    filter_out_of_order,
-    filter_top_k_stars,
     load_policies,
     policy_from_dict,
     repo_star_table,
-    select_top_k_by_stars,
 )
 from chronolint.graph import build_graph
 from chronolint.model import Timestamp, parse_utc
@@ -39,15 +33,15 @@ def assert_balanced(ledger, input_count):
 
 def test_min_timestamp_boundary():
     records = [make_record(i, committer_epoch=e) for i, e in enumerate([-5, 0, 1, 100])]
-    kept, ledger = filter_min_timestamp(records)
+    kept, ledger = apply_policy(records, FilterPolicy("MinTimestamp"))
     assert [r.committer_date.epoch_seconds for r in kept] == [1, 100]
     assert_balanced(ledger, 4)
-    assert ledger.policy.min_ts == 1
+    assert ledger.policy.value == 1
 
 
 def test_min_timestamp_identity_when_all_positive():
     records = [make_record(i, committer_epoch=e) for i, e in enumerate([1, 50, 900])]
-    kept, ledger = filter_min_timestamp(records)
+    kept, ledger = apply_policy(records, FilterPolicy("MinTimestamp"))
     assert kept == records
     assert ledger.removed_commits == 0
 
@@ -62,7 +56,7 @@ def test_min_timestamp_removes_most_old_flagged():
     flagged_before = {a.commit_hash for a in detect_old(records, CFG)}
     assert len(flagged_before) == 50
 
-    kept, _ = filter_min_timestamp(records)
+    kept, _ = apply_policy(records, FilterPolicy("MinTimestamp"))
     flagged_after = {a.commit_hash for a in detect_old(kept, CFG)}
     removed_fraction = 1 - len(flagged_after) / len(flagged_before)
     assert removed_fraction >= 0.98
@@ -77,7 +71,7 @@ def test_before_date_strict_boundary():
         make_record(1, committer_epoch=parse_utc("2013-12-31").epoch_seconds),
         make_record(2, committer_epoch=cutoff.epoch_seconds),
     ]
-    kept, ledger = filter_before_date(records, cutoff)
+    kept, ledger = apply_policy(records, FilterPolicy("BeforeDate", cutoff))
     assert [r.hash for r in kept] == [hex_hash(2)]
     assert_balanced(ledger, 2)
 
@@ -90,7 +84,7 @@ def test_before_date_recount_oracle():
         for year in range(2010, 2017)
         for month in range(1, 13)
     ]
-    kept, ledger = filter_before_date(records, cutoff)
+    kept, ledger = apply_policy(records, FilterPolicy("BeforeDate", cutoff))
     expected_removed = sum(
         1 for r in records if r.committer_date.epoch_seconds < cutoff.epoch_seconds
     )
@@ -101,9 +95,9 @@ def test_before_date_recount_oracle():
 
 def test_before_date_extremes():
     records = [make_record(i, committer_epoch=1000 + i) for i in range(5)]
-    kept, _ = filter_before_date(records, Timestamp(-(10**15)))
+    kept, _ = apply_policy(records, FilterPolicy("BeforeDate", Timestamp(-(10**15))))
     assert kept == records
-    kept, ledger = filter_before_date(records, Timestamp(10**15))
+    kept, ledger = apply_policy(records, FilterPolicy("BeforeDate", Timestamp(10**15)))
     assert kept == []
     assert ledger.removed_projects == 1
 
@@ -113,7 +107,7 @@ def test_before_date_extremes():
 
 def test_empty_blocklist_is_identity():
     records = [make_record(1), make_record(2)]
-    kept, ledger = filter_blocklist(records, frozenset())
+    kept, ledger = apply_policy(records, FilterPolicy("ProjectBlocklist", frozenset()))
     assert kept == records
     assert ledger.removed_projects == 0
 
@@ -121,7 +115,7 @@ def test_empty_blocklist_is_identity():
 def test_blocklist_drops_whole_repo():
     records = [make_record(1, repo="keep/me"), make_record(2, repo="drop/me"),
                make_record(3, repo="drop/me")]
-    kept, ledger = filter_blocklist(records, {"drop/me"})
+    kept, ledger = apply_policy(records, FilterPolicy("ProjectBlocklist", {"drop/me"}))
     assert [r.repo_id for r in kept] == ["keep/me"]
     assert ledger.removed_commits == 2
     assert ledger.removed_projects == 1
@@ -129,7 +123,7 @@ def test_blocklist_drops_whole_repo():
 
 def test_blocklist_ids_are_canonicalized():
     records = [make_record(1, repo="example/repo")]
-    kept, _ = filter_blocklist(records, {"Example/Repo.git"})
+    kept, _ = apply_policy(records, FilterPolicy("ProjectBlocklist", {"Example/Repo.git"}))
     assert kept == []
 
 
@@ -141,7 +135,7 @@ def test_blocklist_removal_matches_size_oracle():
         for i in range(n)
     ]
     top_two = {"a/a", "b/b"}
-    kept, ledger = filter_blocklist(records, top_two)
+    kept, ledger = apply_policy(records, FilterPolicy("ProjectBlocklist", top_two))
     assert ledger.removed_commits == sizes["a/a"] + sizes["b/b"]
     assert ledger.removed_projects == 2
     assert {r.repo_id for r in kept} == {"c/c"}
@@ -170,7 +164,7 @@ def dirty_chain(repo: str, base: int):
 def test_clean_repo_identity_either_scope():
     records = clean_chain("r", 0)
     for scope in ("commit", "project"):
-        kept, ledger = filter_out_of_order(records, scope=scope, cfg=CFG)
+        kept, ledger = apply_policy(records, FilterPolicy("DropOutOfOrder", scope), CFG)
         assert kept == records
         assert ledger.removed_commits == 0
 
@@ -179,7 +173,7 @@ def test_commit_scope_drops_only_flagged():
     records = dirty_chain("r", 0)
     flagged = {a.commit_hash for a in detect_out_of_order_parents(build_graph(records), CFG)}
     assert flagged == {hex_hash(2)}
-    kept, ledger = filter_out_of_order(records, scope="commit", cfg=CFG)
+    kept, ledger = apply_policy(records, FilterPolicy("DropOutOfOrder", "commit"), CFG)
     assert len(kept) == len(records) - 1
     assert hex_hash(2) not in {r.hash for r in kept}
     assert_balanced(ledger, len(records))
@@ -187,7 +181,7 @@ def test_commit_scope_drops_only_flagged():
 
 def test_project_scope_drops_whole_dirty_repo():
     records = clean_chain("clean/repo", 0) + dirty_chain("dirty/repo", 100)
-    kept, ledger = filter_out_of_order(records, scope="project", cfg=CFG)
+    kept, ledger = apply_policy(records, FilterPolicy("DropOutOfOrder", "project"), CFG)
     assert {r.repo_id for r in kept} == {"clean/repo"}
     assert len(kept) == 5
     assert ledger.removed_projects == 1
@@ -203,7 +197,7 @@ def test_prebuilt_graph_gives_same_answer():
         for chain in (dirty, clean)
         for a in detect_out_of_order_parents(build_graph(chain), CFG)
     }
-    kept, _ = filter_out_of_order(records, cfg=CFG)
+    kept, _ = apply_policy(records, FilterPolicy("DropOutOfOrder"), CFG)
     assert kept == [r for r in records if r.hash not in flagged]
     assert flagged == {hex_hash(2)}
 
@@ -230,8 +224,8 @@ def multi_repo_chains(draw):
 @given(multi_repo_chains())
 @settings(max_examples=100)
 def test_project_scope_subset_of_commit_scope(records):
-    commit_kept, _ = filter_out_of_order(records, scope="commit", cfg=CFG)
-    project_kept, _ = filter_out_of_order(records, scope="project", cfg=CFG)
+    commit_kept, _ = apply_policy(records, FilterPolicy("DropOutOfOrder", "commit"), CFG)
+    project_kept, _ = apply_policy(records, FilterPolicy("DropOutOfOrder", "project"), CFG)
     assert {r.hash for r in project_kept} <= {r.hash for r in commit_kept}
 
 
@@ -240,20 +234,20 @@ def test_project_scope_subset_of_commit_scope(records):
 
 def test_min_stars_zero_is_identity():
     records = [make_record(1, stars=5), make_record(2)]  # second has no star data
-    kept, _ = filter_by_stars(records, 0)
+    kept, _ = apply_policy(records, FilterPolicy("MinStars", 0))
     assert kept == records
 
 
 def test_exact_star_threshold_is_kept():
     records = [make_record(1, stars=50, repo="fifty/stars"),
                make_record(2, stars=49, repo="fortynine/stars")]
-    kept, _ = filter_by_stars(records, 50)
+    kept, _ = apply_policy(records, FilterPolicy("MinStars", 50))
     assert [r.repo_id for r in kept] == ["fifty/stars"]
 
 
 def test_missing_stars_mean_zero():
     records = [make_record(1, repo="unknown/stars")]
-    kept, ledger = filter_by_stars(records, 1)
+    kept, ledger = apply_policy(records, FilterPolicy("MinStars", 1))
     assert kept == []
     assert ledger.removed_projects == 1
 
@@ -275,77 +269,113 @@ def test_remaining_bad_fraction_shrinks_with_threshold():
 
     fractions = []
     for threshold in (0, 10, 50, 100):
-        kept, _ = filter_by_stars(records, threshold)
+        kept, _ = apply_policy(records, FilterPolicy("MinStars", threshold))
         bad_left = len(detect_old(kept, CFG))
         fractions.append(bad_left / len(kept))
     assert fractions == sorted(fractions, reverse=True)
     assert fractions[-1] == 0.0
 
 
+def top_k_repos(repos, k):
+    """The repos TopKStars keeps, of one record per (repo, stars) pair."""
+    records = [make_record(i, repo=repo, stars=stars) for i, (repo, stars) in enumerate(repos)]
+    kept, _ = apply_policy(records, FilterPolicy("TopKStars", k))
+    return {r.repo_id for r in kept}
+
+
 def test_top_k_returns_all_when_short():
-    assert select_top_k_by_stars([("a", 1), ("b", 2), ("c", 3)], k=5) == {"a", "b", "c"}
+    assert top_k_repos([("a", 1), ("b", 2), ("c", 3)], k=5) == {"a", "b", "c"}
 
 
 def test_top_k_picks_highest():
-    assert select_top_k_by_stars([("a", 10), ("b", 10), ("c", 5)], k=2) == {"a", "b"}
+    assert top_k_repos([("a", 10), ("b", 10), ("c", 5)], k=2) == {"a", "b"}
 
 
 def test_top_k_boundary_tie_prefers_smaller_id():
     repos = [("zebra/repo", 10), ("beta/repo", 5), ("alpha/repo", 5)]
     candidates = [{"zebra/repo", "beta/repo"}, {"zebra/repo", "alpha/repo"}]
-    chosen = select_top_k_by_stars(repos, k=2)
+    chosen = top_k_repos(repos, k=2)
     assert chosen in candidates
     assert chosen == {"zebra/repo", "alpha/repo"}
 
 
 def test_top_k_rejects_bad_k():
     with pytest.raises(ValueError):
-        select_top_k_by_stars([("a", 1)], k=0)
+        FilterPolicy("TopKStars", 0)
 
 
 def test_top_k_filter_keeps_only_top_repos():
     records = [make_record(1, repo="big/repo", stars=100),
                make_record(2, repo="small/repo", stars=1),
                make_record(3, repo="big/repo", stars=100)]
-    kept, ledger = filter_top_k_stars(records, k=1)
+    kept, ledger = apply_policy(records, FilterPolicy("TopKStars", 1))
     assert {r.repo_id for r in kept} == {"big/repo"}
     assert ledger.removed_commits == 1
 
 
 # ---- Cross-cutting properties ----
 
+# Candidate policy-file values for each JSON type a kind's field takes.
+CANDIDATES = {
+    int: [-1, 0, 1, 5, 20],
+    str: ["commit", "project", "1970-01-01T00:00:05Z"],
+    list: [[], ["Two/Repo.git"]],
+}
+
+
+def every_policy():
+    """One policy per kind and candidate value (or none) that the kind
+    accepts, so that a new kind, and both DropOutOfOrder scopes, are
+    covered without being named here."""
+    for kind, spec in sorted(_KINDS.items()):
+        types = spec.json_type if isinstance(spec.json_type, tuple) else (spec.json_type,)
+        for value in [None, *(v for t in types for v in CANDIDATES[t])]:
+            try:
+                yield policy_from_dict({"kind": kind} if value is None
+                                       else {"kind": kind, spec.field: value})
+            except ValueError:
+                continue
+
+
+EVERY_POLICY = list(every_policy())
+# TopKStars ranks the repos present, so it depends on what ran before it.
+INDEPENDENT = [p for p in EVERY_POLICY if p.kind != "TopKStars"]
+
+
+def test_every_kind_has_a_policy_under_test():
+    assert {p.kind for p in EVERY_POLICY} == set(_KINDS)
+    assert {p.value for p in EVERY_POLICY if p.kind == "DropOutOfOrder"} == {"commit", "project"}
+
+
+def two_repo_records(pairs):
+    return [make_record(i, committer_epoch=e, repo=repo,
+                        stars=10 if repo == "two/repo" else None)
+            for i, (e, repo) in enumerate(pairs)]
+
 
 @given(
     st.lists(
         st.tuples(st.integers(-100, 100), st.sampled_from(["one/repo", "two/repo"])),
         max_size=30,
-    )
+    ),
+    st.sampled_from(INDEPENDENT),
 )
-def test_independent_filters_commute(pairs):
-    records = [make_record(i, committer_epoch=e, repo=repo)
-               for i, (e, repo) in enumerate(pairs)]
-    a, _ = filter_blocklist(filter_min_timestamp(records)[0], {"two/repo"})
-    b, _ = filter_min_timestamp(filter_blocklist(records, {"two/repo"})[0])
-    assert a == b
+def test_independent_filters_commute(pairs, other):
+    records = two_repo_records(pairs)
+    for policy in INDEPENDENT:
+        a, _ = apply_policy(apply_policy(records, policy, CFG)[0], other, CFG)
+        b, _ = apply_policy(apply_policy(records, other, CFG)[0], policy, CFG)
+        assert a == b
 
 
-@given(st.lists(st.tuples(st.integers(-50, 50), st.booleans()), max_size=25))
+@given(st.lists(st.tuples(st.integers(-50, 50), st.sampled_from(["one/repo", "two/repo"])),
+                max_size=25))
 def test_every_filter_partitions(pairs):
-    records = [
-        make_record(i, committer_epoch=e, repo="starred/repo" if starred else "plain/repo",
-                    stars=10 if starred else None)
-        for i, (e, starred) in enumerate(pairs)
-    ]
-    applications = [
-        filter_min_timestamp(records),
-        filter_before_date(records, Timestamp(0)),
-        filter_blocklist(records, {"plain/repo"}),
-        filter_by_stars(records, 5),
-        filter_top_k_stars(records, 1),
-        filter_out_of_order(records, cfg=CFG),
-    ]
+    records = two_repo_records(pairs)
     input_hashes = {r.hash for r in records}
-    for kept, ledger in applications:
+    for policy in EVERY_POLICY:
+        kept, ledger = apply_policy(records, policy, CFG)
+        assert ledger.policy is policy
         assert_balanced(ledger, len(records))
         kept_hashes = {r.hash for r in kept}
         assert kept_hashes <= input_hashes
@@ -372,17 +402,17 @@ def test_load_policies_all_kinds(tmp_path):
     path.write_text(json.dumps(ALL_KINDS_DOC))
     policies = load_policies(path)
     assert [p.kind for p in policies] == [d["kind"] for d in ALL_KINDS_DOC["policies"]]
-    assert policies[0].min_ts == 1  # default applied
-    assert policies[1].cutoff == parse_utc("2014-01-01")
-    assert policies[2].blocklist == frozenset({"bad/repo"})
-    assert policies[3].scope == "project"
+    assert policies[0].value == 1  # default applied
+    assert policies[1].value == parse_utc("2014-01-01")
+    assert policies[2].value == frozenset({"bad/repo"})
+    assert policies[3].value == "project"
 
 
 def test_load_policies_bare_array(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps([{"kind": "MinTimestamp", "min_ts": 10}]))
     (policy,) = load_policies(path)
-    assert policy.min_ts == 10
+    assert policy.value == 10
 
 
 @pytest.mark.parametrize(
@@ -443,19 +473,17 @@ def test_bad_policy_dict_reason_names_the_field(bad, reason):
 
 
 def test_a_policy_takes_only_its_own_field_from_python_too():
-    with pytest.raises(ValueError, match="takes only 'k'"):
-        FilterPolicy(kind="TopKStars", k=3, min_ts=5)
-    assert FilterPolicy(kind="TopKStars", k=3).to_dict() == {"kind": "TopKStars", "k": 3}
+    assert FilterPolicy("TopKStars", 3).to_dict() == {"kind": "TopKStars", "k": 3}
 
 
 def test_policy_dict_round_trip():
     samples = [
-        FilterPolicy(kind="MinTimestamp", min_ts=3),
-        FilterPolicy(kind="BeforeDate", cutoff=Timestamp(1388534400)),
-        FilterPolicy(kind="ProjectBlocklist", blocklist=frozenset({"x/y", "a/b"})),
-        FilterPolicy(kind="DropOutOfOrder", scope="commit"),
-        FilterPolicy(kind="MinStars", min_stars=0),
-        FilterPolicy(kind="TopKStars", k=9),
+        FilterPolicy("MinTimestamp", 3),
+        FilterPolicy("BeforeDate", Timestamp(1388534400)),
+        FilterPolicy("ProjectBlocklist", frozenset({"x/y", "a/b"})),
+        FilterPolicy("DropOutOfOrder", "commit"),
+        FilterPolicy("MinStars", 0),
+        FilterPolicy("TopKStars", 9),
     ]
     for policy in samples:
         assert policy_from_dict(policy.to_dict()) == policy
@@ -476,9 +504,3 @@ def test_apply_policies_chains_ledgers():
         assert ledger.removed_commits + ledger.retained_commits == input_count
     assert [r.repo_id for r in kept] == ["good/repo"] * 4
 
-
-def test_apply_policy_dispatch_matches_direct_call():
-    records = [make_record(1, committer_epoch=-1), make_record(2, committer_epoch=5)]
-    direct, _ = filter_min_timestamp(records)
-    via_policy, _ = apply_policy(records, FilterPolicy(kind="MinTimestamp"))
-    assert direct == via_policy
