@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -620,12 +621,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the interpreter's
+    last flush of what is still buffered cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return  # an in-memory stream, as under a test's capture
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CommandError as exc:
         print(f"chronolint: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError as exc:
+        # The reader of stdout went away, as in `chronolint filter ... | head -1`.
+        _discard_stdout()
+        print(f"chronolint: error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

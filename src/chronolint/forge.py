@@ -31,7 +31,8 @@ from .model import OUT_OF_ORDER_KINDS, Anomaly, decode_json, typed
 
 log = logging.getLogger(__name__)
 
-SOURCE_KINDS = ("PrimaryForge", "ArchiveFallback", "LocalCache", "FileStub")
+HTTP_KINDS = ("PrimaryForge", "ArchiveFallback")
+SOURCE_KINDS = (*HTTP_KINDS, "LocalCache", "FileStub")
 DEFAULT_MAX_ATTEMPTS = 5
 DEFAULT_WORKERS = 4
 
@@ -70,7 +71,7 @@ class MetadataSource:
         if not typed(self.endpoint, str, f"source {self.kind!r}: endpoint"):
             raise ValueError(f"source {self.kind!r} needs an endpoint")
         typed(self.auth, (str, NoneType), f"source {self.kind!r}: auth")
-        if self.kind in ("PrimaryForge", "ArchiveFallback"):
+        if self.kind in HTTP_KINDS:
             if not self.endpoint.lower().startswith(("http://", "https://")):
                 raise ValueError(f"source {self.kind!r}: endpoint must be an http:// "
                                  "or https:// URL template")
@@ -283,7 +284,10 @@ class ForgeClient:
     """Walks sources in declared order with caching and bounded backoff.
 
     ``transport`` and ``sleep`` are injectable so tests can exercise the
-    retry discipline without a network or a clock.
+    retry discipline without a network or a clock. ``workers`` sizes the
+    pool of concurrent fetches that a batch uses when an HTTP source is
+    configured. With only LocalCache and FileStub sources a batch reads
+    in the calling thread, because a pool made those reads slower.
     """
 
     def __init__(self, sources, transport=http_transport, sleep=time.sleep,
@@ -455,8 +459,13 @@ class ForgeClient:
             return anomaly, child.status, confirmed
 
         try:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(check, anomalies))
+            if any(source.kind in HTTP_KINDS for source in self.sources):
+                with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                    results = list(pool.map(check, anomalies))
+            else:
+                # Local reads wait on no network; in a pool they lose more to
+                # interpreter-lock hand-offs than they overlap.
+                results = list(map(check, anomalies))
         finally:
             self._close_caches()
 
@@ -481,7 +490,9 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
     """Read source order and worker count from a JSON config file.
 
     Shape: ``{"workers": 4, "sources": [{"kind": ..., "endpoint": ...,
-    "auth": ...}, ...]}``; ``workers`` is optional.
+    "auth": ...}, ...]}``; ``workers`` is optional. It sizes the pool of
+    concurrent HTTP fetches; a config with only LocalCache and FileStub
+    sources is read in the calling thread, because a pool made it slower.
     """
     with open(source, encoding="utf-8") as fh:
         data = decode_json(fh.read())

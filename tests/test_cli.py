@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chronolint
 from chronolint import filters, forge
 from chronolint.cli import AuditRun, main, record_to_object, write_ndjson
 from chronolint.detectors import DetectorConfig
@@ -809,6 +812,64 @@ def test_stats_unwritable_report_exits_two_with_one_line(tmp_path, capsys):
     target = tmp_path / "missing" / "s.json"
     assert_one_error_line(*run(capsys, "stats", report, "--report", str(target)),
                           f"cannot write {target}: ")
+
+
+def chronolint_process(argv, stdout):
+    """Start the CLI as its console script does, stdout block-buffered
+    as in a shell pipeline, and stderr piped back."""
+    src = str(Path(chronolint.__file__).parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen(
+        [sys.executable, "-c", "import sys; from chronolint.cli import main; sys.exit(main())",
+         *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def assert_stdout_error(proc):
+    _, err = proc.communicate(timeout=120)
+    err = err.decode("utf-8")
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert proc.returncode == 2
+    # scan states its finding count before it is flushed.
+    assert [line for line in err.splitlines() if "error" in line] == err.splitlines()[-1:]
+    assert err.splitlines()[-1].startswith("chronolint: error: cannot write stdout: ")
+
+
+def test_filter_into_a_pipe_closed_early_exits_two_with_one_line(tmp_path):
+    # `chronolint filter big.ndjson --policy-file p.json | head -1`
+    records = [make_record(i, committer_epoch=1_000_000_000 + i) for i in range(20_000)]
+    path = write_records(tmp_path / "in.ndjson", records)
+    with chronolint_process(["filter", path, "--policy-file", policy_file(tmp_path, [])],
+                            subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert_stdout_error(proc)
+
+
+def test_a_report_left_in_the_stdout_buffer_of_a_closed_pipe_exits_two(tmp_path):
+    # The report fits in the stream's buffer, so nothing reaches the pipe
+    # until stdout is flushed.
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = chronolint_process(["scan", path, "--snapshot-date", SNAPSHOT], write_end)
+    finally:
+        os.close(write_end)
+    with proc:
+        assert_stdout_error(proc)
+
+
+def test_a_closed_stdout_without_a_descriptor_exits_two_in_process(
+        tmp_path, capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["filter", path, "--policy-file", policy_file(tmp_path, [])])
+    assert_one_error_line(code, "", capsys.readouterr().err, "cannot write stdout: ")
 
 
 # ---- run configuration ----

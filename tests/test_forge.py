@@ -671,6 +671,86 @@ def test_a_batch_that_fails_partway_leaves_only_complete_lines(tmp_path):
     assert sorted(commit for _, commit in cache_keys(cache_file)) == [hex_hash(0), hex_hash(1)]
 
 
+def test_a_local_batch_starts_no_thread(tmp_path, monkeypatch):
+    # Catches a thread pool around LocalCache and FileStub reads, which
+    # made verify slower than reading in the calling thread.
+    records = partition_records()
+    for rec in records:
+        write_stub(tmp_path / "stub", rec)
+    sources = [MetadataSource(kind="LocalCache", endpoint=str(tmp_path / "cache.ndjson")),
+               stub_source(tmp_path)]
+    seen = []
+    fetch = ForgeClient._fetch
+
+    def spy(self, repo_id, commit_hash):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return fetch(self, repo_id, commit_hash)
+
+    monkeypatch.setattr(ForgeClient, "_fetch", spy)
+    threads = threading.active_count()
+    for run in ("cold", "warm"):
+        seen.clear()
+        ForgeClient(sources, workers=4).verify_anomalies(linear_candidates(records))
+        assert seen, run
+        assert set(seen) == {(threading.main_thread(), threads)}, run
+    assert threading.active_count() == threads
+
+
+def test_an_http_batch_keeps_its_fetches_in_flight_together():
+    # Catches the pool being lost for HTTP sources: with fetches made one
+    # at a time, the first waits alone at the barrier and breaks it.
+    records = partition_records()
+    answers = {forge_url_for(rec): (200, json.dumps(doc_for(rec)), {}) for rec in records}
+    barrier = threading.Barrier(2, timeout=5)
+    lock = threading.Lock()
+    calls = []
+
+    def transport(url, headers):
+        with lock:
+            calls.append(url)
+            first_two = len(calls) <= 2
+        if first_two:
+            barrier.wait()
+        return answers[url]
+
+    client = ForgeClient([MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL)],
+                         transport=transport, workers=2)
+    confirmed, dropped, _ = client.verify_anomalies(linear_candidates(records))
+    assert not barrier.broken
+    assert [a.commit_hash for a in confirmed + dropped] == [hex_hash(1), hex_hash(3)]
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_stub_reads_and_pooled_http_fetches_agree(tmp_path, workers):
+    # Catches the calling-thread path and the pool drifting apart: the same
+    # documents give the same verdicts and the same cache lines either way.
+    records = partition_records() + [
+        make_record(5, parents=[9, 4], committer_epoch=40),  # parent 9 exists nowhere
+        make_record(6, parents=[5], committer_epoch=30),     # has no document
+    ]
+    stub = tmp_path / "stub"
+    for rec in records[:-1]:
+        write_stub(stub, rec, committer_epoch=10 if rec.hash == hex_hash(2) else None)
+
+    def transport(url, headers):
+        path = stub / f"{url.rsplit('/', 1)[-1]}.json"
+        return (200, path.read_text(), {}) if path.exists() else (404, "", {})
+
+    candidates = linear_candidates(records)
+    results = []
+    for name, source in (("stub", stub_source(tmp_path)),
+                         ("http", MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL))):
+        cache = tmp_path / f"{name}.ndjson"
+        client = ForgeClient([MetadataSource(kind="LocalCache", endpoint=str(cache)), source],
+                             transport=transport, workers=workers)
+        results.append((client.verify_anomalies(candidates),
+                        sorted(cache.read_text().splitlines())))
+    assert results[0] == results[1]
+    (confirmed, dropped, accounting), _ = results[0]
+    assert confirmed and dropped
+    assert accounting["unverifiable"] == 1
+
+
 # ---- Config ----
 
 
