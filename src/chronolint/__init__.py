@@ -13,7 +13,6 @@ from chronolint.detectors import (
     DEFAULT_OLD_CUTOFF,
     DetectorConfig,
     MissingSnapshotDate,
-    TOOL_SIGNATURES,
     detect_future,
     detect_old,
     detect_out_of_order_linear,
@@ -91,7 +90,6 @@ __all__ = [
     "MissingSnapshotDate",
     "ParseResult",
     "RemovalLedger",
-    "TOOL_SIGNATURES",
     "Timestamp",
     "TokenTable",
     "VerificationOutcome",

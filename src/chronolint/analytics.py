@@ -270,21 +270,19 @@ def token_frequency(messages, exclude_terms=frozenset()) -> TokenTable:
 # ---- Attribution ----
 
 
-def top_committers(anomalies, records, k: int = 20) -> list[tuple[str, int]]:
+def top_committers(anomalies, committers, k: int = 20) -> list[tuple[str, int]]:
     """Committers ranked by how many distinct flagged commits they made.
 
-    Nameless committers (empty or whitespace ids) are grouped under one
-    "(no name)" row. Anomalies whose hash is absent from ``records`` are
-    ignored.
+    ``committers`` maps a commit hash to its committer id. Nameless
+    committers (empty or whitespace ids) are grouped under one "(no name)"
+    row. Anomalies whose hash is absent from ``committers`` are ignored.
     """
-    by_hash = {r.hash: r for r in records}
     flagged: dict[str, set[str]] = {}
     for anomaly in anomalies:
-        rec = by_hash.get(anomaly.commit_hash)
-        if rec is None:
+        who = committers.get(anomaly.commit_hash)
+        if who is None:
             continue
-        who = rec.committer_id if rec.committer_id.strip() else NO_NAME
-        flagged.setdefault(who, set()).add(rec.hash)
+        flagged.setdefault(who if who.strip() else NO_NAME, set()).add(anomaly.commit_hash)
     ranked = sorted(
         ((who, len(hashes)) for who, hashes in flagged.items()),
         key=lambda item: (-item[1], item[0]),

@@ -22,9 +22,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from types import NoneType, SimpleNamespace
+from types import NoneType
 
 from . import analytics
 from .detectors import (
@@ -37,7 +36,7 @@ from .detectors import (
     detect_tool_signatures,
     detect_verified_mismatch,
 )
-from .filters import FilterPolicy, apply_policies, load_policies, policy_from_dict
+from .filters import apply_policies, load_policies
 from .forge import load_sources, verify_anomalies
 from .graph import CycleDetected, build_graph, group_by_repo
 from .ingest import deduplicate, parse_commit_stream
@@ -65,48 +64,23 @@ class CommandError(Exception):
     """Unusable input or configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class AuditRun:
+def _run_config(cfg: DetectorConfig, detectors, policies) -> dict:
     """Everything that determines a run's output, except the input bytes.
 
-    Serialized into every report's ``config`` section, so a report states
-    how to reproduce itself; ``from_dict`` turns that section back into a
-    runnable configuration. Output *locations* are deliberately not part
-    of the serialized form — they say where bytes go, not what they are —
-    which keeps reports byte-comparable across working directories.
+    Written into every report's ``config`` section, so a report states
+    how it was made. Output *locations* are deliberately not part of it —
+    they say where bytes go, not what they are — which keeps reports
+    byte-comparable across working directories.
     """
-
-    detector_config: DetectorConfig
-    detectors: tuple[str, ...] = DETECTOR_NAMES
-    policies: tuple[FilterPolicy, ...] = ()
-
-    def to_dict(self) -> dict:
-        cfg = self.detector_config
-        return {
-            "detectors": list(self.detectors),
-            "old_cutoff": format_utc(cfg.old_cutoff),
-            "snapshot_date": format_utc(cfg.future_cutoff) if cfg.future_cutoff else None,
-            "date_field": cfg.date_field,
-            "exclude_merges": cfg.exclude_merges,
-            "policies": [policy.to_dict() for policy in self.policies],
-            "manifest": None,  # kept so that schema v1 reports keep their bytes
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AuditRun":
-        cfg = DetectorConfig(
-            old_cutoff=parse_utc(data["old_cutoff"]),
-            future_cutoff=(
-                parse_utc(data["snapshot_date"]) if data.get("snapshot_date") else None
-            ),
-            exclude_merges=data.get("exclude_merges", True),
-            date_field=data.get("date_field", "committer"),
-        )
-        return cls(
-            detector_config=cfg,
-            detectors=tuple(data.get("detectors", DETECTOR_NAMES)),
-            policies=tuple(policy_from_dict(p) for p in data.get("policies", ())),
-        )
+    return {
+        "detectors": list(detectors),
+        "old_cutoff": format_utc(cfg.old_cutoff),
+        "snapshot_date": format_utc(cfg.future_cutoff) if cfg.future_cutoff else None,
+        "date_field": cfg.date_field,
+        "exclude_merges": cfg.exclude_merges,
+        "policies": [policy.to_dict() for policy in policies],
+        "manifest": None,  # kept so that schema v1 reports keep their bytes
+    }
 
 
 # ---- Serialization ----
@@ -388,7 +362,7 @@ def cmd_scan(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "generated_at": _now_utc(),
-        "config": AuditRun(detector_config=cfg, detectors=enabled).to_dict(),
+        "config": _run_config(cfg, enabled, ()),
         "dataset": {
             "records": len(records),
             "projects": len({rec.repo_id for rec in records}),
@@ -439,11 +413,10 @@ def cmd_filter(args) -> int:
     else:
         write_ndjson(retained, sys.stdout)
 
-    run = AuditRun(detector_config=cfg, detectors=(), policies=tuple(policies))
     document = {
         "schema_version": SCHEMA_VERSION,
         "generated_at": _now_utc(),
-        "config": run.to_dict(),
+        "config": _run_config(cfg, (), policies),
         "input_records": len(records),
         "dedup": _dedup_to_object(dedup),
         "output_records": len(retained),
@@ -467,18 +440,15 @@ def _stats_tables(report: dict, exclude_terms) -> dict:
     messages = [entry.get("message", "") for entry in commits.values()]
     tokens = analytics.token_frequency(messages, exclude_terms=frozenset(exclude_terms))
 
-    # The report's commit section carries enough identity for ranking.
-    pseudo_records = [
-        SimpleNamespace(hash=h, committer_id=entry.get("committer", ""))
-        for h, entry in commits.items()
-    ]
+    # The report's commit section names the committer of each flagged commit.
+    committers = {h: entry.get("committer", "") for h, entry in commits.items()}
     return {
         "deltas": stats,
         "histogram": histogram,
         "tokens": tokens.to_dict(),
         "top_committers": [
             {"committer": who, "commits": n}
-            for who, n in analytics.top_committers(anomalies, pseudo_records)
+            for who, n in analytics.top_committers(anomalies, committers)
         ],
         "top_projects": [
             {"project": repo, "commits": n}
@@ -621,11 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at the null device, so that the interpreter's
-    last flush of what is still buffered cannot fail again."""
+def _discard(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so that the
+    interpreter's last flush of what is still buffered cannot fail again."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
         return  # an in-memory stream, as under a test's capture
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -642,13 +612,21 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except CommandError as exc:
-        print(f"chronolint: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = str(exc)
     except BrokenPipeError as exc:
-        # The reader of stdout went away, as in `chronolint filter ... | head -1`.
-        _discard_stdout()
-        print(f"chronolint: error: cannot write stdout: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        # A reader went away: stdout's, as in `chronolint filter ... | head -1`,
+        # or stderr's, in which case the message below cannot be written either.
+        message = f"cannot write stdout: {exc}"
+    # A stream whose reader is gone gets nothing more, and the exit stays 2.
+    try:
+        print(f"chronolint: error: {message}", file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _discard(sys.stderr)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard(sys.stdout)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -198,8 +198,6 @@ _WORD_SIGNATURES = (
     ("MOE", re.compile(r"\bmoe\b", re.IGNORECASE)),
 )
 
-TOOL_SIGNATURES = _FOOTER_SIGNATURES + tuple(name for name, _ in _WORD_SIGNATURES)
-
 
 def detect_tool_signatures(records: list[CommitRecord]) -> list[Anomaly]:
     """Flag messages carrying known import/review-tool markers.

@@ -146,7 +146,7 @@ _KINDS = {
 # ---- Policy files ----
 
 
-def policy_from_dict(data: dict) -> FilterPolicy:
+def policy_from_object(data: dict) -> FilterPolicy:
     """Build a policy from its JSON form, converting dates as needed.
 
     ``cutoff`` accepts either an integer epoch or a UTC date string such
@@ -175,7 +175,7 @@ def load_policies(path) -> list[FilterPolicy]:
         data = decode_json(fh.read())
     if isinstance(typed(data, (dict, list), "a policy file"), dict):
         data = typed(data.get("policies"), list, "a policy file's 'policies'")
-    return [policy_from_dict(item) for item in data]
+    return [policy_from_object(item) for item in data]
 
 
 def apply_policy(records, policy: FilterPolicy, cfg: DetectorConfig | None = None):

@@ -33,16 +33,13 @@ log = logging.getLogger(__name__)
 
 HTTP_KINDS = ("PrimaryForge", "ArchiveFallback")
 SOURCE_KINDS = (*HTTP_KINDS, "LocalCache", "FileStub")
-DEFAULT_MAX_ATTEMPTS = 5
+MAX_ATTEMPTS = 5  # per HTTP fetch; a rate limit and a transport error each use one
 DEFAULT_WORKERS = 4
+MAX_WORKERS = 64  # the pool starts a thread per candidate, up to `workers`
 
 
 class NotFound(Exception):
     """This source has no answer for the commit; try the next one."""
-
-
-class AllSourcesExhausted(Exception):
-    """Every configured source came up empty."""
 
 
 class VerificationStatus(str, Enum):
@@ -284,23 +281,23 @@ class ForgeClient:
     """Walks sources in declared order with caching and bounded backoff.
 
     ``transport`` and ``sleep`` are injectable so tests can exercise the
-    retry discipline without a network or a clock. ``workers`` sizes the
-    pool of concurrent fetches that a batch uses when an HTTP source is
+    retry discipline without a network or a clock; an HTTP fetch makes at
+    most ``MAX_ATTEMPTS`` attempts. ``workers`` sizes the pool of
+    concurrent fetches that a batch uses when an HTTP source is
     configured. With only LocalCache and FileStub sources a batch reads
     in the calling thread, because a pool made those reads slower.
     """
 
     def __init__(self, sources, transport=http_transport, sleep=time.sleep,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS, workers: int = DEFAULT_WORKERS):
+                 workers: int = DEFAULT_WORKERS):
         sources = tuple(sources)
         if not sources:
             raise ValueError("configure at least one metadata source")
-        if max_attempts < 1 or workers < 1:
-            raise ValueError("max_attempts and workers must be >= 1")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         self.sources = sources
         self.transport = transport
         self.sleep = sleep
-        self.max_attempts = max_attempts
         self.workers = workers
         self._caches = {
             s.endpoint: CacheStore(s.endpoint) for s in sources if s.kind == "LocalCache"
@@ -311,20 +308,11 @@ class ForgeClient:
 
     # -- single fetch --
 
-    def fetch_commit_metadata(self, repo_id: str, commit_hash: str) -> VerificationOutcome:
-        """Resolve one commit; exhaustion maps to an Unverifiable outcome.
-
-        A fresh answer is on disk in every cache when this returns.
-        """
-        try:
-            return self._fetch(repo_id, commit_hash)
-        finally:
-            self._close_caches()
-
     def _fetch(self, repo_id: str, commit_hash: str) -> VerificationOutcome:
-        try:
-            outcome = self._resolve(repo_id, commit_hash)
-        except AllSourcesExhausted:
+        """Resolve one commit, and remember the answer in every cache;
+        exhaustion maps to an Unverifiable outcome."""
+        outcome = self._resolve(repo_id, commit_hash)
+        if outcome is None:
             outcome = VerificationOutcome(
                 commit_hash=commit_hash, status=VerificationStatus.UNVERIFIABLE
             )
@@ -336,7 +324,8 @@ class ForgeClient:
             for cache in self._caches.values():
                 stack.callback(cache.close)
 
-    def _resolve(self, repo_id: str, commit_hash: str) -> VerificationOutcome:
+    def _resolve(self, repo_id: str, commit_hash: str) -> VerificationOutcome | None:
+        """The first answer in source order, or None when every source came up empty."""
         for source in self.sources:
             if source.kind == "LocalCache":
                 hit = self._caches[source.endpoint].get(repo_id, commit_hash)
@@ -347,7 +336,7 @@ class ForgeClient:
                 return self._fetch_from(source, repo_id, commit_hash)
             except NotFound:
                 continue
-        raise AllSourcesExhausted(f"{repo_id}@{commit_hash}")
+        return None
 
     def _remember(self, repo_id: str, outcome: VerificationOutcome) -> None:
         for cache in self._caches.values():
@@ -381,7 +370,7 @@ class ForgeClient:
                 headers["Authorization"] = f"Bearer {token}"
 
         delay = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 status, body, resp_headers = self.transport(url, headers)
             except OSError as exc:
@@ -398,7 +387,7 @@ class ForgeClient:
             except (TypeError, ValueError):
                 hint = 1.0
             delay = hint if delay is None else delay * 2
-            if attempt + 1 < self.max_attempts:
+            if attempt + 1 < MAX_ATTEMPTS:
                 log.debug("rate limited on %s; sleeping %.1fs", url, delay)
                 self.sleep(delay)
         raise NotFound(f"attempt budget exhausted for {url}")
@@ -490,9 +479,10 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
     """Read source order and worker count from a JSON config file.
 
     Shape: ``{"workers": 4, "sources": [{"kind": ..., "endpoint": ...,
-    "auth": ...}, ...]}``; ``workers`` is optional. It sizes the pool of
-    concurrent HTTP fetches; a config with only LocalCache and FileStub
-    sources is read in the calling thread, because a pool made it slower.
+    "auth": ...}, ...]}``; ``workers`` is optional, from 1 to
+    ``MAX_WORKERS``. It sizes the pool of concurrent HTTP fetches; a
+    config with only LocalCache and FileStub sources is read in the
+    calling thread, because a pool made it slower.
     """
     with open(source, encoding="utf-8") as fh:
         data = decode_json(fh.read())
@@ -513,4 +503,6 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
     workers = typed(data.get("workers", DEFAULT_WORKERS), int, "workers")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     return sources, workers

@@ -25,6 +25,7 @@ from .model import (
     ASCII_INT,
     EPOCH_MAX,
     EPOCH_MIN,
+    _UNIT_FACTORS,
     CommitRecord,
     Timestamp,
     decode_json,
@@ -49,7 +50,7 @@ _REQUIRED_KEYS = (
     "committer",
     "message",
 )
-_DATE_UNITS = ("s", "ms", "us")
+_DATE_UNITS = tuple(_UNIT_FACTORS)
 
 GITLOG_FIELD_SEP = "\x1f"
 GITLOG_RECORD_SEP = "\x00"

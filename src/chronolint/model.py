@@ -19,8 +19,7 @@ EPOCH_MIN = -(2**63)
 EPOCH_MAX = 2**63 - 1
 
 # Floor-division factors for normalizing raw integer timestamps to seconds.
-_UNIT_FACTORS = {"s": 1, "seconds": 1, "ms": 10**3, "milliseconds": 10**3,
-                 "us": 10**6, "microseconds": 10**6}
+_UNIT_FACTORS = {"s": 1, "ms": 10**3, "us": 10**6}
 
 NO_NAME = "(no name)"
 
@@ -131,8 +130,8 @@ class Anomaly:
 def normalize_timestamp(raw: int, unit: str, tz_offset_minutes: int = 0) -> Timestamp:
     """Floor-divide a raw integer timestamp down to whole seconds.
 
-    ``unit`` is one of s/ms/us (or the spelled-out forms). Flooring, not
-    truncation, so negative sub-second values round toward minus infinity.
+    ``unit`` is one of s/ms/us. Flooring, not truncation, so negative
+    sub-second values round toward minus infinity.
     """
     try:
         factor = _UNIT_FACTORS[unit]

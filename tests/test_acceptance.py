@@ -235,7 +235,7 @@ def test_criterion_06_filter_ledger_balance():
         records = _random_cleaning_fixture(rng, case)
         repos = {r.repo_id for r in records}
         for data in policy_dicts:
-            policy = filters.policy_from_dict(data)
+            policy = filters.policy_from_object(data)
             retained, ledger = filters.apply_policy(records, policy)
             assert ledger.removed_commits + ledger.retained_commits == len(records)
             assert ledger.retained_commits == len(retained)

@@ -308,19 +308,19 @@ def test_token_frequency_order_invariant(messages):
 def test_single_committer_counted_per_commit():
     records = [make_record(i, committer="alice") for i in range(3)]
     anomalies = [anomaly(i) for i in range(3)]
-    assert top_committers(anomalies, records) == [("alice", 3)]
+    assert top_committers(anomalies, {r.hash: r.committer_id for r in records}) == [("alice", 3)]
 
 
 def test_two_kinds_same_commit_count_once():
     records = [make_record(1, committer="alice")]
     anomalies = [anomaly(1, kind=AnomalyKind.OLD), anomaly(1, kind=AnomalyKind.FUTURE)]
-    assert top_committers(anomalies, records) == [("alice", 1)]
+    assert top_committers(anomalies, {r.hash: r.committer_id for r in records}) == [("alice", 1)]
 
 
 def test_nameless_committers_grouped():
     records = [make_record(1, committer=""), make_record(2, committer="   ")]
     anomalies = [anomaly(1), anomaly(2)]
-    assert top_committers(anomalies, records) == [("(no name)", 2)]
+    assert top_committers(anomalies, {r.hash: r.committer_id for r in records}) == [("(no name)", 2)]
 
 
 def test_twenty_five_committers_gives_twenty_rows():
@@ -331,7 +331,7 @@ def test_twenty_five_committers_gives_twenty_rows():
             records.append(make_record(next_id, committer=f"dev{c:02d}"))
             anomalies.append(anomaly(next_id))
             next_id += 1
-    rows = top_committers(anomalies, records, k=20)
+    rows = top_committers(anomalies, {r.hash: r.committer_id for r in records}, k=20)
     assert len(rows) == 20
 
     oracle = Counter(f"dev{c:02d}" for c in range(25) for _ in range(c + 1))
@@ -342,7 +342,7 @@ def test_twenty_five_committers_gives_twenty_rows():
 def test_unknown_hashes_ignored():
     records = [make_record(1)]
     anomalies = [anomaly(1), anomaly(99)]
-    assert top_committers(anomalies, records) == [("alice", 1)]
+    assert top_committers(anomalies, {r.hash: r.committer_id for r in records}) == [("alice", 1)]
 
 
 def test_top_projects_counts_and_ties():

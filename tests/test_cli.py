@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import chronolint
 from chronolint import filters, forge
-from chronolint.cli import AuditRun, main, record_to_object, write_ndjson
+from chronolint.cli import main, record_to_object, write_ndjson
 from chronolint.detectors import DetectorConfig
 from chronolint.ingest import parse_commit_stream
 from chronolint.model import Timestamp, parse_utc
@@ -518,6 +518,7 @@ def test_verify_rejects_bad_sources_config(tmp_path, capsys):
     ("endpoint", "forge.test/{repo}/{hash}"),
     ("auth", 7),
     ("workers", True),
+    ("workers", 65),
 ])
 def test_verify_mistyped_sources_config_exits_two_with_one_line(tmp_path, capsys, field, value):
     records = ooo_fixture()
@@ -814,15 +815,26 @@ def test_stats_unwritable_report_exits_two_with_one_line(tmp_path, capsys):
                           f"cannot write {target}: ")
 
 
-def chronolint_process(argv, stdout):
+def chronolint_process(argv, stdout, stderr=subprocess.PIPE):
     """Start the CLI as its console script does, stdout block-buffered
-    as in a shell pipeline, and stderr piped back."""
+    as in a shell pipeline, and stderr piped back unless given."""
     src = str(Path(chronolint.__file__).parent.parent)
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.Popen(
         [sys.executable, "-c", "import sys; from chronolint.cli import main; sys.exit(main())",
-         *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+         *argv], stdout=stdout, stderr=stderr, env=env)
+
+
+@contextlib.contextmanager
+def reader_gone():
+    """The write end of a pipe whose reader has already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        yield write_end
+    finally:
+        os.close(write_end)
 
 
 def assert_stdout_error(proc):
@@ -850,54 +862,81 @@ def test_a_report_left_in_the_stdout_buffer_of_a_closed_pipe_exits_two(tmp_path)
     # The report fits in the stream's buffer, so nothing reaches the pipe
     # until stdout is flushed.
     path = write_records(tmp_path / "in.ndjson", clean_records())
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = chronolint_process(["scan", path, "--snapshot-date", SNAPSHOT], write_end)
-    finally:
-        os.close(write_end)
+    with reader_gone() as stdout:
+        proc = chronolint_process(["scan", path, "--snapshot-date", SNAPSHOT], stdout)
     with proc:
         assert_stdout_error(proc)
 
 
-def test_a_closed_stdout_without_a_descriptor_exits_two_in_process(
-        tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", [
+    "filter-output", "scan-snapshot-1900", "scan-report", "verify-report"])
+def test_a_closed_stderr_exits_two(tmp_path, capsys, command):
+    records = ooo_fixture()
+    commits = write_records(tmp_path / "in.ndjson", records)
+    target = str(tmp_path / "out")
+    argv = {
+        "filter-output": ["filter", commits, "--policy-file", policy_file(tmp_path, []),
+                          "--output", target],
+        "scan-snapshot-1900": ["scan", commits, "--snapshot-date", "1900-01-01"],  # exits 2
+        "scan-report": ["scan", commits, "--snapshot-date", SNAPSHOT, "--report", target],
+        "verify-report": ["verify", scan_report_path(tmp_path, capsys, records),
+                          "--sources", stub_sources(tmp_path, records), "--report", target],
+    }[command]
+    with reader_gone() as stderr:
+        proc = chronolint_process(argv, subprocess.PIPE, stderr)
+    with proc:
+        out, _ = proc.communicate(timeout=120)
+    # A traceback would go to the closed stderr unseen; it exits 1.
+    assert b"Traceback" not in out
+    assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["scan", "filter", "stats", "verify"])
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_a_closed_stream_without_a_descriptor_exits_two_in_process(
+        tmp_path, capsys, monkeypatch, stream, command):
     class ClosedPipe(io.StringIO):
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
 
-    path = write_records(tmp_path / "in.ndjson", clean_records())
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    code = main(["filter", path, "--policy-file", policy_file(tmp_path, [])])
-    assert_one_error_line(code, "", capsys.readouterr().err, "cannot write stdout: ")
+    records = ooo_fixture()
+    path = write_records(tmp_path / "in.ndjson", records)
+    report = scan_report_path(tmp_path, capsys, records)
+    (tmp_path / "not-a-dir").write_text("", encoding="utf-8")
+    argv = {
+        "scan": ["scan", path, "--snapshot-date", SNAPSHOT],
+        "filter": ["filter", path, "--policy-file", policy_file(tmp_path, [])],
+        # stats writes nothing to stderr unless it fails, so its tables cannot be written.
+        "stats": ["stats", report, "--csv-dir", str(tmp_path / "not-a-dir")],
+        "verify": ["verify", report, "--sources", stub_sources(tmp_path, records)],
+    }[command]
+    monkeypatch.setattr(sys, stream, ClosedPipe())
+    code = main(argv)
+    captured = capsys.readouterr()
+    working = captured.err if stream == "stdout" else captured.out
+    errors = [line for line in working.splitlines() if line.startswith("chronolint: error: ")]
+    assert code == 2
+    if stream == "stdout":  # one error line, the last; verify states its accounting first
+        assert errors == working.splitlines()[-1:]
+        assert errors[0].startswith("chronolint: error: cannot write stdout: ")
+    else:
+        assert errors == []
 
 
 # ---- run configuration ----
-
-
-def test_audit_run_round_trips_through_json():
-    run = AuditRun(
-        detector_config=DetectorConfig(
-            future_cutoff=parse_utc(SNAPSHOT), exclude_merges=False, date_field="author",
-        ),
-        detectors=("old", "ooo"),
-        policies=(
-            filters.policy_from_dict({"kind": "MinTimestamp", "min_ts": 1}),
-            filters.policy_from_dict({"kind": "TopKStars", "k": 5}),
-        ),
-    )
-    assert AuditRun.from_dict(json.loads(json.dumps(run.to_dict()))) == run
 
 
 def test_scan_report_config_is_replayable(tmp_path, capsys):
     path = write_records(tmp_path / "in.ndjson", clean_records())
     _, out, _ = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT,
                     "--date-field", "author", "--include-merges")
-    replay = AuditRun.from_dict(json.loads(out)["config"])
-    assert replay.detector_config.date_field == "author"
-    assert replay.detector_config.exclude_merges is False
-    assert replay.detector_config.future_cutoff == parse_utc(SNAPSHOT)
-    assert replay.detectors == ("old", "future", "ooo", "signatures", "verified")
+    config = json.loads(out)["config"]
+    assert config["date_field"] == "author"
+    assert config["exclude_merges"] is False
+    assert parse_utc(config["snapshot_date"]) == parse_utc(SNAPSHOT)
+    assert parse_utc(config["old_cutoff"]) == DetectorConfig().old_cutoff
+    assert config["detectors"] == ["old", "future", "ooo", "signatures", "verified"]
+    assert config["policies"] == []
 
 
 # ---- serialization round trip ----

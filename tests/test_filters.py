@@ -13,7 +13,7 @@ from chronolint.filters import (
     apply_policies,
     apply_policy,
     load_policies,
-    policy_from_dict,
+    policy_from_object,
     repo_star_table,
 )
 from chronolint.graph import build_graph
@@ -331,8 +331,8 @@ def every_policy():
         types = spec.json_type if isinstance(spec.json_type, tuple) else (spec.json_type,)
         for value in [None, *(v for t in types for v in CANDIDATES[t])]:
             try:
-                yield policy_from_dict({"kind": kind} if value is None
-                                       else {"kind": kind, spec.field: value})
+                yield policy_from_object({"kind": kind} if value is None
+                                         else {"kind": kind, spec.field: value})
             except ValueError:
                 continue
 
@@ -449,7 +449,7 @@ def test_load_policies_bare_array(tmp_path):
 )
 def test_bad_policy_dicts_rejected(bad):
     with pytest.raises(ValueError):
-        policy_from_dict(bad)
+        policy_from_object(bad)
 
 
 @pytest.mark.parametrize("bad, reason", [
@@ -468,7 +468,7 @@ def test_bad_policy_dict_reason_names_the_field(bad, reason):
     # Each row failed before the one-field rule and the shared JSON type
     # check: the first two were accepted, and the rest had other messages.
     with pytest.raises(ValueError) as raised:
-        policy_from_dict(bad)
+        policy_from_object(bad)
     assert str(raised.value) == reason
 
 
@@ -486,7 +486,7 @@ def test_policy_dict_round_trip():
         FilterPolicy("TopKStars", 9),
     ]
     for policy in samples:
-        assert policy_from_dict(policy.to_dict()) == policy
+        assert policy_from_object(policy.to_dict()) == policy
 
 
 def test_apply_policies_chains_ledgers():
@@ -495,7 +495,7 @@ def test_apply_policies_chains_ledgers():
         + [make_record(10 + i, committer_epoch=1_500_000_000, repo="good/repo", stars=10)
            for i in range(4)]
     )
-    policies = [policy_from_dict(d) for d in ALL_KINDS_DOC["policies"][:3]]
+    policies = [policy_from_object(d) for d in ALL_KINDS_DOC["policies"][:3]]
     kept, ledgers = apply_policies(records, policies, CFG)
     assert len(ledgers) == 3
     # Chain arithmetic: each step consumed the previous step's survivors.

@@ -89,10 +89,19 @@ def forge_url_for(rec):
 # ---- Single fetch ----
 
 
+def fetch(client, repo_id, commit_hash):
+    """Resolve one commit as a batch does; a fresh answer is on disk in
+    every cache when this returns."""
+    try:
+        return client._fetch(repo_id, commit_hash)
+    finally:
+        client._close_caches()
+
+
 def test_stub_fetch_resolves(tmp_path):
     rec = make_record(1, parents=[0], verified=True)
     write_stub(tmp_path / "stub", rec)
-    outcome = ForgeClient([stub_source(tmp_path)]).fetch_commit_metadata(rec.repo_id, rec.hash)
+    outcome = fetch(ForgeClient([stub_source(tmp_path)]), rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE
     assert outcome.parents == (hex_hash(0),)
     assert outcome.committer_date == rec.committer_date.epoch_seconds
@@ -101,7 +110,7 @@ def test_stub_fetch_resolves(tmp_path):
 
 def test_stub_miss_is_unverifiable(tmp_path):
     (tmp_path / "stub").mkdir()
-    outcome = ForgeClient([stub_source(tmp_path)]).fetch_commit_metadata("r", hex_hash(9))
+    outcome = fetch(ForgeClient([stub_source(tmp_path)]), "r", hex_hash(9))
     assert outcome.status is VerificationStatus.UNVERIFIABLE
     assert outcome.parents is None
 
@@ -114,11 +123,11 @@ def test_cache_hit_preserves_status_and_skips_everything(tmp_path):
         MetadataSource(kind="LocalCache", endpoint=str(cache_file)),
         stub_source(tmp_path),
     ]
-    first = ForgeClient(sources).fetch_commit_metadata(rec.repo_id, rec.hash)
+    first = fetch(ForgeClient(sources), rec.repo_id, rec.hash)
 
     # A fresh client with only the cache must reproduce the original outcome.
     cache_only = [MetadataSource(kind="LocalCache", endpoint=str(cache_file))]
-    second = ForgeClient(cache_only).fetch_commit_metadata(rec.repo_id, rec.hash)
+    second = fetch(ForgeClient(cache_only), rec.repo_id, rec.hash)
     assert second == first
     assert second.status is VerificationStatus.CONFIRMED_ON_FORGE
 
@@ -134,12 +143,12 @@ def test_cache_skips_a_torn_last_line(tmp_path, caplog):
     rec = make_record(1)
     write_stub(tmp_path / "stub", rec)
     cache_file = tmp_path / "cache.ndjson"
-    first = cached_client(tmp_path, cache_file).fetch_commit_metadata(rec.repo_id, rec.hash)
+    first = fetch(cached_client(tmp_path, cache_file), rec.repo_id, rec.hash)
     with open(cache_file, "a", encoding="utf-8") as fh:
         fh.write('{"repo": "r", "hash": "ab')  # a crash mid-append
 
     cache_only = [MetadataSource(kind="LocalCache", endpoint=str(cache_file))]
-    second = ForgeClient(cache_only).fetch_commit_metadata(rec.repo_id, rec.hash)
+    second = fetch(ForgeClient(cache_only), rec.repo_id, rec.hash)
     assert second == first
     assert "torn" in caplog.text
 
@@ -149,12 +158,12 @@ def test_append_after_a_torn_line_reloads_cleanly(tmp_path):
     for rec in (old, new):
         write_stub(tmp_path / "stub", rec)
     cache_file = tmp_path / "cache.ndjson"
-    cached_client(tmp_path, cache_file).fetch_commit_metadata(old.repo_id, old.hash)
+    fetch(cached_client(tmp_path, cache_file), old.repo_id, old.hash)
     clean = cache_file.read_bytes()
     with open(cache_file, "ab") as fh:
         fh.write(clean[:-9])
 
-    cached_client(tmp_path, cache_file).fetch_commit_metadata(new.repo_id, new.hash)
+    fetch(cached_client(tmp_path, cache_file), new.repo_id, new.hash)
     lines = cache_file.read_bytes().splitlines(keepends=True)
     assert lines[0] == clean
     assert [json.loads(line)["hash"] for line in lines] == [old.hash, new.hash]
@@ -163,7 +172,7 @@ def test_append_after_a_torn_line_reloads_cleanly(tmp_path):
     repaired = cache_file.read_bytes()
     client = cached_client(tmp_path, cache_file)
     for rec in (old, new):
-        client.fetch_commit_metadata(rec.repo_id, rec.hash)
+        fetch(client, rec.repo_id, rec.hash)
     assert cache_file.read_bytes() == repaired
 
 
@@ -174,7 +183,7 @@ def test_standalone_fetch_is_on_disk_when_it_returns(tmp_path):
     cache_file = tmp_path / "cache.ndjson"
     client = cached_client(tmp_path, cache_file)
     for count, rec in enumerate((old, new), 1):
-        client.fetch_commit_metadata(rec.repo_id, rec.hash)
+        fetch(client, rec.repo_id, rec.hash)
         lines = cache_file.read_text().splitlines(keepends=True)
         assert len(lines) == count
         assert json.loads(lines[-1])["hash"] == rec.hash and lines[-1].endswith("\n")
@@ -203,7 +212,7 @@ def test_primary_then_archive_fallback():
         MetadataSource(kind="ArchiveFallback", endpoint=ARCHIVE_URL),
     ]
     client = ForgeClient(sources, transport=transport)
-    outcome = client.fetch_commit_metadata(rec.repo_id, rec.hash)
+    outcome = fetch(client, rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_ARCHIVE
     assert outcome.verified_flag is None  # archives don't know about signatures
     assert transport.calls_to(forge_url_for(rec)) == 1
@@ -212,10 +221,10 @@ def test_primary_then_archive_fallback():
 def test_primary_success_keeps_verified_flag():
     rec = make_record(1, verified=False)
     transport = FakeTransport({forge_url_for(rec): [(200, json.dumps(doc_for(rec)), {})]})
-    outcome = ForgeClient(
+    outcome = fetch(ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL)],
         transport=transport,
-    ).fetch_commit_metadata(rec.repo_id, rec.hash)
+    ), rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE
     assert outcome.verified_flag is False
 
@@ -226,7 +235,7 @@ def test_every_source_missing_is_unverifiable():
         MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL),
         MetadataSource(kind="ArchiveFallback", endpoint=ARCHIVE_URL),
     ]
-    outcome = ForgeClient(sources, transport=transport).fetch_commit_metadata("r", hex_hash(5))
+    outcome = fetch(ForgeClient(sources, transport=transport), "r", hex_hash(5))
     assert outcome.status is VerificationStatus.UNVERIFIABLE
     assert len(transport.calls) == 2
 
@@ -242,10 +251,10 @@ def test_rate_limit_backs_off_exponentially_then_succeeds():
         ]
     })
     sleeps = []
-    outcome = ForgeClient(
+    outcome = fetch(ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL)],
         transport=transport, sleep=sleeps.append,
-    ).fetch_commit_metadata(rec.repo_id, rec.hash)
+    ), rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE
     assert sleeps == [2.0, 4.0]
     assert transport.calls_to(url) == 3
@@ -257,10 +266,10 @@ def test_persistent_rate_limit_gives_up_after_capped_attempts(tmp_path):
     url = forge_url_for(rec)
     transport = FakeTransport({url: [(429, "", {"Retry-After": "1"})]})
     sleeps = []
-    outcome = ForgeClient(
+    outcome = fetch(ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL), stub_source(tmp_path)],
         transport=transport, sleep=sleeps.append,
-    ).fetch_commit_metadata(rec.repo_id, rec.hash)
+    ), rec.repo_id, rec.hash)
     assert transport.calls_to(url) == 5
     assert sleeps == [1.0, 2.0, 4.0, 8.0]
     # Budget exhausted on the forge; the stub still answers.
@@ -271,10 +280,10 @@ def test_auth_token_resolved_from_environment(monkeypatch):
     monkeypatch.setenv("TEST_FORGE_TOKEN", "sekrit")
     rec = make_record(1)
     transport = FakeTransport({forge_url_for(rec): [(200, json.dumps(doc_for(rec)), {})]})
-    ForgeClient(
+    fetch(ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL, auth="TEST_FORGE_TOKEN")],
         transport=transport,
-    ).fetch_commit_metadata(rec.repo_id, rec.hash)
+    ), rec.repo_id, rec.hash)
     (_, headers), = transport.calls
     assert headers["Authorization"] == "Bearer sekrit"
 
@@ -292,7 +301,7 @@ def test_unusable_documents_fall_through():
     ]
     # Broken JSON from the forge, wrong hash from the archive: nothing usable.
     client = ForgeClient(sources, transport=transport)
-    outcome = client.fetch_commit_metadata(rec.repo_id, rec.hash)
+    outcome = fetch(client, rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.UNVERIFIABLE
 
 
@@ -308,10 +317,10 @@ def test_transport_error_is_a_failed_attempt(tmp_path, error):
         raise error(f"cannot reach {url}")
 
     sleeps = []
-    outcome = ForgeClient(
+    outcome = fetch(ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL), stub_source(tmp_path)],
         transport=transport, sleep=sleeps.append,
-    ).fetch_commit_metadata(rec.repo_id, rec.hash)
+    ), rec.repo_id, rec.hash)
     assert calls == [forge_url_for(rec)] * 5  # the same budget as a rate limit
     assert sleeps == []  # no Retry-After hint to back off from
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE  # the stub answered
@@ -428,15 +437,16 @@ def test_client_over_http_backs_off_then_falls_back(tmp_path, loopback):
     client = ForgeClient(
         [MetadataSource(kind="PrimaryForge", endpoint=base + "/{repo}/{hash}"),
          stub_source(tmp_path)],
-        sleep=sleeps.append, max_attempts=2,
+        sleep=sleeps.append,
     )
-    assert client.fetch_commit_metadata(limited.repo_id, limited.hash).status \
+    assert fetch(client, limited.repo_id, limited.hash).status \
         is VerificationStatus.CONFIRMED_ON_FORGE
     assert sleeps == [3.0]
-    # Both attempts at the truncated document fail; the stub answers.
-    outcome = client.fetch_commit_metadata(cut.repo_id, cut.hash)
+    # Every attempt at the truncated document fails; the stub answers.
+    outcome = fetch(client, cut.repo_id, cut.hash)
     assert outcome.committer_date == cut.committer_date.epoch_seconds
-    assert [path for path, _ in server.requests].count(f"/example/repo/{cut.hash}") == 2
+    assert [path for path, _ in server.requests].count(f"/example/repo/{cut.hash}") \
+        == forge.MAX_ATTEMPTS
 
 
 def test_source_validation():
@@ -795,6 +805,8 @@ def test_load_sources_round_trip(tmp_path):
         {"sources": [{"kind": "PrimaryForge", "endpoint": "file:///srv/{repo}/{hash}"}]},
         {"sources": [{"kind": "ArchiveFallback", "endpoint": "ftp://a.test/{hash}"}]},
         {"sources": [{"kind": "ArchiveFallback", "endpoint": "https:/a.test/{hash}"}]},
+        # A pool would start up to one thread per candidate.
+        {"sources": [{"kind": "FileStub", "endpoint": "stubs"}], "workers": 65},
     ],
 )
 def test_bad_source_configs_rejected(tmp_path, payload):

@@ -20,6 +20,25 @@ def test_every_exported_name_resolves():
     assert len(set(chronolint.__all__)) == len(chronolint.__all__)
 
 
+def test_every_exported_name_is_used_by_the_package_or_the_acceptance_tests():
+    # A name that only __init__.py and the unit tests mention is library-only
+    # surface that no command reaches. topological_order gives the ordering
+    # that detect_out_of_order_linear walks.
+    exempt = {"__version__", "topological_order"}
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), Path(__file__).parent / "test_acceptance.py"]:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert [name for name in chronolint.__all__ if name not in used | exempt] == []
+
+
 def test_the_benchmark_tracer_finds_every_function_it_wraps():
     # perfbench/traced.py wraps package functions by name, private ones
     # included; without this a rename shows only when the benchmark runs.
