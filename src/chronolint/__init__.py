@@ -64,7 +64,6 @@ from chronolint.model import (
     Anomaly,
     AnomalyKind,
     CommitRecord,
-    Timestamp,
     canonical_repo_id,
     format_utc,
     normalize_timestamp,
@@ -90,7 +89,6 @@ __all__ = [
     "MissingSnapshotDate",
     "ParseResult",
     "RemovalLedger",
-    "Timestamp",
     "TokenTable",
     "VerificationOutcome",
     "VerificationStatus",

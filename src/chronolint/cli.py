@@ -45,7 +45,6 @@ from .model import (
     Anomaly,
     AnomalyKind,
     CommitRecord,
-    Timestamp,
     decode_json,
     format_utc,
     parse_utc,
@@ -75,7 +74,7 @@ def _run_config(cfg: DetectorConfig, detectors, policies) -> dict:
     return {
         "detectors": list(detectors),
         "old_cutoff": format_utc(cfg.old_cutoff),
-        "snapshot_date": format_utc(cfg.future_cutoff) if cfg.future_cutoff else None,
+        "snapshot_date": None if cfg.future_cutoff is None else format_utc(cfg.future_cutoff),
         "date_field": cfg.date_field,
         "exclude_merges": cfg.exclude_merges,
         "policies": [policy.to_dict() for policy in policies],
@@ -89,22 +88,22 @@ def _run_config(cfg: DetectorConfig, detectors, policies) -> dict:
 def record_to_object(rec: CommitRecord) -> dict:
     """Canonical NDJSON shape for a record; parses back to the same record.
 
-    The committer timezone is the one carried over the wire; a differing
-    author timezone is display metadata and is not preserved (the epoch
-    instants always are).
+    A record carries one timezone offset, the committer's, and writes it
+    as ``tz_offset_min`` when it is not zero. gitlog's author offset is
+    checked on input but not kept.
     """
     obj = {
         "hash": rec.hash,
         "repo": rec.repo_id,
         "parents": list(rec.parents),
-        "author_date": rec.author_date.epoch_seconds,
-        "committer_date": rec.committer_date.epoch_seconds,
+        "author_date": rec.author_date,
+        "committer_date": rec.committer_date,
         "author": rec.author_id,
         "committer": rec.committer_id,
         "message": rec.message,
     }
-    if rec.committer_date.tz_offset_minutes:
-        obj["tz_offset_min"] = rec.committer_date.tz_offset_minutes
+    if rec.tz_offset_min:
+        obj["tz_offset_min"] = rec.tz_offset_min
     if rec.verified is not None:
         obj["verified"] = rec.verified
     if rec.stars is not None:
@@ -158,7 +157,7 @@ def anomaly_from_object(obj: dict, index: int) -> Anomaly:
 
 
 def _now_utc() -> str:
-    return format_utc(Timestamp(int(time.time())))
+    return format_utc(int(time.time()))
 
 
 @contextmanager
@@ -207,6 +206,7 @@ def _load_scan_report(path: str) -> dict:
         typed(doc.get("summary"), dict, "summary")
     except ValueError as exc:
         raise CommandError(f"{path} is not a schema v{SCHEMA_VERSION} scan report: {exc}") from exc
+    _check_commits(doc)
     return doc
 
 
@@ -214,17 +214,16 @@ def _report_anomalies(report: dict) -> list[Anomaly]:
     return [anomaly_from_object(obj, i) for i, obj in enumerate(report["anomalies"])]
 
 
-def _report_commits(report: dict) -> dict:
+def _check_commits(report: dict) -> None:
     where = "unreadable commits section"
     try:
         commits = typed(report.get("commits", {}), dict, "commits")
         for commit_hash, entry in commits.items():
-            where = f"unreadable commits entry {commit_hash}"
+            where = f"unreadable commits entry {commit_hash!r}"
             typed(typed(entry, dict, "the entry").get("committer", ""), str, "committer")
             typed(entry.get("message", ""), str, "message")
     except ValueError as exc:
         raise CommandError(f"{where}: {exc}") from exc
-    return commits
 
 
 # ---- Input handling ----
@@ -237,14 +236,16 @@ def _read_records(paths, fmt: str, repo_id: str) -> list[CommitRecord]:
     records: list[CommitRecord] = []
     broken: list[str] = []
     for path in paths or ["-"]:
-        if path == "-":
-            result = parse_commit_stream(sys.stdin.buffer, format=fmt, repo_id=repo_id)
-        else:
-            try:
+        try:
+            if path != "-":
                 with open(path, "rb") as fh:
                     result = parse_commit_stream(fh, format=fmt, repo_id=repo_id)
-            except OSError as exc:
-                raise CommandError(f"cannot read {path}: {exc}") from exc
+            elif sys.stdin is None:  # started with descriptor 0 closed
+                raise OSError("it is closed")
+            else:
+                result = parse_commit_stream(sys.stdin.buffer, format=fmt, repo_id=repo_id)
+        except OSError as exc:
+            raise CommandError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from exc
         records.extend(result.records)
         broken.extend(f"{path}:{m.line_number}: {m.reason}" for m in result.malformed)
     if broken:
@@ -321,8 +322,8 @@ def _dedup_to_object(dedup) -> dict:
         "conflicts": [
             {
                 "hash": c.hash,
-                "kept_committer_date": c.kept.epoch_seconds,
-                "dropped_committer_date": c.dropped.epoch_seconds,
+                "kept_committer_date": c.kept,
+                "dropped_committer_date": c.dropped,
             }
             for c in sorted(dedup.conflicts, key=lambda c: c.hash)
         ],
@@ -431,7 +432,7 @@ def cmd_filter(args) -> int:
 
 def _stats_tables(report: dict, exclude_terms) -> dict:
     anomalies = _report_anomalies(report)
-    commits = _report_commits(report)
+    commits = report.get("commits", {})
 
     deltas = [a.delta_seconds for a in anomalies if a.delta_seconds is not None]
     stats = analytics.delta_statistics(deltas).to_dict() if deltas else None

@@ -13,11 +13,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import Anomaly, AnomalyKind, CommitRecord, Timestamp, format_utc
+from .model import Anomaly, AnomalyKind, CommitRecord, format_utc
 
 # 1990-11-19T00:00:00Z, the CVS 1.0 release. Mainstream version control
 # starts here; a commit dated before it cannot carry an honest clock.
-DEFAULT_OLD_CUTOFF = Timestamp(658972800)
+DEFAULT_OLD_CUTOFF = 658972800
 
 
 class MissingSnapshotDate(Exception):
@@ -32,18 +32,15 @@ class DetectorConfig:
     default -- it must come from the dataset's manifest.
     """
 
-    old_cutoff: Timestamp = DEFAULT_OLD_CUTOFF
-    future_cutoff: Timestamp | None = None
+    old_cutoff: int = DEFAULT_OLD_CUTOFF
+    future_cutoff: int | None = None
     exclude_merges: bool = True
     date_field: str = "committer"
 
     def __post_init__(self):
         if self.date_field not in ("committer", "author"):
             raise ValueError(f"date_field must be committer or author, got {self.date_field!r}")
-        if (
-            self.future_cutoff is not None
-            and not self.old_cutoff.epoch_seconds < self.future_cutoff.epoch_seconds
-        ):
+        if self.future_cutoff is not None and not self.old_cutoff < self.future_cutoff:
             raise ValueError("old_cutoff must lie before future_cutoff")
 
 
@@ -52,11 +49,11 @@ class DetectorConfig:
 
 def detect_old(records: list[CommitRecord], cfg: DetectorConfig) -> list[Anomaly]:
     """Flag commits whose selected date is strictly before the old cutoff."""
-    cutoff = cfg.old_cutoff.epoch_seconds
+    cutoff = cfg.old_cutoff
     out = []
     for rec in records:
         ts = rec.date(cfg.date_field)
-        if ts.epoch_seconds < cutoff:
+        if ts < cutoff:
             out.append(
                 Anomaly(
                     kind=AnomalyKind.OLD,
@@ -77,11 +74,11 @@ def detect_future(records: list[CommitRecord], cfg: DetectorConfig) -> list[Anom
         raise MissingSnapshotDate(
             "no snapshot date configured; set future_cutoff from the dataset manifest"
         )
-    cutoff = cfg.future_cutoff.epoch_seconds
+    cutoff = cfg.future_cutoff
     out = []
     for rec in records:
         ts = rec.date(cfg.date_field)
-        if ts.epoch_seconds > cutoff:
+        if ts > cutoff:
             out.append(
                 Anomaly(
                     kind=AnomalyKind.FUTURE,
@@ -121,7 +118,7 @@ def detect_out_of_order_linear(
     field = cfg.date_field
     out = []
     for prev, rec in zip(ordered, ordered[1:]):
-        delta = prev.date(field).epoch_seconds - rec.date(field).epoch_seconds
+        delta = prev.date(field) - rec.date(field)
         if delta <= 0 or (
             cfg.exclude_merges
             and (is_merge_message(prev.message) or is_merge_message(rec.message))
@@ -161,10 +158,10 @@ def detect_out_of_order_parents(graph, cfg: DetectorConfig) -> list[Anomaly]:
     out = []
     for child in sorted(nodes):
         rec = nodes[child]
-        epoch = rec.date(field).epoch_seconds
+        epoch = rec.date(field)
         worst, delta = None, 0
         for parent in graph.edges[child]:
-            gap = nodes[parent].date(field).epoch_seconds - epoch
+            gap = nodes[parent].date(field) - epoch
             worse = gap > delta or (gap == delta and worst is not None and parent < worst)
             if worse and not excluded(parent):
                 worst, delta = parent, gap
@@ -244,12 +241,12 @@ def detect_verified_mismatch(graph) -> list[Anomaly]:
         child_rec = graph.nodes[child]
         if child_rec.verified is not True:
             continue
-        child_epoch = child_rec.committer_date.epoch_seconds
+        child_epoch = child_rec.committer_date
         for parent in graph.edges[child]:
             parent_rec = graph.nodes[parent]
             if parent_rec.verified is not False:
                 continue
-            if parent_rec.committer_date.epoch_seconds > child_epoch:
+            if parent_rec.committer_date > child_epoch:
                 out.append(
                     Anomaly(
                         kind=AnomalyKind.VERIFIED_MISMATCH,

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from .detectors import DetectorConfig, detect_out_of_order_parents
 from .graph import build_graph, group_by_repo
-from .model import Timestamp, canonical_repo_id, decode_json, parse_utc, typed
+from .model import canonical_repo_id, decode_json, parse_utc, typed
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class FilterPolicy:
     which a policy file names by the kind's field (see ``_KINDS``)."""
 
     kind: str
-    value: int | Timestamp | frozenset[str] | str | None = None
+    value: int | frozenset[str] | str | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -79,7 +79,7 @@ def repo_star_table(records) -> list[tuple[str, int]]:
 
 def _keep_from(epoch: int, date_field: str):
     """Commits dated at or after ``epoch``: one at the instant survives."""
-    return lambda r: r.date(date_field).epoch_seconds >= epoch
+    return lambda r: r.date(date_field) >= epoch
 
 
 def _keep_in_order(records, scope: str, cfg: DetectorConfig):
@@ -126,9 +126,8 @@ _KINDS = {
     "MinTimestamp": _Kind(
         "min_ts", int, 1, lambda rs, v, cfg: _keep_from(v, cfg.date_field)),
     "BeforeDate": _Kind(
-        "cutoff", (int, str), None, lambda rs, v, cfg: _keep_from(v.epoch_seconds, cfg.date_field),
-        load=lambda v: parse_utc(v) if isinstance(v, str) else Timestamp(v),
-        dump=lambda cutoff: cutoff.epoch_seconds),
+        "cutoff", (int, str), None, lambda rs, v, cfg: _keep_from(v, cfg.date_field),
+        load=lambda v: parse_utc(v) if isinstance(v, str) else v),
     "ProjectBlocklist": _Kind(
         "blocklist", list, None,
         lambda rs, v, cfg: lambda r: canonical_repo_id(r.repo_id) not in v,

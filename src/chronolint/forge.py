@@ -148,16 +148,17 @@ class CacheStore:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with open(self.path, encoding="utf-8", newline="\n") as fh:
+        with open(self.path, "rb") as fh:
             for number, line in enumerate(fh, 1):
-                if not line.endswith("\n"):
+                if not line.endswith(b"\n"):
                     log.warning("%s: skipping torn last line %d", self.path, number)
-                    self._torn_at = os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
+                    self._torn_at = os.fstat(fh.fileno()).st_size - len(line)
                     break
-                if not line.strip():
-                    continue
                 try:
-                    repo_id, outcome = _outcome_from_entry(decode_json(line))
+                    text = line.decode("utf-8")
+                    if not text.strip():
+                        continue
+                    repo_id, outcome = _outcome_from_entry(decode_json(text))
                     self._entries[(repo_id, outcome.commit_hash)] = outcome
                 except KeyError as exc:
                     raise ValueError(f"corrupt cache {self.path} line {number}: missing {exc}") from exc
@@ -414,7 +415,7 @@ class ForgeClient:
             status=status,
             verified_flag=verified,
             parents=record.parents,
-            committer_date=record.committer_date.epoch_seconds,
+            committer_date=record.committer_date,
         )
 
     # -- batch verification --

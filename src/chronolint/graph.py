@@ -153,7 +153,7 @@ def topological_order(graph: CommitGraph) -> list[str]:
             children[parent].append(child)
 
     def key(h: str):
-        return (graph.nodes[h].committer_date.epoch_seconds, h)
+        return (graph.nodes[h].committer_date, h)
 
     heap = [key(h) for h, n in pending.items() if n == 0]
     heapq.heapify(heap)

@@ -27,7 +27,6 @@ from .model import (
     EPOCH_MIN,
     _UNIT_FACTORS,
     CommitRecord,
-    Timestamp,
     decode_json,
     normalize_timestamp,
     typed,
@@ -39,6 +38,10 @@ log = logging.getLogger(__name__)
 _HEX_HASH = re.compile(r"[0-9a-f]{40}")
 _SVN_HASH = re.compile(r"r[0-9]+@\S+")  # Subversion revisions: "r<N>@<repo>"
 _TZ_HHMM = re.compile(r"([+-])([0-9]{2})([0-9]{2})")
+
+# The widest offsets in use are -12:00 and +14:00; this allows +-18:00.
+TZ_OFFSET_MIN = -1080
+TZ_OFFSET_MAX = 1080
 
 _REQUIRED_KEYS = (
     "hash",
@@ -90,8 +93,8 @@ class DuplicateHashConflict:
     """
 
     hash: str
-    kept: Timestamp
-    dropped: Timestamp
+    kept: int
+    dropped: int
 
 
 @dataclass(frozen=True)
@@ -152,15 +155,22 @@ def _ascii_int(text: str) -> int:
     return int(text)  # still raises past int()'s digit limit
 
 
-def _check_epoch_range(author_date: Timestamp, committer_date: Timestamp) -> None:
-    if not EPOCH_MIN <= author_date.epoch_seconds <= EPOCH_MAX:
+def _check_epoch_range(author_date: int, committer_date: int) -> None:
+    if not EPOCH_MIN <= author_date <= EPOCH_MAX:
         raise ValueError("author_date is outside the int64 range of epoch seconds")
-    if not EPOCH_MIN <= committer_date.epoch_seconds <= EPOCH_MAX:
+    if not EPOCH_MIN <= committer_date <= EPOCH_MAX:
         raise ValueError("committer_date is outside the int64 range of epoch seconds")
 
 
+def _check_tz_range(minutes: int) -> None:
+    if not TZ_OFFSET_MIN <= minutes <= TZ_OFFSET_MAX:
+        raise ValueError(
+            f"tz offset {minutes} outside [{TZ_OFFSET_MIN}, {TZ_OFFSET_MAX}] minutes")
+
+
 def _parse_tz_minutes(text: str, tzs: dict) -> int:
-    """Accept git's +HHMM / -HHMM notation, or a bare signed minute count.
+    """Accept git's +HHMM / -HHMM notation, or a bare signed minute count,
+    within the allowed range.
 
     ``tzs`` remembers each text that parsed, with its minutes.
     """
@@ -176,6 +186,7 @@ def _parse_tz_minutes(text: str, tzs: dict) -> int:
         minutes = sign * (int(m.group(2)) * 60 + int(m.group(3)))
     else:
         raise ValueError(f"unparseable timezone offset {text!r}")
+    _check_tz_range(minutes)
     tzs[text] = minutes
     return minutes
 
@@ -226,10 +237,11 @@ def _record_from_object(obj, hashes: dict, names: dict) -> CommitRecord:
 
     if type(raw_author_date) is not int:
         typed(raw_author_date, int, "author_date")
-    author_date = normalize_timestamp(raw_author_date, unit, tz)
+    author_date = normalize_timestamp(raw_author_date, unit)
+    _check_tz_range(tz)
     if type(raw_committer_date) is not int:
         typed(raw_committer_date, int, "committer_date")
-    committer_date = normalize_timestamp(raw_committer_date, unit, tz)
+    committer_date = normalize_timestamp(raw_committer_date, unit)
 
     verified = obj.get("verified")
     if verified is not None and type(verified) is not bool:
@@ -255,7 +267,7 @@ def _record_from_object(obj, hashes: dict, names: dict) -> CommitRecord:
     _check_epoch_range(author_date, committer_date)
 
     return CommitRecord(commit_hash, repo_id, parents, author_date, committer_date,
-                        author_id, committer_id, message, verified, stars)
+                        author_id, committer_id, message, verified, stars, tz)
 
 
 def _parse_ndjson(lines) -> ParseResult:
@@ -307,17 +319,14 @@ def _record_from_gitlog_chunk(chunk: str, repo_id: str, hashes: dict, names: dic
     c_minutes = tzs.get(c_tz)
     if c_minutes is None:
         c_minutes = _parse_tz_minutes(c_tz, tzs)
-    committer_date = Timestamp(committer_epoch, c_minutes)
-    a_minutes = tzs.get(a_tz)
-    if a_minutes is None:
-        a_minutes = _parse_tz_minutes(a_tz, tzs)
-    author_date = Timestamp(author_epoch, a_minutes)
-    _check_epoch_range(author_date, committer_date)
+    if a_tz not in tzs:  # checked, then dropped: a record keeps one offset
+        _parse_tz_minutes(a_tz, tzs)
+    _check_epoch_range(author_epoch, committer_epoch)
 
-    return CommitRecord(commit_hash, repo_id, parents, author_date, committer_date,
+    return CommitRecord(commit_hash, repo_id, parents, author_epoch, committer_epoch,
                         names.setdefault(author_name, author_name),
                         names.setdefault(committer_name, committer_name),
-                        message.rstrip("\n"))
+                        message.rstrip("\n"), tz_offset_min=c_minutes)
 
 
 def _parse_gitlog(chunks, repo_id: str) -> ParseResult:
@@ -419,7 +428,7 @@ def deduplicate(records: list[CommitRecord]) -> tuple[list[CommitRecord], DedupR
         first = kept.get(rec.hash)
         if first is None:
             kept[rec.hash] = rec
-        elif rec.committer_date.epoch_seconds != first.committer_date.epoch_seconds:
+        elif rec.committer_date != first.committer_date:
             conflicts.append(
                 DuplicateHashConflict(rec.hash, first.committer_date, rec.committer_date)
             )

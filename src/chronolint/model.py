@@ -1,17 +1,15 @@
-"""Core value types: timestamps, commit records and anomalies.
+"""Core value types: commit records and anomalies, and UTC date text.
 
 Everything here is an immutable value object, safe to share across threads.
-All timestamp comparisons in the toolkit go through ``epoch_seconds``; the
-recorded timezone offset is carried along for reporting but never applied.
+A date is an int: whole seconds since the Unix epoch, UTC, as on the wire.
+Every comparison in the toolkit is on these ints. A record carries one
+timezone offset, the committer's, for output only; it is never applied.
 """
 
 import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-
-TZ_OFFSET_MIN = -1080
-TZ_OFFSET_MAX = 1080
 
 # Epochs are int64 seconds. Ingest rejects a record with a date outside
 # this range, so two dates never differ by 2**64 seconds or more.
@@ -52,42 +50,26 @@ def decode_json(text: str | bytes):
 
 
 @dataclass(frozen=True, slots=True)
-class Timestamp:
-    """A commit timestamp: whole seconds since the Unix epoch, UTC.
-
-    ``tz_offset_minutes`` is the offset recorded with the commit. It is
-    informational only and never added to ``epoch_seconds``. Negative epochs
-    are legal: they are exactly the suspicious values this toolkit exists to
-    surface.
-    """
-
-    epoch_seconds: int
-    tz_offset_minutes: int = 0
-
-    def __post_init__(self):
-        if not TZ_OFFSET_MIN <= self.tz_offset_minutes <= TZ_OFFSET_MAX:
-            raise ValueError(
-                f"tz offset {self.tz_offset_minutes} outside "
-                f"[{TZ_OFFSET_MIN}, {TZ_OFFSET_MAX}] minutes"
-            )
-
-
-@dataclass(frozen=True, slots=True)
 class CommitRecord:
-    """One commit's identity and metadata, normalized to internal units."""
+    """One commit's identity and metadata, normalized to internal units.
+
+    Dates are epoch seconds; negative ones are legal, and are exactly the
+    suspicious values this toolkit exists to surface.
+    """
 
     hash: str
     repo_id: str
     parents: tuple[str, ...]
-    author_date: Timestamp
-    committer_date: Timestamp
+    author_date: int
+    committer_date: int
     author_id: str
     committer_id: str
     message: str
     verified: bool | None = None  # tri-state: True / False / unknown
     stars: int | None = None      # repo-level star count, if known
+    tz_offset_min: int = 0        # the committer's recorded offset, never applied
 
-    def date(self, field_name: str = "committer") -> Timestamp:
+    def date(self, field_name: str = "committer") -> int:
         """Select the comparison date per the configured field."""
         if field_name == "committer":
             return self.committer_date
@@ -127,7 +109,7 @@ class Anomaly:
             )
 
 
-def normalize_timestamp(raw: int, unit: str, tz_offset_minutes: int = 0) -> Timestamp:
+def normalize_timestamp(raw: int, unit: str) -> int:
     """Floor-divide a raw integer timestamp down to whole seconds.
 
     ``unit`` is one of s/ms/us. Flooring, not truncation, so negative
@@ -137,7 +119,7 @@ def normalize_timestamp(raw: int, unit: str, tz_offset_minutes: int = 0) -> Time
         factor = _UNIT_FACTORS[unit]
     except KeyError:
         raise ValueError(f"unknown timestamp unit {unit!r}") from None
-    return Timestamp(raw // factor, tz_offset_minutes)
+    return raw // factor
 
 
 # Civil-date conversion on the proleptic Gregorian calendar. datetime would
@@ -176,17 +158,18 @@ def _days_from_civil(year: int, month: int, day: int) -> int:
     return era * _ERA_DAYS + doe - _DAYS_EPOCH_SHIFT
 
 
-def format_utc(ts: Timestamp) -> str:
-    """Render as ``YYYY-MM-DD HH:MM:SS UTC``, for any epoch value."""
-    days, rem = divmod(ts.epoch_seconds, 86400)
+def format_utc(epoch: int) -> str:
+    """Render epoch seconds as ``YYYY-MM-DD HH:MM:SS UTC``, for any value."""
+    days, rem = divmod(epoch, 86400)
     year, month, day = _civil_from_days(days)
     hh, rem = divmod(rem, 3600)
     mm, ss = divmod(rem, 60)
     return f"{year:04d}-{month:02d}-{day:02d} {hh:02d}:{mm:02d}:{ss:02d} UTC"
 
 
-def parse_utc(text: str) -> Timestamp:
-    """Parse the output of :func:`format_utc`, or an ISO-8601 UTC instant.
+def parse_utc(text: str) -> int:
+    """Parse the output of :func:`format_utc`, or an ISO-8601 UTC instant,
+    to epoch seconds.
 
     Accepts ``YYYY-MM-DD HH:MM:SS UTC``, ``YYYY-MM-DDTHH:MM:SS[Z]`` and a
     bare ``YYYY-MM-DD`` (midnight). Offsets other than Z/UTC are rejected:
@@ -224,8 +207,7 @@ def parse_utc(text: str) -> Timestamp:
         or not (0 <= hh <= 23 and 0 <= mm <= 59 and 0 <= ss <= 59)
     ):
         raise ValueError(f"UTC date {text!r} has a field out of range")
-    epoch = days * 86400 + hh * 3600 + mm * 60 + ss
-    return Timestamp(epoch)
+    return days * 86400 + hh * 3600 + mm * 60 + ss
 
 
 def canonical_repo_id(repo_id: str) -> str:

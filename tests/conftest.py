@@ -2,7 +2,7 @@
 
 import pytest
 
-from chronolint.model import CommitRecord, Timestamp
+from chronolint.model import CommitRecord
 
 # Filled by the acceptance suite; echoed after the run, outside capture.
 ACCEPTANCE_VERDICTS: list[str] = []
@@ -37,8 +37,8 @@ def make_record(
         hash=hex_hash(i),
         repo_id=repo,
         parents=tuple(hex_hash(p) for p in parents),
-        author_date=Timestamp(committer_epoch if author_epoch is None else author_epoch),
-        committer_date=Timestamp(committer_epoch),
+        author_date=committer_epoch if author_epoch is None else author_epoch,
+        committer_date=committer_epoch,
         author_id=author,
         committer_id=committer,
         message=message,

@@ -31,7 +31,7 @@ from chronolint.detectors import (
 from chronolint.forge import MetadataSource, verify_anomalies
 from chronolint.graph import build_graph
 from chronolint.ingest import deduplicate
-from chronolint.model import Timestamp, format_utc, normalize_timestamp, parse_utc
+from chronolint.model import format_utc, normalize_timestamp, parse_utc
 from conftest import ACCEPTANCE_VERDICTS, hex_hash, make_record
 
 
@@ -58,10 +58,10 @@ def criterion(number, headline):
 def test_criterion_01_timestamp_point_checks():
     started = time.monotonic()
 
-    assert format_utc(Timestamp(-2044178335)) == "1905-03-23 12:41:05 UTC"
+    assert format_utc(-2044178335) == "1905-03-23 12:41:05 UTC"
 
     microseconds = normalize_timestamp(10**12, "us")
-    assert microseconds.epoch_seconds == 1_000_000
+    assert microseconds == 1_000_000
     assert format_utc(microseconds).startswith("1970-01-12")
 
     (anomaly,) = detect_old([make_record(1, committer_epoch=0)], DetectorConfig())
@@ -97,8 +97,7 @@ def test_criterion_02_detector_oracle_equivalence():
                     is_merge_message(child.message) or is_merge_message(parent.message)
                 ):
                     continue
-                delta = (parent.committer_date.epoch_seconds
-                         - child.committer_date.epoch_seconds)
+                delta = parent.committer_date - child.committer_date
                 worst = max(worst, delta)
             if worst >= 1:
                 expected[child.hash] = worst
@@ -135,8 +134,8 @@ def test_criterion_03_two_stage_equivalence():
         for rec in all_records:
             (stub / f"{rec.hash}.json").write_text(json.dumps({
                 "hash": rec.hash, "repo": rec.repo_id, "parents": list(rec.parents),
-                "author_date": rec.author_date.epoch_seconds,
-                "committer_date": rec.committer_date.epoch_seconds,
+                "author_date": rec.author_date,
+                "committer_date": rec.committer_date,
                 "author": rec.author_id, "committer": rec.committer_id,
                 "message": rec.message,
             }))
@@ -178,9 +177,9 @@ def test_criterion_04_merge_exclusion_flip():
 
 @criterion(5, "boundary values are never flagged: strict inequalities everywhere")
 def test_criterion_05_boundary_contracts():
-    cutoff = DEFAULT_OLD_CUTOFF.epoch_seconds
+    cutoff = DEFAULT_OLD_CUTOFF
     cfg = DetectorConfig(future_cutoff=parse_utc("2019-10-31T00:00:00Z"))
-    snapshot = cfg.future_cutoff.epoch_seconds
+    snapshot = cfg.future_cutoff
 
     at_cutoff = make_record(1, committer_epoch=cutoff)
     below = make_record(2, committer_epoch=cutoff - 1)
@@ -265,7 +264,7 @@ def test_criterion_07_min_timestamp_efficacy():
     ids = itertools.count()
     records = []
     for micros, occurrences in census:
-        epoch = normalize_timestamp(micros, "us").epoch_seconds
+        epoch = normalize_timestamp(micros, "us")
         records.extend(
             make_record(next(ids), committer_epoch=epoch) for _ in range(occurrences)
         )

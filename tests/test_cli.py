@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from chronolint import filters, forge
 from chronolint.cli import main, record_to_object, write_ndjson
 from chronolint.detectors import DetectorConfig
 from chronolint.ingest import parse_commit_stream
-from chronolint.model import Timestamp, parse_utc
+from chronolint.model import EPOCH_MAX, EPOCH_MIN, CommitRecord, parse_utc
 from conftest import hex_hash, make_record
 
 SNAPSHOT = "2019-10-31T00:00:00Z"
@@ -449,6 +450,20 @@ def test_mistyped_commits_section_exits_two_naming_it(tmp_path, capsys, hash_id,
         assert hex_hash(hash_id) in err and (field or "object") in err
 
 
+@pytest.mark.parametrize("command", ["stats", "verify"])
+@pytest.mark.parametrize("key", ["a\nb", "\x1e"], ids=["newline", "record-separator"])
+def test_a_commits_key_that_breaks_lines_stays_on_one_error_line(tmp_path, capsys, command, key):
+    report = scan_report_path(tmp_path, capsys, ooo_fixture())
+    doc = json.loads(Path(report).read_text(encoding="utf-8"))
+    doc["commits"][key] = None
+    Path(report).write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--sources", stub_sources(tmp_path, ooo_fixture())] if command == "verify" else []
+    code, out, err = run(capsys, command, report, *extra)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"chronolint: error: unreadable commits entry {key!r}: "
+                                "the entry must be an object, got NoneType"]
+
+
 # ---- verify ----
 
 
@@ -815,14 +830,17 @@ def test_stats_unwritable_report_exits_two_with_one_line(tmp_path, capsys):
                           f"cannot write {target}: ")
 
 
-def chronolint_process(argv, stdout, stderr=subprocess.PIPE):
+def chronolint_process(argv, stdout, stderr=subprocess.PIPE, close_stdin=False):
     """Start the CLI as its console script does, stdout block-buffered
-    as in a shell pipeline, and stderr piped back unless given."""
+    as in a shell pipeline, and stderr piped back unless given. With
+    ``close_stdin``, it starts with descriptor 0 closed, as after `<&-`."""
     src = str(Path(chronolint.__file__).parent.parent)
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    shell = ["sh", "-c", 'exec "$@" <&-', "sh"] if close_stdin else []
     return subprocess.Popen(
-        [sys.executable, "-c", "import sys; from chronolint.cli import main; sys.exit(main())",
+        [*shell, sys.executable, "-c",
+         "import sys; from chronolint.cli import main; sys.exit(main())",
          *argv], stdout=stdout, stderr=stderr, env=env)
 
 
@@ -866,6 +884,16 @@ def test_a_report_left_in_the_stdout_buffer_of_a_closed_pipe_exits_two(tmp_path)
         proc = chronolint_process(["scan", path, "--snapshot-date", SNAPSHOT], stdout)
     with proc:
         assert_stdout_error(proc)
+
+
+@pytest.mark.parametrize("command", ["scan", "filter"])
+def test_a_closed_stdin_exits_two_with_one_line(tmp_path, command):
+    argv = {"scan": ["scan", "--snapshot-date", "2020-01-01"],
+            "filter": ["filter", "--policy-file", policy_file(tmp_path, [])]}[command]
+    with chronolint_process(argv, subprocess.PIPE, close_stdin=True) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.decode().splitlines() == ["chronolint: error: cannot read stdin: it is closed"]
 
 
 @pytest.mark.parametrize("command", [
@@ -939,7 +967,24 @@ def test_scan_report_config_is_replayable(tmp_path, capsys):
     assert config["policies"] == []
 
 
+def test_a_snapshot_at_epoch_zero_is_written(tmp_path, capsys):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    _, out, _ = run(capsys, "scan", path, "--old-cutoff", "1960-01-01",
+                    "--snapshot-date", "1970-01-01")
+    assert json.loads(out)["config"]["snapshot_date"] == "1970-01-01 00:00:00 UTC"
+
+
 # ---- serialization round trip ----
+
+
+HASHES = st.integers(0, 2**160 - 1).map(hex_hash) | st.from_regex(r"r[0-9]+@\S+", fullmatch=True)
+EPOCHS = st.sampled_from([EPOCH_MIN, EPOCH_MAX, -1, 0]) | st.integers(EPOCH_MIN, EPOCH_MAX)
+TEXTS = st.sampled_from(["", "caf\u00e9", "one\u2028two\nthree"]) | st.text()
+RECORDS = st.builds(
+    CommitRecord, hash=HASHES, repo_id=TEXTS, parents=st.lists(HASHES, max_size=3).map(tuple),
+    author_date=EPOCHS, committer_date=EPOCHS, author_id=TEXTS, committer_id=TEXTS,
+    message=TEXTS, verified=st.none() | st.booleans(), stars=st.none() | st.integers(0, 2**63),
+    tz_offset_min=st.integers(-1080, 1080))
 
 
 @pytest.mark.parametrize("extras", [
@@ -949,25 +994,24 @@ def test_scan_report_config_is_replayable(tmp_path, capsys):
 ])
 def test_record_serialization_round_trips(extras):
     rec = make_record(7, parents=[1, 2], **extras)
-    line = json.dumps(record_to_object(rec))
-    (back,) = parse_commit_stream(line).records
+    (back,) = parse_commit_stream(json.dumps(record_to_object(rec))).records
     assert back == rec
 
 
 def test_record_serialization_keeps_committer_timezone():
-    base = make_record(7)
-    rec = type(base)(**{
-        **{f: getattr(base, f) for f in (
-            "hash", "repo_id", "parents", "author_id", "committer_id",
-            "message", "verified", "stars",
-        )},
-        "author_date": Timestamp(1_000_000_000, 0),
-        "committer_date": Timestamp(1_000_000_000, 330),
-    })
+    rec = dataclasses.replace(make_record(7), tz_offset_min=330)
     obj = record_to_object(rec)
     assert obj["tz_offset_min"] == 330
     (back,) = parse_commit_stream(json.dumps(obj)).records
-    assert back.committer_date == rec.committer_date
+    assert (back.committer_date, back.tz_offset_min) == (rec.committer_date, 330)
+
+
+@given(RECORDS)
+def test_a_record_round_trips_through_ndjson(rec):
+    obj = record_to_object(rec)
+    assert obj.get("tz_offset_min", 0) == rec.tz_offset_min
+    (back,) = parse_commit_stream(json.dumps(obj)).records
+    assert back == rec
 
 
 # ---- any one value of an input document ----

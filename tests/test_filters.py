@@ -17,7 +17,7 @@ from chronolint.filters import (
     repo_star_table,
 )
 from chronolint.graph import build_graph
-from chronolint.model import Timestamp, parse_utc
+from chronolint.model import parse_utc
 from conftest import hex_hash, make_record
 
 CFG = DetectorConfig(future_cutoff=parse_utc("2019-10-31"))
@@ -34,7 +34,7 @@ def assert_balanced(ledger, input_count):
 def test_min_timestamp_boundary():
     records = [make_record(i, committer_epoch=e) for i, e in enumerate([-5, 0, 1, 100])]
     kept, ledger = apply_policy(records, FilterPolicy("MinTimestamp"))
-    assert [r.committer_date.epoch_seconds for r in kept] == [1, 100]
+    assert [r.committer_date for r in kept] == [1, 100]
     assert_balanced(ledger, 4)
     assert ledger.policy.value == 1
 
@@ -68,8 +68,8 @@ def test_min_timestamp_removes_most_old_flagged():
 def test_before_date_strict_boundary():
     cutoff = parse_utc("2014-01-01")
     records = [
-        make_record(1, committer_epoch=parse_utc("2013-12-31").epoch_seconds),
-        make_record(2, committer_epoch=cutoff.epoch_seconds),
+        make_record(1, committer_epoch=parse_utc("2013-12-31")),
+        make_record(2, committer_epoch=cutoff),
     ]
     kept, ledger = apply_policy(records, FilterPolicy("BeforeDate", cutoff))
     assert [r.hash for r in kept] == [hex_hash(2)]
@@ -80,13 +80,13 @@ def test_before_date_recount_oracle():
     cutoff = parse_utc("2014-01-01")
     records = [
         make_record(year * 100 + month,
-                    committer_epoch=parse_utc(f"{year}-{month:02d}-15").epoch_seconds)
+                    committer_epoch=parse_utc(f"{year}-{month:02d}-15"))
         for year in range(2010, 2017)
         for month in range(1, 13)
     ]
     kept, ledger = apply_policy(records, FilterPolicy("BeforeDate", cutoff))
     expected_removed = sum(
-        1 for r in records if r.committer_date.epoch_seconds < cutoff.epoch_seconds
+        1 for r in records if r.committer_date < cutoff
     )
     assert expected_removed == 4 * 12
     assert ledger.removed_commits == expected_removed
@@ -95,9 +95,9 @@ def test_before_date_recount_oracle():
 
 def test_before_date_extremes():
     records = [make_record(i, committer_epoch=1000 + i) for i in range(5)]
-    kept, _ = apply_policy(records, FilterPolicy("BeforeDate", Timestamp(-(10**15))))
+    kept, _ = apply_policy(records, FilterPolicy("BeforeDate", -(10**15)))
     assert kept == records
-    kept, ledger = apply_policy(records, FilterPolicy("BeforeDate", Timestamp(10**15)))
+    kept, ledger = apply_policy(records, FilterPolicy("BeforeDate", 10**15))
     assert kept == []
     assert ledger.removed_projects == 1
 
@@ -479,7 +479,7 @@ def test_a_policy_takes_only_its_own_field_from_python_too():
 def test_policy_dict_round_trip():
     samples = [
         FilterPolicy("MinTimestamp", 3),
-        FilterPolicy("BeforeDate", Timestamp(1388534400)),
+        FilterPolicy("BeforeDate", 1388534400),
         FilterPolicy("ProjectBlocklist", frozenset({"x/y", "a/b"})),
         FilterPolicy("DropOutOfOrder", "commit"),
         FilterPolicy("MinStars", 0),

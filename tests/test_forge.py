@@ -38,8 +38,8 @@ def doc_for(rec, committer_epoch=None, parents=None, verified="from-record"):
         "hash": rec.hash,
         "repo": rec.repo_id,
         "parents": list(rec.parents) if parents is None else [hex_hash(p) for p in parents],
-        "author_date": rec.author_date.epoch_seconds,
-        "committer_date": rec.committer_date.epoch_seconds
+        "author_date": rec.author_date,
+        "committer_date": rec.committer_date
         if committer_epoch is None
         else committer_epoch,
         "author": rec.author_id,
@@ -104,7 +104,7 @@ def test_stub_fetch_resolves(tmp_path):
     outcome = fetch(ForgeClient([stub_source(tmp_path)]), rec.repo_id, rec.hash)
     assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE
     assert outcome.parents == (hex_hash(0),)
-    assert outcome.committer_date == rec.committer_date.epoch_seconds
+    assert outcome.committer_date == rec.committer_date
     assert outcome.verified_flag is True
 
 
@@ -151,6 +151,34 @@ def test_cache_skips_a_torn_last_line(tmp_path, caplog):
     second = fetch(ForgeClient(cache_only), rec.repo_id, rec.hash)
     assert second == first
     assert "torn" in caplog.text
+
+
+def test_a_line_that_is_not_utf8_names_the_cache_and_the_line(tmp_path):
+    rec = make_record(1)
+    write_stub(tmp_path / "stub", rec)
+    cache_file = tmp_path / "cache.ndjson"
+    fetch(cached_client(tmp_path, cache_file), rec.repo_id, rec.hash)
+    with open(cache_file, "ab") as fh:
+        fh.write(b'{"repo": "\xff"}\n')
+    with pytest.raises(ValueError) as caught:
+        forge.CacheStore(cache_file)
+    assert str(caught.value).startswith(f"corrupt cache {cache_file} line 2: 'utf-8' codec")
+
+
+def test_a_torn_line_that_is_not_utf8_is_cut_off_before_the_next_append(tmp_path):
+    old, new = make_record(1), make_record(2)
+    for rec in (old, new):
+        write_stub(tmp_path / "stub", rec)
+    cache_file = tmp_path / "cache.ndjson"
+    fetch(cached_client(tmp_path, cache_file), old.repo_id, old.hash)
+    clean = cache_file.read_bytes()
+    with open(cache_file, "ab") as fh:
+        fh.write(b'{"repo": "\xc3\xa9\xff')
+
+    fetch(cached_client(tmp_path, cache_file), new.repo_id, new.hash)
+    lines = cache_file.read_bytes().splitlines(keepends=True)
+    assert lines[0] == clean
+    assert [json.loads(line)["hash"] for line in lines] == [old.hash, new.hash]
 
 
 def test_append_after_a_torn_line_reloads_cleanly(tmp_path):
@@ -444,7 +472,7 @@ def test_client_over_http_backs_off_then_falls_back(tmp_path, loopback):
     assert sleeps == [3.0]
     # Every attempt at the truncated document fails; the stub answers.
     outcome = fetch(client, cut.repo_id, cut.hash)
-    assert outcome.committer_date == cut.committer_date.epoch_seconds
+    assert outcome.committer_date == cut.committer_date
     assert [path for path, _ in server.requests].count(f"/example/repo/{cut.hash}") \
         == forge.MAX_ATTEMPTS
 

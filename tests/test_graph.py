@@ -13,7 +13,7 @@ from chronolint.graph import (
     group_by_repo,
     topological_order,
 )
-from chronolint.model import CommitRecord, Timestamp
+from chronolint.model import CommitRecord
 
 
 def h(i: int) -> str:
@@ -25,8 +25,8 @@ def record(i: int, parents=(), epoch: int = 0, repo: str = "r") -> CommitRecord:
         hash=h(i),
         repo_id=repo,
         parents=tuple(h(p) for p in parents),
-        author_date=Timestamp(epoch),
-        committer_date=Timestamp(epoch),
+        author_date=epoch,
+        committer_date=epoch,
         author_id="a",
         committer_id="c",
         message=f"commit {i}",
@@ -52,7 +52,7 @@ def all_valid_orders(graph: CommitGraph):
 def rule_predicted_order(graph: CommitGraph):
     """The tie-break rule picks the key-lexicographically smallest valid order."""
     def keyed(order):
-        return [(graph.nodes[node].committer_date.epoch_seconds, node) for node in order]
+        return [(graph.nodes[node].committer_date, node) for node in order]
 
     return min(all_valid_orders(graph), key=keyed)
 
@@ -150,8 +150,7 @@ def edge_deltas(graph):
     """(child, parent, parent epoch - child epoch) for each resolved edge."""
     return sorted(
         (child, parent,
-         graph.nodes[parent].committer_date.epoch_seconds
-         - graph.nodes[child].committer_date.epoch_seconds)
+         graph.nodes[parent].committer_date - graph.nodes[child].committer_date)
         for child, parents in graph.edges.items()
         for parent in parents
     )
@@ -180,8 +179,7 @@ def test_anomalous_edge_count():
         1
         for rec in records
         for parent in rec.parents
-        if next(r for r in records if r.hash == parent).committer_date.epoch_seconds
-        > rec.committer_date.epoch_seconds
+        if next(r for r in records if r.hash == parent).committer_date > rec.committer_date
     )
     assert expected_positive == 2
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from chronolint import ingest
 from chronolint.ingest import DedupReport, deduplicate, parse_commit_stream
-from chronolint.model import CommitRecord, Timestamp
+from chronolint.model import CommitRecord
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -41,8 +41,8 @@ def simple_record(hash_: str, committer_epoch: int = 100) -> CommitRecord:
         hash=hash_,
         repo_id="r",
         parents=(),
-        author_date=Timestamp(committer_epoch),
-        committer_date=Timestamp(committer_epoch),
+        author_date=committer_epoch,
+        committer_date=committer_epoch,
         author_id="a",
         committer_id="c",
         message="m",
@@ -58,7 +58,7 @@ def test_single_ndjson_record():
     assert not result.malformed
     rec = result.records[0]
     assert rec.hash == "a" * 40
-    assert rec.committer_date.epoch_seconds == 100
+    assert rec.committer_date == 100
     assert rec.verified is None
     assert rec.stars is None
 
@@ -109,15 +109,26 @@ def test_optional_fields_round_trip():
     rec = parse_commit_stream(line, "ndjson").records[0]
     assert rec.verified is True
     assert rec.stars == 7
-    assert rec.author_date == Timestamp(1, -270)
-    assert rec.committer_date == Timestamp(2, -270)
+    assert rec.author_date == 1
+    assert rec.committer_date == 2
+    assert rec.tz_offset_min == -270
+
+
+def test_tz_offset_bounds():
+    for tz in (1080, -1080):
+        (rec,) = parse_commit_stream(ndjson_line(tz_offset_min=tz), "ndjson").records
+        assert rec.tz_offset_min == tz
+    for tz in (1081, -1081):
+        result = parse_commit_stream(ndjson_line(tz_offset_min=tz), "ndjson")
+        assert [m.reason for m in result.malformed] == [
+            f"tz offset {tz} outside [-1080, 1080] minutes"]
 
 
 def test_microsecond_unit_floor_divides():
     line = ndjson_line(date_unit="us", committer_date=10**12, author_date=-1)
     rec = parse_commit_stream(line, "ndjson").records[0]
-    assert rec.committer_date.epoch_seconds == 10**6
-    assert rec.author_date.epoch_seconds == -1  # floor, not truncation
+    assert rec.committer_date == 10**6
+    assert rec.author_date == -1  # floor, not truncation
 
 
 def test_uppercase_hash_is_canonicalized():
@@ -210,15 +221,16 @@ def test_gitlog_round_trip():
 
     assert first.hash == "c" * 40
     assert first.parents == ("a" * 40, "b" * 40)
-    assert first.committer_date == Timestamp(1571800000, 120)
-    assert first.author_date == Timestamp(1571790000, -270)
+    assert first.committer_date == 1571800000
+    assert first.tz_offset_min == 120  # the committer's; "-0430" is checked, then dropped
+    assert first.author_date == 1571790000
     assert first.committer_id == "Carol C"
     assert first.author_id == "Carol A"
     assert first.message == "subject line\n\nbody with an embedded \x1f byte"
     assert first.repo_id == "example/repo"
 
     assert second.parents == ()
-    assert second.committer_date.epoch_seconds == 50
+    assert second.committer_date == 50
 
 
 def test_gitlog_malformed_chunk_reports_ordinal():
@@ -232,8 +244,7 @@ def test_gitlog_malformed_chunk_reports_ordinal():
 def test_gitlog_bare_minute_offset():
     raw = gitlog_record("a" * 40, "", 10, "330", 10, "-90", "x", "x", "m")
     rec = parse_commit_stream(raw, "gitlog", repo_id="r").records[0]
-    assert rec.committer_date.tz_offset_minutes == 330
-    assert rec.author_date.tz_offset_minutes == -90
+    assert rec.tz_offset_min == 330
 
 
 # ---- Deduplication ----
@@ -274,8 +285,8 @@ def test_dedup_conflict_reported_first_kept():
     assert kept == [early]
     assert len(report.conflicts) == 1
     conflict = report.conflicts[0]
-    assert conflict.kept.epoch_seconds == 100
-    assert conflict.dropped.epoch_seconds == 999
+    assert conflict.kept == 100
+    assert conflict.dropped == 999
 
 
 def test_dedup_report_accounting_guard():
@@ -609,16 +620,16 @@ def test_gitlog_tz_takes_ascii_digits_only(field, tz):
 def test_gitlog_numbers_that_stay_valid():
     raw = gitlog_fields(c_epoch="-5", a_epoch="007", c_tz=" -90 ", a_tz="+0530")
     (rec,) = parse_commit_stream(raw, "gitlog", repo_id="r").records
-    assert rec.committer_date == Timestamp(-5, -90)
-    assert rec.author_date == Timestamp(7, 330)
+    assert (rec.committer_date, rec.tz_offset_min) == (-5, -90)
+    assert rec.author_date == 7
 
 
 def test_gitlog_hhmm_minutes_up_to_59_parse():
     # Guard for the 00-59 minute rule: the largest minute and the widest offset.
     raw = gitlog_fields(c_tz="+0059", a_tz="-1800")
     (rec,) = parse_commit_stream(raw, "gitlog", repo_id="r").records
-    assert rec.committer_date == Timestamp(1, 59)
-    assert rec.author_date == Timestamp(1, -1080)
+    assert (rec.committer_date, rec.tz_offset_min) == (1, 59)
+    assert rec.author_date == 1
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -653,8 +664,7 @@ def test_int64_epoch_bounds_stay_valid():
                    parse_commit_stream(gitlog, "gitlog", repo_id="r")):
         assert not result.malformed
         for rec in result.records:
-            assert {rec.author_date.epoch_seconds, rec.committer_date.epoch_seconds} == {
-                INT64_MIN, INT64_MAX}
+            assert {rec.author_date, rec.committer_date} == {INT64_MIN, INT64_MAX}
 
 
 def test_ndjson_integer_beyond_the_digit_limit_is_malformed():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chronolint.model import (
     Anomaly,
     AnomalyKind,
-    Timestamp,
     canonical_repo_id,
     format_utc,
     normalize_timestamp,
@@ -25,28 +24,28 @@ def _datetime_oracle(epoch: int) -> str:
 
 
 def test_normalize_identity_seconds():
-    assert normalize_timestamp(0, "s", 0).epoch_seconds == 0
+    assert normalize_timestamp(0, "s") == 0
 
 
 def test_normalize_microseconds_1905_row():
     # -2044178335000000 us is one of the known suspicious raw values; it must
     # floor to exactly -2044178335 s, i.e. 1905-03-23 12:41:05 UTC.
-    ts = normalize_timestamp(-2044178335000000, "us", 0)
-    assert ts.epoch_seconds == -2044178335
+    ts = normalize_timestamp(-2044178335000000, "us")
+    assert ts == -2044178335
     assert format_utc(ts) == "1905-03-23 12:41:05 UTC"
 
 
 def test_normalize_microseconds_1970_row():
-    ts = normalize_timestamp(1000000000000, "us", 0)
-    assert ts.epoch_seconds == 1000000
+    ts = normalize_timestamp(1000000000000, "us")
+    assert ts == 1000000
     assert format_utc(ts).startswith("1970-01-12")
 
 
 def test_normalize_floor_division_negative():
-    assert normalize_timestamp(-1, "ms").epoch_seconds == -1
-    assert normalize_timestamp(-999, "ms").epoch_seconds == -1
-    assert normalize_timestamp(-1000, "ms").epoch_seconds == -1
-    assert normalize_timestamp(-1001, "ms").epoch_seconds == -2
+    assert normalize_timestamp(-1, "ms") == -1
+    assert normalize_timestamp(-999, "ms") == -1
+    assert normalize_timestamp(-1000, "ms") == -1
+    assert normalize_timestamp(-1001, "ms") == -2
 
 
 def test_normalize_rejects_unknown_unit():
@@ -57,44 +56,44 @@ def test_normalize_rejects_unknown_unit():
 
 @given(st.integers(min_value=-(2**40), max_value=2**40))
 def test_normalize_unit_consistency(x):
-    s = normalize_timestamp(x, "s").epoch_seconds
-    assert normalize_timestamp(x * 10**3, "ms").epoch_seconds == s
-    assert normalize_timestamp(x * 10**6, "us").epoch_seconds == s
+    s = normalize_timestamp(x, "s")
+    assert normalize_timestamp(x * 10**3, "ms") == s
+    assert normalize_timestamp(x * 10**6, "us") == s
 
 
 def test_format_utc_epoch_zero():
-    assert format_utc(Timestamp(0)) == "1970-01-01 00:00:00 UTC"
+    assert format_utc(0) == "1970-01-01 00:00:00 UTC"
 
 
 def test_format_utc_cvs_release_instant():
     # Derived with the datetime oracle: 1990-11-19T00:00:00Z.
     oracle = int(datetime(1990, 11, 19, tzinfo=timezone.utc).timestamp())
     assert oracle == 658972800
-    assert format_utc(Timestamp(658972800)) == "1990-11-19 00:00:00 UTC"
+    assert format_utc(658972800) == "1990-11-19 00:00:00 UTC"
 
 
 def test_format_utc_negative_epoch():
-    assert format_utc(Timestamp(-2044178335)) == "1905-03-23 12:41:05 UTC"
+    assert format_utc(-2044178335) == "1905-03-23 12:41:05 UTC"
 
 
 @given(st.integers(min_value=-62135596800 + 86400, max_value=253402300799))
 def test_format_utc_matches_datetime(epoch):
     # datetime covers years 1..9999; inside that window the two formatters
     # must agree exactly.
-    assert format_utc(Timestamp(epoch)) == _datetime_oracle(epoch)
+    assert format_utc(epoch) == _datetime_oracle(epoch)
 
 
 @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
 @example(-(2**63))
 @example(2**63 - 1)
 def test_format_parse_roundtrip(epoch):
-    assert parse_utc(format_utc(Timestamp(epoch))).epoch_seconds == epoch
+    assert parse_utc(format_utc(epoch)) == epoch
 
 
 def test_parse_utc_iso_forms():
-    assert parse_utc("2019-10-31T00:00:00Z").epoch_seconds == 1572480000
-    assert parse_utc("2019-10-31").epoch_seconds == 1572480000
-    assert parse_utc("1990-11-19 00:00:00 UTC").epoch_seconds == 658972800
+    assert parse_utc("2019-10-31T00:00:00Z") == 1572480000
+    assert parse_utc("2019-10-31") == 1572480000
+    assert parse_utc("1990-11-19 00:00:00 UTC") == 658972800
 
 
 def test_parse_utc_rejects_garbage():
@@ -133,15 +132,6 @@ def test_parse_utc_rejects_out_of_range_fields(text):
 def test_parse_utc_accepts_ascii_digits_only(text):
     with pytest.raises(ValueError):
         parse_utc(text)
-
-
-def test_timestamp_tz_bounds():
-    Timestamp(0, 1080)
-    Timestamp(0, -1080)
-    with pytest.raises(ValueError):
-        Timestamp(0, 1081)
-    with pytest.raises(ValueError):
-        Timestamp(0, -1081)
 
 
 def test_anomaly_delta_only_for_out_of_order():
