@@ -263,8 +263,7 @@ def token_frequency(messages, exclude_terms=frozenset()) -> TokenTable:
             continue
         for token in tokenize(message):
             counts[token] = counts.get(token, 0) + 1
-    rows = tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
-    return TokenTable(rows=rows)
+    return TokenTable(rows=tuple(_ranked(counts.items())))
 
 
 # ---- Attribution ----
@@ -283,11 +282,7 @@ def top_committers(anomalies, committers, k: int = 20) -> list[tuple[str, int]]:
         if who is None:
             continue
         flagged.setdefault(who if who.strip() else NO_NAME, set()).add(anomaly.commit_hash)
-    ranked = sorted(
-        ((who, len(hashes)) for who, hashes in flagged.items()),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return ranked[:k]
+    return _ranked((who, len(hashes)) for who, hashes in flagged.items())[:k]
 
 
 def top_projects(anomalies, k: int = 20) -> list[tuple[str, int]]:
@@ -295,8 +290,9 @@ def top_projects(anomalies, k: int = 20) -> list[tuple[str, int]]:
     flagged: dict[str, set[str]] = {}
     for anomaly in anomalies:
         flagged.setdefault(anomaly.repo_id, set()).add(anomaly.commit_hash)
-    ranked = sorted(
-        ((repo, len(hashes)) for repo, hashes in flagged.items()),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return ranked[:k]
+    return _ranked((repo, len(hashes)) for repo, hashes in flagged.items())[:k]
+
+
+def _ranked(counts) -> list[tuple[str, int]]:
+    """(key, count) pairs, the largest count first and ties by key."""
+    return sorted(counts, key=lambda item: (-item[1], item[0]))

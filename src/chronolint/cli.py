@@ -29,7 +29,6 @@ from . import analytics
 from .detectors import (
     DEFAULT_OLD_CUTOFF,
     DetectorConfig,
-    MissingSnapshotDate,
     detect_future,
     detect_old,
     detect_out_of_order_parents,
@@ -39,7 +38,7 @@ from .detectors import (
 from .filters import apply_policies, load_policies
 from .forge import load_sources, verify_anomalies
 from .graph import CycleDetected, build_graph, group_by_repo
-from .ingest import deduplicate, parse_commit_stream
+from .ingest import _HEX_HASH, _SVN_HASH, deduplicate, parse_commit_stream
 from .model import (
     OUT_OF_ORDER_KINDS,
     Anomaly,
@@ -143,9 +142,13 @@ def anomaly_from_object(obj: dict, index: int) -> Anomaly:
         # Two int64 epochs differ by less than 2**64.
         if delta is not None and not 1 <= delta < 2**64:
             raise ValueError("delta_seconds must be a positive integer below 2**64")
+        commit = typed(obj["commit"], str, "commit")
+        # A report writes ids as ingest accepts them; only such an id may reach a source.
+        if not (_HEX_HASH.fullmatch(commit) or _SVN_HASH.fullmatch(commit)):
+            raise ValueError(f"commit {commit!r} is neither 40-char hex nor r<N>@<repo>")
         return Anomaly(
             kind=AnomalyKind(typed(obj["kind"], str, "kind")),
-            commit_hash=typed(obj["commit"], str, "commit"),
+            commit_hash=commit,
             repo_id=typed(obj["repo"], str, "repo"),
             evidence=typed(obj.get("evidence", ""), str, "evidence"),
             delta_seconds=delta,
@@ -154,10 +157,6 @@ def anomaly_from_object(obj: dict, index: int) -> Anomaly:
         raise CommandError(f"unreadable anomaly entry {index}: missing {exc}") from exc
     except ValueError as exc:
         raise CommandError(f"unreadable anomaly entry {index}: {exc}") from exc
-
-
-def _now_utc() -> str:
-    return format_utc(int(time.time()))
 
 
 @contextmanager
@@ -170,8 +169,9 @@ def _writing(path):
 
 
 def _emit_document(doc: dict, path: str | None, stream=None) -> None:
-    """Write ``doc`` as indented JSON to ``path``, else to ``stream``
-    (default stdout)."""
+    """Write ``doc`` under the schema version and the time of writing, as
+    indented JSON, to ``path``, else to ``stream`` (default stdout)."""
+    doc = {**doc, "schema_version": SCHEMA_VERSION, "generated_at": format_utc(int(time.time()))}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path:
         with _writing(path):
@@ -352,17 +352,13 @@ def cmd_scan(args) -> int:
     records = _read_records(args.inputs, args.format, args.repo)
     try:
         anomalies, records, dedup = run_scan(records, cfg, enabled)
-    except CycleDetected as exc:
-        raise CommandError(f"commit graph has a cycle: {' -> '.join(exc.cycle)}") from exc
-    except (MissingSnapshotDate, ValueError) as exc:
+    except (CycleDetected, ValueError) as exc:
         raise CommandError(str(exc)) from exc
 
     summary = analytics.summarize(anomalies)
     by_hash = {rec.hash: rec for rec in records}
     flagged = sorted({a.commit_hash for a in anomalies})
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "generated_at": _now_utc(),
         "config": _run_config(cfg, enabled, ()),
         "dataset": {
             "records": len(records),
@@ -415,8 +411,6 @@ def cmd_filter(args) -> int:
         write_ndjson(retained, sys.stdout)
 
     document = {
-        "schema_version": SCHEMA_VERSION,
-        "generated_at": _now_utc(),
         "config": _run_config(cfg, (), policies),
         "input_records": len(records),
         "dedup": _dedup_to_object(dedup),
@@ -475,10 +469,7 @@ def _stats_csv(directory: str, tables: dict) -> None:
 def cmd_stats(args) -> int:
     report = _load_scan_report(args.scan_report)
     tables = _stats_tables(report, args.exclude_term)
-    document = dict(report)
-    document["stats"] = tables
-    document["generated_at"] = _now_utc()
-    _emit_document(document, args.report)
+    _emit_document({**report, "stats": tables}, args.report)
     if args.csv_dir:
         _stats_csv(args.csv_dir, tables)
     return EXIT_CLEAN
@@ -508,8 +499,6 @@ def cmd_verify(args) -> int:
           f"of {total} candidate(s)", file=sys.stderr)
 
     document = {
-        "schema_version": SCHEMA_VERSION,
-        "generated_at": _now_utc(),
         "accounting": accounting,
         "confirmed": [anomaly_to_object(a) for a in confirmed],
         "dropped": [anomaly_to_object(a) for a in dropped],
@@ -534,10 +523,6 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--snapshot-date", default=None, metavar="ISO8601",
-                        help="dataset freeze instant; anything after it is 'future'")
-    parser.add_argument("--old-cutoff", default=format_utc(DEFAULT_OLD_CUTOFF), metavar="ISO8601",
-                        help="dates before this are 'old' (default: %(default)s)")
     parser.add_argument("--date-field", choices=("committer", "author"), default="committer",
                         help="which timestamp to audit (default: %(default)s)")
     parser.add_argument("--include-merges", action="store_true",
@@ -553,6 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="run detectors and write an anomaly report")
     _add_input_arguments(scan)
+    scan.add_argument("--snapshot-date", default=None, metavar="ISO8601",
+                      help="dataset freeze instant; anything after it is 'future'")
+    scan.add_argument("--old-cutoff", default=format_utc(DEFAULT_OLD_CUTOFF), metavar="ISO8601",
+                      help="dates before this are 'old' (default: %(default)s)")
     _add_config_arguments(scan)
     scan.add_argument("--detectors", default=",".join(DETECTOR_NAMES),
                       help=f"comma list from: {', '.join(DETECTOR_NAMES)} (default: all)")
@@ -569,7 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write surviving records here as NDJSON (default: stdout)")
     fil.add_argument("--report", metavar="PATH",
                      help="write the removal-ledger document here (default: stderr)")
-    fil.set_defaults(func=cmd_filter)
+    # No policy reads a cutoff: the ledger's config states the defaults.
+    fil.set_defaults(func=cmd_filter, snapshot_date=None,
+                     old_cutoff=format_utc(DEFAULT_OLD_CUTOFF))
 
     stats = sub.add_parser("stats", help="derive distribution tables from a scan report")
     stats.add_argument("scan_report", metavar="REPORT", help="report produced by 'scan'")

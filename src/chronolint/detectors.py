@@ -49,23 +49,10 @@ class DetectorConfig:
 
 def detect_old(records: list[CommitRecord], cfg: DetectorConfig) -> list[Anomaly]:
     """Flag commits whose selected date is strictly before the old cutoff."""
-    cutoff = cfg.old_cutoff
-    out = []
-    for rec in records:
-        ts = rec.date(cfg.date_field)
-        if ts < cutoff:
-            out.append(
-                Anomaly(
-                    kind=AnomalyKind.OLD,
-                    commit_hash=rec.hash,
-                    repo_id=rec.repo_id,
-                    evidence=(
-                        f"{cfg.date_field} date {format_utc(ts)} predates "
-                        f"{format_utc(cfg.old_cutoff)}"
-                    ),
-                )
-            )
-    return out
+    field, cutoff = cfg.date_field, cfg.old_cutoff
+    rule = f"predates {format_utc(cutoff)}"
+    return [_cutoff_anomaly(AnomalyKind.OLD, rec, field, rule)
+            for rec in records if rec.date(field) < cutoff]
 
 
 def detect_future(records: list[CommitRecord], cfg: DetectorConfig) -> list[Anomaly]:
@@ -74,23 +61,15 @@ def detect_future(records: list[CommitRecord], cfg: DetectorConfig) -> list[Anom
         raise MissingSnapshotDate(
             "no snapshot date configured; set future_cutoff from the dataset manifest"
         )
-    cutoff = cfg.future_cutoff
-    out = []
-    for rec in records:
-        ts = rec.date(cfg.date_field)
-        if ts > cutoff:
-            out.append(
-                Anomaly(
-                    kind=AnomalyKind.FUTURE,
-                    commit_hash=rec.hash,
-                    repo_id=rec.repo_id,
-                    evidence=(
-                        f"{cfg.date_field} date {format_utc(ts)} is after the "
-                        f"snapshot {format_utc(cfg.future_cutoff)}"
-                    ),
-                )
-            )
-    return out
+    field, cutoff = cfg.date_field, cfg.future_cutoff
+    rule = f"is after the snapshot {format_utc(cutoff)}"
+    return [_cutoff_anomaly(AnomalyKind.FUTURE, rec, field, rule)
+            for rec in records if rec.date(field) > cutoff]
+
+
+def _cutoff_anomaly(kind: AnomalyKind, rec: CommitRecord, field: str, rule: str) -> Anomaly:
+    return Anomaly(kind=kind, commit_hash=rec.hash, repo_id=rec.repo_id,
+                   evidence=f"{field} date {format_utc(rec.date(field))} {rule}")
 
 
 # ---- Ordering detectors ----

@@ -37,10 +37,10 @@ class FilterPolicy:
             if spec.default is None:
                 raise ValueError(f"{self.kind} needs {spec.field}")
             value = spec.default
+        elif spec.load:
+            value = spec.load(value)
         if spec.check and not spec.check[0](value):
             raise ValueError(f"{self.kind} needs {spec.field} {spec.check[1]}, got {value!r}")
-        if spec.field == "blocklist":
-            value = frozenset(canonical_repo_id(r) for r in value)
         object.__setattr__(self, "value", value)
 
     def to_dict(self) -> dict:
@@ -118,7 +118,7 @@ class _Kind(NamedTuple):
     default: object                   # None: the field is required
     keep: Callable                    # (records, value, cfg) -> test a kept record passes
     check: tuple | None = None        # (test of a value, what the test asks)
-    load: Callable | None = None      # a policy file's value -> the policy's
+    load: Callable | None = None      # a given value -> the policy's
     dump: Callable | None = None      # the policy's value -> a policy file's
 
 
@@ -131,7 +131,8 @@ _KINDS = {
     "ProjectBlocklist": _Kind(
         "blocklist", list, None,
         lambda rs, v, cfg: lambda r: canonical_repo_id(r.repo_id) not in v,
-        load=lambda v: frozenset(typed(r, str, "a blocklist entry") for r in v), dump=sorted),
+        load=lambda v: frozenset(canonical_repo_id(typed(r, str, "a blocklist entry")) for r in v),
+        dump=sorted),
     "DropOutOfOrder": _Kind(
         "scope", str, "commit", _keep_in_order,
         check=(lambda v: v in ("commit", "project"), "'commit' or 'project'")),
@@ -146,7 +147,7 @@ _KINDS = {
 
 
 def policy_from_object(data: dict) -> FilterPolicy:
-    """Build a policy from its JSON form, converting dates as needed.
+    """Build a policy from its JSON form; the kind's ``load`` converts the value.
 
     ``cutoff`` accepts either an integer epoch or a UTC date string such
     as ``2014-01-01`` / ``2014-01-01T00:00:00Z``.
@@ -162,8 +163,7 @@ def policy_from_object(data: dict) -> FilterPolicy:
         raise ValueError(f"{kind} takes only {spec.field!r}, got {extra}")
     value = data.get(spec.field)
     if value is not None:
-        value = typed(value, spec.json_type, spec.field)
-        value = spec.load(value) if spec.load else value
+        typed(value, spec.json_type, spec.field)
     return FilterPolicy(kind, value)
 
 

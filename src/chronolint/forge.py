@@ -38,10 +38,6 @@ DEFAULT_WORKERS = 4
 MAX_WORKERS = 64  # the pool starts a thread per candidate, up to `workers`
 
 
-class NotFound(Exception):
-    """This source has no answer for the commit; try the next one."""
-
-
 class VerificationStatus(str, Enum):
     CONFIRMED_ON_FORGE = "confirmed_on_forge"
     CONFIRMED_ON_ARCHIVE = "confirmed_on_archive"
@@ -294,12 +290,10 @@ class ForgeClient:
         sources = tuple(sources)
         if not sources:
             raise ValueError("configure at least one metadata source")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.sources = sources
         self.transport = transport
         self.sleep = sleep
-        self.workers = workers
+        self.workers = _checked_workers(workers)
         self._caches = {
             s.endpoint: CacheStore(s.endpoint) for s in sources if s.kind == "LocalCache"
         }
@@ -326,17 +320,15 @@ class ForgeClient:
                 stack.callback(cache.close)
 
     def _resolve(self, repo_id: str, commit_hash: str) -> VerificationOutcome | None:
-        """The first answer in source order, or None when every source came up empty."""
+        """The first answer in source order, or None when every source came up empty.
+        A cache hit keeps its original status and costs no fetch."""
         for source in self.sources:
             if source.kind == "LocalCache":
-                hit = self._caches[source.endpoint].get(repo_id, commit_hash)
-                if hit is not None:
-                    return hit  # original status preserved; zero network
-                continue
-            try:
-                return self._fetch_from(source, repo_id, commit_hash)
-            except NotFound:
-                continue
+                outcome = self._caches[source.endpoint].get(repo_id, commit_hash)
+            else:
+                outcome = self._fetch_from(source, repo_id, commit_hash)
+            if outcome is not None:
+                return outcome
         return None
 
     def _remember(self, repo_id: str, outcome: VerificationOutcome) -> None:
@@ -344,25 +336,29 @@ class ForgeClient:
             cache.put(repo_id, outcome)
 
     def _fetch_from(self, source: MetadataSource, repo_id: str,
-                    commit_hash: str) -> VerificationOutcome:
+                    commit_hash: str) -> VerificationOutcome | None:
+        """One source's answer, or None when it has none for the commit."""
         if source.kind == "FileStub":
-            return self._fetch_stub(source, commit_hash)
-        body = self._http_get_with_backoff(source, repo_id, commit_hash)
-        return self._outcome_from_document(source, commit_hash, body)
+            body = self._read_stub(source, commit_hash)
+        else:
+            body = self._http_get_with_backoff(source, repo_id, commit_hash)
+        return None if body is None else self._outcome_from_document(source, commit_hash, body)
 
-    def _fetch_stub(self, source: MetadataSource, commit_hash: str) -> VerificationOutcome:
+    def _read_stub(self, source: MetadataSource, commit_hash: str) -> str | None:
         path = f"{self._stub_dirs[source.endpoint]}{commit_hash}.json"
         try:
             with open(path, encoding="utf-8") as fh:
-                body = fh.read()
+                return fh.read()
         except FileNotFoundError:
-            raise NotFound(commit_hash) from None
+            return None
         except (OSError, UnicodeDecodeError) as exc:
             raise OSError(f"cannot read stub document {path}: {exc}") from exc
-        return self._outcome_from_document(source, commit_hash, body)
+        except ValueError:  # open() refuses a name no file can have, such as one with a NUL
+            return None
 
     def _http_get_with_backoff(self, source: MetadataSource, repo_id: str,
-                               commit_hash: str) -> str:
+                               commit_hash: str) -> str | None:
+        """The body of a 200 answer; None for another status or a spent budget."""
         url = source.endpoint.format(repo=repo_id, hash=commit_hash)
         headers = {"Accept": "application/json"}
         if source.auth:
@@ -381,7 +377,7 @@ class ForgeClient:
             if status == 200:
                 return body
             if status != 429:
-                raise NotFound(f"{url} -> HTTP {status}")
+                return None
             # Rate limited: exponential backoff from the server's first hint.
             try:
                 hint = float(resp_headers.get("Retry-After", 1))
@@ -391,19 +387,20 @@ class ForgeClient:
             if attempt + 1 < MAX_ATTEMPTS:
                 log.debug("rate limited on %s; sleeping %.1fs", url, delay)
                 self.sleep(delay)
-        raise NotFound(f"attempt budget exhausted for {url}")
+        return None
 
     def _outcome_from_document(self, source: MetadataSource, commit_hash: str,
-                               body: str) -> VerificationOutcome:
+                               body: str) -> VerificationOutcome | None:
+        """What a fetched document states; None if it is unusable or another commit's."""
         try:
             record = _record_from_object(decode_json(body), {}, {})
         except ValueError as exc:
             log.warning("unusable metadata document from %s: %s", source.kind, exc)
-            raise NotFound(str(exc)) from exc
+            return None
         if record.hash != commit_hash:
             log.warning("%s answered with %s when asked for %s",
                         source.kind, record.hash, commit_hash)
-            raise NotFound(commit_hash)
+            return None
         if source.kind == "ArchiveFallback":
             status = VerificationStatus.CONFIRMED_ON_ARCHIVE
             verified = None  # archives do not expose forge signature state
@@ -501,9 +498,12 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
         )
     if not sources:
         raise ValueError("configure at least one metadata source")
-    workers = typed(data.get("workers", DEFAULT_WORKERS), int, "workers")
+    return sources, _checked_workers(typed(data.get("workers", DEFAULT_WORKERS), int, "workers"))
+
+
+def _checked_workers(workers: int) -> int:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    return sources, workers
+    return workers

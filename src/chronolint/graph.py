@@ -23,8 +23,7 @@ class CycleDetected(Exception):
 
     def __init__(self, cycle: list[str]):
         self.cycle = list(cycle)
-        preview = " -> ".join(h[:12] for h in self.cycle)
-        super().__init__(f"commit graph contains a cycle: {preview}")
+        super().__init__(f"commit graph has a cycle: {' -> '.join(self.cycle)}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def build_graph(records: list[CommitRecord]) -> CommitGraph:
 
 
 def _raise_on_cycle(nodes, edges) -> None:
-    """Kahn elimination; anything left over contains a cycle worth naming."""
+    """Kahn elimination; anything left over holds a cycle worth naming."""
     pending = {h: len(parents) for h, parents in edges.items()}
     children = defaultdict(list)
     for child, parents in edges.items():

@@ -134,6 +134,27 @@ def test_scan_rejects_cycles(tmp_path, capsys):
     assert "cycle" in err
 
 
+def test_filter_names_a_cycle_as_scan_does(tmp_path, capsys):
+    # filter printed the graph's own text, with 12-char prefixes, before.
+    records = [make_record(1, parents=[2]), make_record(2, parents=[1])]
+    path = write_records(tmp_path / "in.ndjson", records)
+    policies = policy_file(tmp_path, [{"kind": "DropOutOfOrder", "scope": "commit"}])
+    scanned = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT)
+    filtered = run(capsys, "filter", path, "--policy-file", policies)
+    assert scanned == filtered == (2, "", f"chronolint: error: commit graph has a cycle: "
+                                          f"{hex_hash(1)} -> {hex_hash(2)}\n")
+
+
+@pytest.mark.parametrize("flag", ["--snapshot-date", "--old-cutoff"])
+def test_filter_takes_no_cutoff_flag(tmp_path, capsys, flag):
+    # No policy reads a cutoff; the flags could only make filter fail.
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    with pytest.raises(SystemExit) as exited:
+        main(["filter", path, "--policy-file", policy_file(tmp_path, []), flag, "1980-01-01"])
+    assert exited.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_scan_merge_exclusion_flips_with_flag(tmp_path, capsys):
     records = [
         make_record(0, committer_epoch=1_000_000_100, message="Merge branch 'dev'"),
@@ -642,6 +663,31 @@ def test_verify_unusable_cache_exits_two_with_one_line(tmp_path, capsys, unusabl
     assert str(cache) in err
 
 
+def test_verify_counts_a_stub_name_no_file_can_have_as_unverifiable(tmp_path, capsys):
+    # An SVN id may hold a NUL; open() refused it and verify exited 2 before.
+    svn = [{"hash": "r1@a", "repo": "svn/a", "parents": [], "author_date": 1_000_000_600,
+            "committer_date": 1_000_000_600, "author": "x", "committer": "x", "message": "m"}]
+    svn.append({**svn[0], "hash": "r2@a\u0000b", "parents": ["r1@a"],
+                "committer_date": 1_000_000_000})
+    records = ooo_fixture()
+    path = tmp_path / "in.ndjson"
+    write_records(path, records)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(obj) + "\n" for obj in svn)
+    report = tmp_path / "report.json"
+    assert run(capsys, "scan", str(path), "--snapshot-date", SNAPSHOT,
+               "--report", str(report))[0] == 1
+    code, out, err = run(capsys, "verify", str(report), "--sources",
+                         stub_sources(tmp_path, records))
+    assert code == 1
+    assert "embedded null byte" not in err
+    doc = json.loads(out)
+    assert doc["accounting"] == {
+        "confirmed_on_forge": 1, "confirmed_on_archive": 0, "unverifiable": 1,
+    }
+    assert [a["commit"] for a in doc["dropped"]] == ["r2@a\u0000b"]
+
+
 def test_verify_unreadable_stub_document_exits_two_with_one_line(tmp_path, capsys):
     records = ooo_fixture()
     report = scan_report_path(tmp_path, capsys, records)
@@ -665,6 +711,9 @@ def test_verify_unreadable_stub_document_exits_two_with_one_line(tmp_path, capsy
     ("delta_seconds", 0),
     pytest.param("delta_seconds", 2**64, id="delta_seconds-2**64"),
     pytest.param("delta_seconds", 10**400, id="delta_seconds-10**400"),
+    # Ids follow ingest's rule as a report writes them; "../x" reached the stub path.
+    pytest.param("commit", "../x", id="commit-path"),
+    pytest.param("commit", "A" * 40, id="commit-upper-hex"),
 ])
 def test_mistyped_anomaly_entry_exits_two_naming_it(tmp_path, capsys, command, field, value):
     # The epoch-0 commit sorts first, so the out-of-order entry is not entry 0.

@@ -489,6 +489,16 @@ def test_policy_dict_round_trip():
         assert policy_from_object(policy.to_dict()) == policy
 
 
+def test_a_policy_loads_a_given_value_from_python_too():
+    # A date string for BeforeDate raised TypeError in apply_policy before.
+    policy = FilterPolicy("BeforeDate", "2014-01-01")
+    assert policy == FilterPolicy("BeforeDate", 1388534400)
+    records = [make_record(0, committer_epoch=1388534399),
+               make_record(1, committer_epoch=1388534400)]
+    kept, ledger = apply_policy(records, policy)
+    assert [r.hash for r in kept] == [hex_hash(1)] and ledger.removed_commits == 1
+
+
 def test_apply_policies_chains_ledgers():
     records = (
         [make_record(i, committer_epoch=-5, repo="bad/repo") for i in range(3)]

@@ -484,6 +484,13 @@ def test_source_validation():
         ForgeClient([])
 
 
+@pytest.mark.parametrize("workers", [0, 65])
+def test_client_refuses_workers_outside_the_config_bounds(workers):
+    # load_sources enforced the bound, but ForgeClient took any count before.
+    with pytest.raises(ValueError, match=f"workers must be at (least 1|most 64), got {workers}"):
+        ForgeClient([MetadataSource("FileStub", "stub")], workers=workers)
+
+
 # ---- Batch verification ----
 
 

@@ -118,7 +118,9 @@ print(json.dumps(steps))
 """
 
 
-def test_no_command_loads_numpy_or_requests_and_no_local_one_urllib(tmp_path):
+def tiny_commands(tmp_path, policy_list):
+    """scan, filter, cold and warm verify, then stats, over three commits of
+    which one is out of order; verify reads a cache, then a stub."""
     records = [
         make_record(0, committer_epoch=1_000_000_600),
         make_record(1, parents=[0], committer_epoch=1_000_000_000),  # out of order
@@ -137,11 +139,11 @@ def test_no_command_loads_numpy_or_requests_and_no_local_one_urllib(tmp_path):
         {"kind": "FileStub", "endpoint": str(stub)},
     ]}))
     policies = tmp_path / "policies.json"
-    policies.write_text(json.dumps([{"kind": "DropOutOfOrder", "scope": "commit"}]))
+    policies.write_text(json.dumps(policy_list))
     report = str(tmp_path / "report.json")
     verify = ["verify", report, "--sources", str(sources),
               "--report", str(tmp_path / "verified.json")]
-    commands = [
+    return [
         ["scan", ["scan", str(commits), "--snapshot-date", "2019-10-31T00:00:00Z",
                   "--report", report]],
         ["filter", ["filter", str(commits), "--policy-file", str(policies),
@@ -151,6 +153,10 @@ def test_no_command_loads_numpy_or_requests_and_no_local_one_urllib(tmp_path):
         ["verify warm", verify],
         ["stats", ["stats", report, "--report", str(tmp_path / "stats.json")]],
     ]
+
+
+def test_no_command_loads_numpy_or_requests_and_no_local_one_urllib(tmp_path):
+    commands = tiny_commands(tmp_path, [{"kind": "DropOutOfOrder", "scope": "commit"}])
     done = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(commands)],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
@@ -166,3 +172,55 @@ def test_no_command_loads_numpy_or_requests_and_no_local_one_urllib(tmp_path):
         ["stats", 0, []],
     ]
     assert (tmp_path / "cache.ndjson").read_text().count("\n") == 2
+
+
+# Installs the benchmark's tracer, runs each command in order in one fresh
+# interpreter, and prints each command's exit code and the span names it left.
+SPAN_PROBE = """
+import json, sys
+import traced
+from chronolint.cli import main
+tracer = traced.Tracer("probe")
+traced.install(tracer)
+steps = []
+for name, argv in json.loads(sys.argv[1]):
+    start = len(tracer.spans)
+    code = main(argv)
+    steps.append([name, code, sorted({span["name"] for span in tracer.spans[start:]})])
+print(json.dumps(steps))
+"""
+
+POLICIES = [{"kind": "MinTimestamp", "min_ts": 1}, {"kind": "BeforeDate", "cutoff": 1},
+            {"kind": "ProjectBlocklist", "blocklist": []},
+            {"kind": "DropOutOfOrder", "scope": "commit"},
+            {"kind": "MinStars", "min_stars": 0}, {"kind": "TopKStars", "k": 5}]
+
+# A command that stops calling a layer through the module global the tracer
+# wraps loses that layer's span, and its benchmark metric reads zero.
+SPANS = {
+    "scan": {"ingest.parse", "ingest.dedup", "graph.build", "detectors.old",
+             "detectors.future", "detectors.ooo", "detectors.signatures",
+             "detectors.verified", "analytics.summarize"},
+    "filter": {"ingest.parse", "ingest.dedup", "graph.build", "detectors.ooo",
+               *(f"filters.{policy['kind']}" for policy in POLICIES)},
+    "verify cold": {"forge.cache_load", "forge.verify", "forge.cache_get", "forge.fetch",
+                    "forge.cache_put"},
+    "verify warm": {"forge.cache_load", "forge.verify", "forge.cache_get"},
+    "stats": {"analytics.deltas", "analytics.tokens", "analytics.top"},
+}
+
+
+def test_every_command_records_the_spans_of_the_layers_it_reaches(tmp_path):
+    commands = tiny_commands(tmp_path, POLICIES)
+    done = subprocess.run(
+        [sys.executable, "-c", SPAN_PROBE, json.dumps(commands)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), str(PERFBENCH)])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout)
+    assert [(name, code) for name, code, _ in steps] == [
+        ("scan", 1), ("filter", 0), ("verify cold", 1), ("verify warm", 1), ("stats", 0)]
+    assert {name: sorted(SPANS[name] - set(spans)) for name, _, spans in steps} == {
+        name: [] for name in SPANS}
