@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from types import NoneType
 
@@ -168,16 +169,29 @@ def _writing(path):
         raise CommandError(f"cannot write {path}: {exc}") from exc
 
 
+# The indented form has no C encoder: encoding a report yields a few
+# hundred thousand small pieces. Writing them in batches holds one batch
+# at a time, not the whole text, and keeps the number of writes small.
+_DOCUMENT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+_PIECES_PER_WRITE = 8192
+
+
+def _write_document(doc: dict, fh) -> None:
+    pieces = _DOCUMENT_ENCODER.iterencode(doc)
+    while batch := list(islice(pieces, _PIECES_PER_WRITE)):
+        fh.write("".join(batch))
+    fh.write("\n")
+
+
 def _emit_document(doc: dict, path: str | None, stream=None) -> None:
     """Write ``doc`` under the schema version and the time of writing, as
     indented JSON, to ``path``, else to ``stream`` (default stdout)."""
     doc = {**doc, "schema_version": SCHEMA_VERSION, "generated_at": format_utc(int(time.time()))}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path:
-        with _writing(path):
-            Path(path).write_text(text, encoding="utf-8")
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
+            _write_document(doc, fh)
     else:
-        (stream or sys.stdout).write(text)
+        _write_document(doc, stream or sys.stdout)
 
 
 def _write_csv(directory: str, name: str, header, rows) -> None:
@@ -479,8 +493,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = _load_scan_report(args.scan_report)
-    candidates = [a for a in _report_anomalies(report) if a.kind in OUT_OF_ORDER_KINDS]
+    # The report itself is not kept: only its candidates are needed.
+    candidates = [a for a in _report_anomalies(_load_scan_report(args.scan_report))
+                  if a.kind in OUT_OF_ORDER_KINDS]
     try:
         sources, workers = load_sources(args.sources)
     except (OSError, ValueError) as exc:

@@ -11,6 +11,7 @@ tests; its document schema mirrors the NDJSON ingest record.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import logging
@@ -111,6 +112,10 @@ class VerificationOutcome:
 
 # ---- Cache ----
 
+# One encoder for every cache line: json.dumps with these options builds a
+# new JSONEncoder per call. The encoder holds no state between calls.
+_CACHE_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class CacheStore:
     """Append-only NDJSON cache of outcomes, keyed by (repo, hash).
@@ -177,7 +182,7 @@ class CacheStore:
             try:
                 if self._fh is None:
                     self._fh = self._open_for_append()
-                self._fh.write(json.dumps(_entry_from_outcome(repo_id, outcome), sort_keys=True))
+                self._fh.write(_CACHE_ENCODER.encode(_entry_from_outcome(repo_id, outcome)))
                 self._fh.write("\n")
             except OSError as exc:
                 raise self._error("append to", exc) from exc
@@ -349,9 +354,10 @@ class ForgeClient:
         try:
             with open(path, encoding="utf-8") as fh:
                 return fh.read()
-        except FileNotFoundError:
-            return None
         except (OSError, UnicodeDecodeError) as exc:
+            # A missing file is a miss, and so is a name too long for any file.
+            if getattr(exc, "errno", None) in (errno.ENOENT, errno.ENAMETOOLONG):
+                return None
             raise OSError(f"cannot read stub document {path}: {exc}") from exc
         except ValueError:  # open() refuses a name no file can have, such as one with a NUL
             return None

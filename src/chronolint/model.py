@@ -211,8 +211,10 @@ def parse_utc(text: str) -> int:
 
 
 def canonical_repo_id(repo_id: str) -> str:
-    """Lowercase and strip a trailing .git so forge spellings compare equal."""
-    rid = repo_id.strip().lower()
-    if rid.endswith(".git"):
-        rid = rid[: -len(".git")]
+    """Strip, lowercase and drop a trailing .git until nothing changes, so
+    forge spellings compare equal and a canonical id is its own canonical
+    form: ``Org/X.git.git`` and ``Org/X .git`` are both ``org/x``."""
+    rid = repo_id
+    while (step := rid.strip().lower().removesuffix(".git")) != rid:
+        rid = step
     return rid

@@ -1,6 +1,7 @@
 """Shared fixture builders for the test suite."""
 
 import pytest
+from hypothesis import strategies as st
 
 from chronolint.model import CommitRecord
 
@@ -50,3 +51,12 @@ def make_record(
 @pytest.fixture
 def record_builder():
     return make_record
+
+
+# Repository ids built from what canonicalizing strips, lowers or drops,
+# in any order and number, beside arbitrary text.
+repo_id_spellings = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\u3000", ".git", ".GIT", ".gIt", "/", "x", "X",
+                     "\u0130", "\u03a3", "\u1e9e", "\u00c5"]),
+    max_size=12,
+).map("".join) | st.text(max_size=20)

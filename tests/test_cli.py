@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chronolint
-from chronolint import filters, forge
+from chronolint import cli, filters, forge
 from chronolint.cli import main, record_to_object, write_ndjson
 from chronolint.detectors import DetectorConfig
 from chronolint.ingest import parse_commit_stream
@@ -663,13 +664,13 @@ def test_verify_unusable_cache_exits_two_with_one_line(tmp_path, capsys, unusabl
     assert str(cache) in err
 
 
-def test_verify_counts_a_stub_name_no_file_can_have_as_unverifiable(tmp_path, capsys):
-    # An SVN id may hold a NUL; open() refused it and verify exited 2 before.
+def scan_with_an_early_svn_child(tmp_path, capsys, records, child):
+    """Scan ``records`` and an SVN commit ``child`` dated before its parent;
+    the report's path."""
     svn = [{"hash": "r1@a", "repo": "svn/a", "parents": [], "author_date": 1_000_000_600,
             "committer_date": 1_000_000_600, "author": "x", "committer": "x", "message": "m"}]
-    svn.append({**svn[0], "hash": "r2@a\u0000b", "parents": ["r1@a"],
+    svn.append({**svn[0], "hash": child, "parents": ["r1@a"],
                 "committer_date": 1_000_000_000})
-    records = ooo_fixture()
     path = tmp_path / "in.ndjson"
     write_records(path, records)
     with open(path, "a", encoding="utf-8") as fh:
@@ -677,7 +678,14 @@ def test_verify_counts_a_stub_name_no_file_can_have_as_unverifiable(tmp_path, ca
     report = tmp_path / "report.json"
     assert run(capsys, "scan", str(path), "--snapshot-date", SNAPSHOT,
                "--report", str(report))[0] == 1
-    code, out, err = run(capsys, "verify", str(report), "--sources",
+    return str(report)
+
+
+def test_verify_counts_a_stub_name_no_file_can_have_as_unverifiable(tmp_path, capsys):
+    # An SVN id may hold a NUL; open() refused it and verify exited 2 before.
+    records = ooo_fixture()
+    report = scan_with_an_early_svn_child(tmp_path, capsys, records, "r2@a\u0000b")
+    code, out, err = run(capsys, "verify", report, "--sources",
                          stub_sources(tmp_path, records))
     assert code == 1
     assert "embedded null byte" not in err
@@ -686,6 +694,22 @@ def test_verify_counts_a_stub_name_no_file_can_have_as_unverifiable(tmp_path, ca
         "confirmed_on_forge": 1, "confirmed_on_archive": 0, "unverifiable": 1,
     }
     assert [a["commit"] for a in doc["dropped"]] == ["r2@a\u0000b"]
+
+
+def test_verify_counts_a_stub_name_too_long_for_any_file_as_unverifiable(tmp_path, capsys):
+    # verify exited 2 with "[Errno 36] File name too long" before.
+    long_id = "r2@" + "a" * 300
+    records = ooo_fixture()
+    report = scan_with_an_early_svn_child(tmp_path, capsys, records, long_id)
+    code, out, err = run(capsys, "verify", report, "--sources",
+                         stub_sources(tmp_path, records))
+    assert code == 1
+    assert "File name too long" not in err
+    doc = json.loads(out)
+    assert doc["accounting"] == {
+        "confirmed_on_forge": 1, "confirmed_on_archive": 0, "unverifiable": 1,
+    }
+    assert [a["commit"] for a in doc["dropped"]] == [long_id]
 
 
 def test_verify_unreadable_stub_document_exits_two_with_one_line(tmp_path, capsys):
@@ -998,6 +1022,103 @@ def test_a_closed_stream_without_a_descriptor_exits_two_in_process(
         assert errors[0].startswith("chronolint: error: cannot write stdout: ")
     else:
         assert errors == []
+
+
+# ---- documents written as they are encoded ----
+
+
+def many_old_records(n=7_000):
+    return [make_record(i, committer_epoch=0, repo=f"org/r{i % 50}") for i in range(n)]
+
+
+def assert_written_as_dumps_writes_it(text):
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # Several batches long, so that a batch dropped, repeated or reordered shows.
+    assert sum(1 for _ in cli._DOCUMENT_ENCODER.iterencode(doc)) > 3 * cli._PIECES_PER_WRITE
+    return doc
+
+
+def test_a_report_several_batches_long_is_written_as_dumps_writes_it(tmp_path, capsys):
+    path = write_records(tmp_path / "in.ndjson", many_old_records())
+    report = tmp_path / "report.json"
+    assert run(capsys, "scan", path, "--snapshot-date", SNAPSHOT, "--report", str(report))[0] == 1
+    to_file = assert_written_as_dumps_writes_it(report.read_bytes().decode("utf-8"))
+    code, out, _ = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT)
+    assert code == 1
+    to_stdout = assert_written_as_dumps_writes_it(out)
+    assert len(to_file["anomalies"]) == 7_000
+    assert {**to_file, "generated_at": None} == {**to_stdout, "generated_at": None}
+
+
+def test_a_ledger_several_batches_long_is_written_to_stderr_as_dumps_writes_it(tmp_path, capsys):
+    path = write_records(tmp_path / "in.ndjson", clean_records())
+    blocklist = [f"org/blocked{i}" for i in range(30_000)]
+    policies = policy_file(tmp_path, [{"kind": "ProjectBlocklist", "blocklist": blocklist}])
+    code, _, err = run(capsys, "filter", path, "--policy-file", policies,
+                       "--output", str(tmp_path / "out.ndjson"))
+    assert code == 0
+    ledger = assert_written_as_dumps_writes_it(err)
+    assert ledger["config"]["policies"][0]["blocklist"] == sorted(blocklist)
+
+
+def test_a_document_is_written_without_its_whole_text_in_memory(tmp_path):
+    doc = {
+        "anomalies": [
+            {"kind": "old", "commit": hex_hash(i), "repo": f"org/r{i % 50}",
+             "evidence": "committer date 1970-01-01 00:00:00 UTC before cutoff"}
+            for i in range(7_000)
+        ],
+        "commits": {hex_hash(i): {"repo": f"org/r{i % 50}", "committer": "alice",
+                                  "message": "update"} for i in range(7_000)},
+    }
+    size = len(json.dumps(doc, sort_keys=True, indent=2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._emit_document(doc, str(tmp_path / "doc.json"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # Encoding the whole text before writing it peaks near six times its size.
+    assert peak < size / 2, (peak, size)
+
+
+def test_a_reader_that_leaves_mid_document_gets_one_error_line(tmp_path):
+    # The report is many pipe buffers long, so scan is still writing it.
+    path = write_records(tmp_path / "in.ndjson", many_old_records())
+    with chronolint_process(["scan", path, "--snapshot-date", SNAPSHOT],
+                            subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    lines = err.decode("utf-8").splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("chronolint: error: cannot write stdout: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no device whose writes fail")
+@pytest.mark.parametrize("command", ["scan", "filter", "stats", "verify"])
+def test_a_document_whose_write_fails_partway_exits_two_naming_it(tmp_path, capsys, command):
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    argv = {
+        "scan": ["scan", write_records(tmp_path / "big.ndjson", many_old_records()),
+                 "--snapshot-date", SNAPSHOT],
+        "filter": ["filter", write_records(tmp_path / "in.ndjson", records),
+                   "--policy-file", policy_file(tmp_path, []),
+                   "--output", str(tmp_path / "out.ndjson")],
+        "stats": ["stats", report],
+        "verify": ["verify", report, "--sources", stub_sources(tmp_path, records)],
+    }[command]
+    code, out, err = run(capsys, *argv, "--report", "/dev/full")
+    assert (code, out) == (2, "")
+    # verify states its accounting first; the error is the one last line.
+    errors = [line for line in err.splitlines() if line.startswith("chronolint: error: ")]
+    assert errors == err.splitlines()[-1:]
+    assert errors[0].startswith("chronolint: error: cannot write /dev/full: ")
 
 
 # ---- run configuration ----

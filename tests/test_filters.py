@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronolint.detectors import DetectorConfig, detect_old, detect_out_of_order_parents
@@ -18,7 +18,7 @@ from chronolint.filters import (
 )
 from chronolint.graph import build_graph
 from chronolint.model import parse_utc
-from conftest import hex_hash, make_record
+from conftest import hex_hash, make_record, repo_id_spellings
 
 CFG = DetectorConfig(future_cutoff=parse_utc("2019-10-31"))
 
@@ -487,6 +487,14 @@ def test_policy_dict_round_trip():
     ]
     for policy in samples:
         assert policy_from_object(policy.to_dict()) == policy
+
+
+@example(frozenset({"Org/X.git.git", "Org/X .git"}))
+@given(st.frozensets(repo_id_spellings, max_size=6))
+def test_a_blocklist_policy_round_trips_through_its_file_form(entries):
+    # {"Org/X.git.git"} was stored as org/x.git, then read back as org/x.
+    policy = FilterPolicy("ProjectBlocklist", entries)
+    assert policy_from_object(json.loads(json.dumps(policy.to_dict()))) == policy
 
 
 def test_a_policy_loads_a_given_value_from_python_too():

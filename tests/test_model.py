@@ -14,6 +14,7 @@ from chronolint.model import (
     normalize_timestamp,
     parse_utc,
 )
+from conftest import repo_id_spellings
 
 
 def _datetime_oracle(epoch: int) -> str:
@@ -145,3 +146,18 @@ def test_anomaly_delta_only_for_out_of_order():
 def test_canonical_repo_id():
     assert canonical_repo_id("Owner/Repo.git") == "owner/repo"
     assert canonical_repo_id("owner/repo") == "owner/repo"
+
+
+def test_canonical_repo_id_drops_every_trailing_git_and_the_space_before_it():
+    # Each needed more than one canonicalizing to reach "org/x" before.
+    assert canonical_repo_id("Org/X.git.git") == "org/x"
+    assert canonical_repo_id("Org/X .git") == "org/x"
+    assert canonical_repo_id(" Org/X.GIT\t.git ") == "org/x"
+
+
+@example("Org/X.git.git")
+@example("Org/X .git")
+@given(repo_id_spellings)
+def test_canonical_repo_id_is_its_own_canonical_form(repo_id):
+    once = canonical_repo_id(repo_id)
+    assert canonical_repo_id(once) == once
