@@ -497,11 +497,11 @@ def cmd_verify(args) -> int:
     candidates = [a for a in _report_anomalies(_load_scan_report(args.scan_report))
                   if a.kind in OUT_OF_ORDER_KINDS]
     try:
-        sources, workers = load_sources(args.sources)
+        sources = load_sources(args.sources)
     except (OSError, ValueError) as exc:
         raise CommandError(f"bad sources config: {exc}") from exc
     try:
-        confirmed, dropped, accounting = verify_anomalies(candidates, sources, workers=workers)
+        confirmed, dropped, accounting = verify_anomalies(candidates, sources)
     except (OSError, ValueError) as exc:
         raise CommandError(str(exc)) from exc
 
@@ -589,8 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="re-check out-of-order findings against sources")
     verify.add_argument("scan_report", metavar="REPORT", help="report produced by 'scan'")
     verify.add_argument("--sources", required=True, metavar="PATH",
-                        help="JSON config listing metadata sources in priority order "
-                             "and the number of concurrent fetches")
+                        help="JSON config listing metadata sources in priority order")
     verify.add_argument("--report", metavar="PATH",
                         help="write the verification document here (default: stdout)")
     verify.set_defaults(func=cmd_verify)
@@ -620,18 +619,20 @@ def main(argv=None) -> int:
         return code
     except CommandError as exc:
         message = str(exc)
-    except BrokenPipeError as exc:
-        # A reader went away: stdout's, as in `chronolint filter ... | head -1`,
-        # or stderr's, in which case the message below cannot be written either.
+    except OSError as exc:
+        # Every other OSError is a CommandError by now: this one is from a
+        # standard stream. Its reader went away, as in `chronolint filter ... |
+        # head -1`, or its device is full; if it is stderr, the message below
+        # cannot be written either.
         message = f"cannot write stdout: {exc}"
-    # A stream whose reader is gone gets nothing more, and the exit stays 2.
+    # A stream that failed gets nothing more, and the exit stays 2.
     try:
         print(f"chronolint: error: {message}", file=sys.stderr, flush=True)
-    except BrokenPipeError:
+    except OSError:
         _discard(sys.stderr)
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError:
         _discard(sys.stdout)
     return EXIT_ERROR
 

@@ -3,10 +3,11 @@ rate-limit discipline.
 
 The client walks a declared-order source list -- typically a local
 cache, then a forge API, then an archive mirror -- and the first source
-that answers wins. Fresh answers are appended to every configured cache
-so a re-run of the same audit touches the network zero times. A
-directory-of-JSON-files stub source stands in for the forge in offline
-tests; its document schema mirrors the NDJSON ingest record.
+that answers wins. Commits are fetched one at a time, in the calling
+thread. Fresh answers are appended to every configured cache so a re-run
+of the same audit touches the network zero times. A directory-of-JSON-files
+stub source stands in for the forge in offline tests; its document schema
+mirrors the NDJSON ingest record.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import logging
 import os
 import re
 import string
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
@@ -35,8 +34,6 @@ log = logging.getLogger(__name__)
 HTTP_KINDS = ("PrimaryForge", "ArchiveFallback")
 SOURCE_KINDS = (*HTTP_KINDS, "LocalCache", "FileStub")
 MAX_ATTEMPTS = 5  # per HTTP fetch; a rate limit and a transport error each use one
-DEFAULT_WORKERS = 4
-MAX_WORKERS = 64  # the pool starts a thread per candidate, up to `workers`
 
 
 class VerificationStatus(str, Enum):
@@ -137,7 +134,6 @@ class CacheStore:
 
     def __init__(self, path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], VerificationOutcome] = {}
         self._torn_at: int | None = None  # byte offset of a torn last line
         self._fh = None  # the append handle, open from the first new entry to close()
@@ -170,22 +166,20 @@ class CacheStore:
         return OSError(f"cannot {action} cache {self.path}: {exc}")
 
     def get(self, repo_id: str, commit_hash: str) -> VerificationOutcome | None:
-        with self._lock:
-            return self._entries.get((repo_id, commit_hash))
+        return self._entries.get((repo_id, commit_hash))
 
     def put(self, repo_id: str, outcome: VerificationOutcome) -> None:
         key = (repo_id, outcome.commit_hash)
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = outcome
-            try:
-                if self._fh is None:
-                    self._fh = self._open_for_append()
-                self._fh.write(_CACHE_ENCODER.encode(_entry_from_outcome(repo_id, outcome)))
-                self._fh.write("\n")
-            except OSError as exc:
-                raise self._error("append to", exc) from exc
+        if key in self._entries:
+            return
+        self._entries[key] = outcome
+        try:
+            if self._fh is None:
+                self._fh = self._open_for_append()
+            self._fh.write(_CACHE_ENCODER.encode(_entry_from_outcome(repo_id, outcome)))
+            self._fh.write("\n")
+        except OSError as exc:
+            raise self._error("append to", exc) from exc
 
     def _open_for_append(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -197,8 +191,7 @@ class CacheStore:
 
     def close(self) -> None:
         """Flush and close the append handle; safe to call again."""
-        with self._lock:
-            fh, self._fh = self._fh, None
+        fh, self._fh = self._fh, None
         if fh is not None:
             try:
                 fh.close()
@@ -235,8 +228,9 @@ def _outcome_from_entry(entry) -> tuple[str, VerificationOutcome]:
 
 def http_transport(url: str, headers: dict, timeout: float = 30.0):
     """Default HTTP GET: (status_code, body_text, response_headers) for any
-    status; a failed connection or response raises ``OSError``. Imported on
-    first use, ``urllib.request`` loads ``http.client``, ``ssl`` and ``email``."""
+    status; the headers' lookup ignores letter case. A failed connection or
+    response raises ``OSError``. Imported on first use, ``urllib.request``
+    loads ``http.client``, ``ssl`` and ``email``."""
     from http.client import HTTPException
     from urllib.error import HTTPError
     from urllib.parse import quote
@@ -252,7 +246,7 @@ def http_transport(url: str, headers: dict, timeout: float = 30.0):
         except HTTPError as exc:
             resp = exc  # an error status still carries a body
         with resp:
-            return resp.status, resp.read().decode("utf-8", "replace"), dict(resp.headers)
+            return resp.status, resp.read().decode("utf-8", "replace"), resp.headers
     except HTTPException as exc:
         # IncompleteRead and BadStatusLine are not OSErrors; the client's
         # attempt budget counts OSErrors.
@@ -284,61 +278,45 @@ class ForgeClient:
 
     ``transport`` and ``sleep`` are injectable so tests can exercise the
     retry discipline without a network or a clock; an HTTP fetch makes at
-    most ``MAX_ATTEMPTS`` attempts. ``workers`` sizes the pool of
-    concurrent fetches that a batch uses when an HTTP source is
-    configured. With only LocalCache and FileStub sources a batch reads
-    in the calling thread, because a pool made those reads slower.
+    most ``MAX_ATTEMPTS`` attempts. A batch fetches one commit at a time,
+    in the calling thread: forges cap requests per hour, and GitHub asks
+    clients to send them one at a time.
     """
 
-    def __init__(self, sources, transport=http_transport, sleep=time.sleep,
-                 workers: int = DEFAULT_WORKERS):
+    def __init__(self, sources, transport=http_transport, sleep=time.sleep):
         sources = tuple(sources)
         if not sources:
             raise ValueError("configure at least one metadata source")
         self.sources = sources
         self.transport = transport
         self.sleep = sleep
-        self.workers = _checked_workers(workers)
         self._caches = {
             s.endpoint: CacheStore(s.endpoint) for s in sources if s.kind == "LocalCache"
-        }
-        self._stub_dirs = {
-            s.endpoint: os.path.join(s.endpoint, "") for s in sources if s.kind == "FileStub"
         }
 
     # -- single fetch --
 
     def _fetch(self, repo_id: str, commit_hash: str) -> VerificationOutcome:
-        """Resolve one commit, and remember the answer in every cache;
+        """The first answer in source order, remembered in every cache; a
+        cache hit keeps its original status and costs no fetch, and
         exhaustion maps to an Unverifiable outcome."""
-        outcome = self._resolve(repo_id, commit_hash)
-        if outcome is None:
-            outcome = VerificationOutcome(
-                commit_hash=commit_hash, status=VerificationStatus.UNVERIFIABLE
-            )
-        self._remember(repo_id, outcome)
-        return outcome
-
-    def _close_caches(self) -> None:
-        with ExitStack() as stack:  # closes every cache even if one fails
-            for cache in self._caches.values():
-                stack.callback(cache.close)
-
-    def _resolve(self, repo_id: str, commit_hash: str) -> VerificationOutcome | None:
-        """The first answer in source order, or None when every source came up empty.
-        A cache hit keeps its original status and costs no fetch."""
         for source in self.sources:
             if source.kind == "LocalCache":
                 outcome = self._caches[source.endpoint].get(repo_id, commit_hash)
             else:
                 outcome = self._fetch_from(source, repo_id, commit_hash)
             if outcome is not None:
-                return outcome
-        return None
-
-    def _remember(self, repo_id: str, outcome: VerificationOutcome) -> None:
+                break
+        else:
+            outcome = VerificationOutcome(commit_hash, VerificationStatus.UNVERIFIABLE)
         for cache in self._caches.values():
             cache.put(repo_id, outcome)
+        return outcome
+
+    def _close_caches(self) -> None:
+        with ExitStack() as stack:  # closes every cache even if one fails
+            for cache in self._caches.values():
+                stack.callback(cache.close)
 
     def _fetch_from(self, source: MetadataSource, repo_id: str,
                     commit_hash: str) -> VerificationOutcome | None:
@@ -350,7 +328,7 @@ class ForgeClient:
         return None if body is None else self._outcome_from_document(source, commit_hash, body)
 
     def _read_stub(self, source: MetadataSource, commit_hash: str) -> str | None:
-        path = f"{self._stub_dirs[source.endpoint]}{commit_hash}.json"
+        path = os.path.join(source.endpoint, f"{commit_hash}.json")
         try:
             with open(path, encoding="utf-8") as fh:
                 return fh.read()
@@ -384,15 +362,21 @@ class ForgeClient:
                 return body
             if status != 429:
                 return None
-            # Rate limited: exponential backoff from the server's first hint.
+            # Rate limited: exponential backoff from the server's first hint,
+            # read as RFC 9110 delay-seconds; any other form waits one second.
             try:
-                hint = float(resp_headers.get("Retry-After", 1))
-            except (TypeError, ValueError):
-                hint = 1.0
-            delay = hint if delay is None else delay * 2
-            if attempt + 1 < MAX_ATTEMPTS:
-                log.debug("rate limited on %s; sleeping %.1fs", url, delay)
-                self.sleep(delay)
+                if delay is None:
+                    hint = resp_headers.get("Retry-After", "").strip(" \t")
+                    delay = int(hint) if hint.isascii() and hint.isdigit() else 1
+                else:
+                    delay *= 2
+                if attempt + 1 < MAX_ATTEMPTS:
+                    log.debug("rate limited on %s; sleeping %ss", url, delay)
+                    self.sleep(delay)
+            except (OverflowError, ValueError):
+                # int() refuses a hint of over 4,300 digits, and sleep a delay
+                # no clock can wait: the source has no answer this run.
+                return None
         return None
 
     def _outcome_from_document(self, source: MetadataSource, commit_hash: str,
@@ -440,25 +424,15 @@ class ForgeClient:
             child = self._fetch(anomaly.repo_id, anomaly.commit_hash)
             if child.status is VerificationStatus.UNVERIFIABLE:
                 return anomaly, child.status, False
-            confirmed = False
             for parent_hash in child.parents:
                 parent = self._fetch(anomaly.repo_id, parent_hash)
-                if (
-                    parent.status is not VerificationStatus.UNVERIFIABLE
-                    and parent.committer_date > child.committer_date
-                ):
-                    confirmed = True
-                    break
-            return anomaly, child.status, confirmed
+                if (parent.status is not VerificationStatus.UNVERIFIABLE
+                        and parent.committer_date > child.committer_date):
+                    return anomaly, child.status, True
+            return anomaly, child.status, False
 
         try:
-            if any(source.kind in HTTP_KINDS for source in self.sources):
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    results = list(pool.map(check, anomalies))
-            else:
-                # Local reads wait on no network; in a pool they lose more to
-                # interpreter-lock hand-offs than they overlap.
-                results = list(map(check, anomalies))
+            results = [check(anomaly) for anomaly in anomalies]
         finally:
             self._close_caches()
 
@@ -479,14 +453,12 @@ def verify_anomalies(anomalies, sources, **kwargs):
     return ForgeClient(sources, **kwargs).verify_anomalies(anomalies)
 
 
-def load_sources(source) -> tuple[list[MetadataSource], int]:
-    """Read source order and worker count from a JSON config file.
+def load_sources(source) -> list[MetadataSource]:
+    """Read the source order from a JSON config file.
 
-    Shape: ``{"workers": 4, "sources": [{"kind": ..., "endpoint": ...,
-    "auth": ...}, ...]}``; ``workers`` is optional, from 1 to
-    ``MAX_WORKERS``. It sizes the pool of concurrent HTTP fetches; a
-    config with only LocalCache and FileStub sources is read in the
-    calling thread, because a pool made it slower.
+    Shape: ``{"sources": [{"kind": ..., "endpoint": ..., "auth": ...},
+    ...]}``; other top-level keys are ignored. Commits are fetched one at
+    a time, so no key sizes a pool.
     """
     with open(source, encoding="utf-8") as fh:
         data = decode_json(fh.read())
@@ -504,12 +476,4 @@ def load_sources(source) -> tuple[list[MetadataSource], int]:
         )
     if not sources:
         raise ValueError("configure at least one metadata source")
-    return sources, _checked_workers(typed(data.get("workers", DEFAULT_WORKERS), int, "workers"))
-
-
-def _checked_workers(workers: int) -> int:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    return workers
+    return sources

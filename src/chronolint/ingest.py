@@ -353,7 +353,18 @@ def _parse_gitlog(chunks, repo_id: str) -> ParseResult:
 
 
 def _pieces(stream, sep: str):
-    """Yield the text between ``sep``s in ``stream``, in order.
+    """Yield the text between ``sep``s in ``stream``, in order, less one
+    byte order mark at the head of the input: RFC 8259 section 8.1 lets a
+    parser ignore it, and the first piece stays the first.
+    """
+    pieces = _split(stream, sep)
+    yield next(pieces).removeprefix("\ufeff")
+    yield from pieces
+
+
+def _split(stream, sep: str):
+    """Yield the text between ``sep``s in ``stream``, in order; there is
+    always at least one piece.
 
     A handle is read ``_READ_BLOCK`` units at a time; the unfinished last
     piece of a block is carried into the next, so one block, not the whole

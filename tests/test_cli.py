@@ -6,6 +6,9 @@ import dataclasses
 import io
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -75,6 +78,26 @@ def test_scan_flags_planted_epoch_zero(tmp_path, capsys):
     assert anomaly["kind"] == "old"
     assert anomaly["commit"] == hex_hash(9)
     assert report["commits"][hex_hash(9)]["repo"] == "org/alpha"
+
+
+@pytest.mark.parametrize("command", ["scan", "filter"])
+def test_one_bom_at_the_head_of_each_input_is_dropped(tmp_path, capsys, command):
+    # RFC 8259 section 8.1 lets a parser ignore a byte order mark.
+    records = ooo_fixture()
+    argv = {"scan": ["scan", "--snapshot-date", SNAPSHOT],
+            "filter": ["filter", "--policy-file", policy_file(tmp_path, [])]}[command]
+    runs = []
+    for prefix in (b"", "\ufeff".encode()):
+        paths = []
+        for i, part in enumerate((records[:2], records[2:])):
+            path = Path(write_records(tmp_path / f"{i}.ndjson", part))
+            path.write_bytes(prefix + path.read_bytes())
+            paths.append(str(path))
+        code, out, err = run(capsys, *argv, *paths)
+        runs.append([code, *([line for line in text.splitlines() if "generated_at" not in line]
+                             for text in (out, err))])
+    assert runs[0][0] == (1 if command == "scan" else 0)
+    assert runs[1] == runs[0]
 
 
 def test_scan_without_snapshot_date_exits_two(tmp_path, capsys):
@@ -554,16 +577,12 @@ def test_verify_rejects_bad_sources_config(tmp_path, capsys):
     ("endpoint", "https://forge.test/{repo}/{nope}"),
     ("endpoint", "forge.test/{repo}/{hash}"),
     ("auth", 7),
-    ("workers", True),
-    ("workers", 65),
 ])
 def test_verify_mistyped_sources_config_exits_two_with_one_line(tmp_path, capsys, field, value):
     records = ooo_fixture()
     report = scan_report_path(tmp_path, capsys, records)
     config = json.loads(Path(stub_sources(tmp_path, records)).read_text(encoding="utf-8"))
-    if field == "workers":
-        config["workers"] = value
-    elif field == "endpoint":
+    if field == "endpoint":
         config["sources"].insert(0, {"kind": "PrimaryForge", "endpoint": value})
     else:
         config["sources"][0][field] = value
@@ -574,6 +593,26 @@ def test_verify_mistyped_sources_config_exits_two_with_one_line(tmp_path, capsys
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "bad sources config" in err and field in err
+
+
+@pytest.mark.parametrize("workers", [2, 0, 65, True, "2"],
+                         ids=["2", "0", "65", "true", "string"])
+def test_verify_ignores_a_workers_key_in_the_sources_config(tmp_path, capsys, workers):
+    # Commits are fetched one at a time; benchmark configs still write "workers": 2.
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    plain = stub_sources(tmp_path, records)
+    config = json.loads(Path(plain).read_text(encoding="utf-8"))
+    with_workers = tmp_path / "with-workers.json"
+    with_workers.write_text(json.dumps({"workers": workers, **config}), encoding="utf-8")
+    runs = []
+    for sources in (plain, str(with_workers)):
+        code, out, err = run(capsys, "verify", report, "--sources", sources)
+        document = json.loads(out)
+        del document["generated_at"]
+        runs.append((code, document, err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1
 
 
 def test_verify_has_no_workers_flag(tmp_path, capsys):
@@ -992,6 +1031,35 @@ def test_a_closed_stderr_exits_two(tmp_path, capsys, command):
     assert proc.returncode == 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no device whose writes fail")
+@pytest.mark.parametrize("command", [
+    "scan-stdout", "filter-stdout", "stats-stdout", "verify-stdout", "scan-report-stderr"])
+def test_a_full_standard_stream_exits_two(tmp_path, capsys, command):
+    # Writes to /dev/full fail with ENOSPC, not EPIPE.
+    records = ooo_fixture()
+    commits = write_records(tmp_path / "in.ndjson", records)
+    report = scan_report_path(tmp_path, capsys, records)
+    argv = {
+        "scan-stdout": ["scan", commits, "--snapshot-date", SNAPSHOT],
+        "filter-stdout": ["filter", commits, "--policy-file", policy_file(tmp_path, [])],
+        "stats-stdout": ["stats", report],
+        "verify-stdout": ["verify", report, "--sources", stub_sources(tmp_path, records)],
+        "scan-report-stderr": ["scan", write_records(tmp_path / "clean.ndjson", clean_records()),
+                               "--snapshot-date", SNAPSHOT, "--report", str(tmp_path / "r.json")],
+    }[command]
+    with open("/dev/full", "wb") as full:
+        if command.endswith("-stdout"):
+            with chronolint_process(argv, full) as proc:
+                assert_stdout_error(proc)
+            return
+        proc = chronolint_process(argv, subprocess.PIPE, full)
+    with proc:
+        out, _ = proc.communicate(timeout=120)
+    # The traceback would go to the full stderr unseen; it exits 1.
+    assert b"Traceback" not in out and b"Exception ignored" not in out
+    assert proc.returncode == 2
+
+
 @pytest.mark.parametrize("command", ["scan", "filter", "stats", "verify"])
 @pytest.mark.parametrize("stream", ["stdout", "stderr"])
 def test_a_closed_stream_without_a_descriptor_exits_two_in_process(
@@ -1144,6 +1212,91 @@ def test_a_snapshot_at_epoch_zero_is_written(tmp_path, capsys):
     assert json.loads(out)["config"]["snapshot_date"] == "1970-01-01 00:00:00 UTC"
 
 
+# ---- README's gitlog recipe against real git ----
+
+
+def readme_gitlog_recipe():
+    """The `git log` command of README's gitlog section, as argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    command = re.search(r"```sh\n(git log .*?)\n```", readme, re.S).group(1)
+    return shlex.split(command.replace("\\\n", " "))
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_readme_gitlog_recipe_reads_a_real_repository_exactly(tmp_path, capsys):
+    repo, home = tmp_path / "repo", tmp_path / "home"
+    home.mkdir()
+    # No user or system configuration reaches git.
+    env = {"PATH": os.environ.get("PATH", ""), "HOME": str(home), "GIT_CONFIG_NOSYSTEM": "1"}
+
+    def git(*args, author=None, committer=None):
+        people = {}
+        for role, person in (("AUTHOR", author), ("COMMITTER", committer)):
+            if person:
+                name, epoch, tz = person
+                people.update({f"GIT_{role}_NAME": name, f"GIT_{role}_EMAIL": "dev@example.com",
+                               f"GIT_{role}_DATE": f"@{epoch} {tz}"})
+        return subprocess.run(["git", "-c", "commit.gpgsign=false", *args], cwd=repo,
+                              env={**env, **people}, check=True, capture_output=True).stdout
+
+    # name, message, author, committer: a root commit, an empty message on a
+    # commit older than its parent, and a merge.
+    alice, zoe = "Alice Author", "Zo\u00eb Committer"
+    commits = [
+        ("root", "root commit", (alice, 1_000_000_000, "+0545"), (zoe, 1_000_000_100, "+0545")),
+        ("main", "subject\n\nbody line", (alice, 1_000_001_000, "-1200"),
+         (zoe, 1_000_001_500, "-1200")),
+        ("side", "side work", (zoe, 1_000_002_000, "+1400"), (alice, 1_000_002_000, "+1400")),
+        ("skewed", "", (alice, 999_000_000, "+0000"), (zoe, 999_000_000, "+0000")),
+        ("merge", "Merge branch 'side'", (alice, 1_000_003_000, "-0930"),
+         (zoe, 1_000_003_000, "-0930")),
+    ]
+    repo.mkdir()
+    git("init", "-q", "-b", "main")
+    hashes = {}
+    for name, message, author, committer in commits:
+        if name == "side":
+            git("checkout", "-q", "-b", "side", hashes["root"])
+        if name == "merge":
+            git("checkout", "-q", "main")
+            git("merge", "-q", "--no-ff", "-m", message, "side", author=author, committer=committer)
+        else:
+            git("commit", "-q", "--allow-empty", "--allow-empty-message", "-m", message,
+                author=author, committer=committer)
+        hashes[name] = git("rev-parse", "HEAD").decode().strip()
+
+    parents = {"root": (), "main": ("root",), "side": ("root",), "skewed": ("side",),
+               "merge": ("main", "skewed")}
+    minutes = {"+0545": 345, "-1200": -720, "+1400": 840, "-0930": -570, "+0000": 0}
+    expected = sorted(
+        (CommitRecord(hash=hashes[name], repo_id="org/name",
+                      parents=tuple(hashes[p] for p in parents[name]),
+                      author_date=author[1], committer_date=committer[1],
+                      author_id=author[0], committer_id=committer[0], message=message,
+                      tz_offset_min=minutes[committer[2]])
+         for name, message, author, committer in commits),
+        key=lambda rec: rec.hash)
+
+    dump = tmp_path / "log.gitlog"
+    dump.write_bytes(subprocess.run(readme_gitlog_recipe(), cwd=repo, env=env, check=True,
+                                    capture_output=True).stdout)
+    with open(dump, "rb") as fh:
+        parsed = parse_commit_stream(fh, "gitlog", repo_id="org/name")
+    assert parsed.malformed == []
+    assert sorted(parsed.records, key=lambda rec: rec.hash) == expected
+
+    code, out, _ = run(capsys, "filter", str(dump), "--format", "gitlog", "--repo", "org/name",
+                       "--policy-file", policy_file(tmp_path, []))
+    assert code == 0
+    assert sorted(parse_commit_stream(out).records, key=lambda rec: rec.hash) == expected
+
+    code, out, _ = run(capsys, "scan", str(dump), "--format", "gitlog", "--repo", "org/name",
+                       "--snapshot-date", SNAPSHOT)
+    assert code == 1
+    assert {(a["kind"], a["commit"]) for a in json.loads(out)["anomalies"]} == {
+        ("out_of_order_parent", hashes["skewed"])}
+
+
 # ---- serialization round trip ----
 
 
@@ -1221,9 +1374,9 @@ def replaced(doc, path, new):
 
 @pytest.fixture(scope="module")
 def valid_documents(tmp_path_factory):
-    """Valid commit records, policy file, sources config, scan report (one
-    out-of-order candidate, so a verify starts at most two threads whatever
-    ``workers`` says) and cache line, with the stub they refer to."""
+    """Valid commit records, policy file, sources config (with the
+    ``workers`` key that nothing reads), scan report (one out-of-order
+    candidate) and cache line, with the stub they refer to."""
     root = tmp_path_factory.mktemp("documents")
     records = ooo_fixture()
     commits = write_records(root / "in.ndjson", records)

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from chronolint import forge
+from chronolint.cli import main, write_ndjson
 from chronolint.detectors import (
     DetectorConfig,
     detect_out_of_order_linear,
@@ -151,6 +152,19 @@ def test_cache_skips_a_torn_last_line(tmp_path, caplog):
     second = fetch(ForgeClient(cache_only), rec.repo_id, rec.hash)
     assert second == first
     assert "torn" in caplog.text
+
+
+def test_blank_and_whitespace_lines_between_cache_entries_are_skipped(tmp_path):
+    old, new = make_record(1), make_record(2)
+    for rec in (old, new):
+        write_stub(tmp_path / "stub", rec)
+    cache_file = tmp_path / "cache.ndjson"
+    client = cached_client(tmp_path, cache_file)
+    outcomes = [fetch(client, rec.repo_id, rec.hash) for rec in (old, new)]
+    first, second = cache_file.read_bytes().splitlines(keepends=True)
+    cache_file.write_bytes(b"\n" + first + b"\n \t\r\n" + second + b"  \n")
+    cache = CacheStore(cache_file)
+    assert [cache.get(rec.repo_id, rec.hash) for rec in (old, new)] == outcomes
 
 
 def test_a_line_that_is_not_utf8_names_the_cache_and_the_line(tmp_path):
@@ -333,6 +347,50 @@ def test_unusable_documents_fall_through():
     assert outcome.status is VerificationStatus.UNVERIFIABLE
 
 
+@pytest.mark.parametrize("hint, first", [
+    ("2", 2),
+    ("0", 0),
+    ("007", 7),
+    (" 3\t", 3),  # whitespace around a field value is not part of it
+    (None, 1),
+    ("", 1),
+    ("1.5", 1),  # delay-seconds is a whole number
+    ("-1", 1),
+    ("+3", 1),
+    ("nan", 1),
+    ("inf", 1),
+    ("1e400", 1),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 1),  # an HTTP-date
+    ("٣", 1),  # ARABIC-INDIC DIGIT THREE
+    ("²", 1),  # SUPERSCRIPT TWO
+])
+def test_retry_after_is_delay_seconds_or_one_second(hint, first):
+    url = forge_url_for(make_record(1))
+    transport = FakeTransport({url: [(429, "", {} if hint is None else {"Retry-After": hint})]})
+    slept = []
+    outcome = fetch(ForgeClient([MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL)],
+                                transport=transport, sleep=slept.append),
+                    "example/repo", hex_hash(1))
+    assert slept == [first, 2 * first, 4 * first, 8 * first]
+    assert transport.calls_to(url) == forge.MAX_ATTEMPTS
+    assert outcome.status is VerificationStatus.UNVERIFIABLE
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_a_delay_no_clock_can_wait_ends_the_attempt_as_a_miss(tmp_path, digits):
+    # time.sleep refuses 10**400 seconds at once, and int() refuses 5,000 digits.
+    rec = make_record(1)
+    write_stub(tmp_path / "stub", rec)
+    url = forge_url_for(rec)
+    transport = FakeTransport({url: [(429, "", {"Retry-After": "9" * digits})]})
+    outcome = fetch(ForgeClient(
+        [MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL), stub_source(tmp_path)],
+        transport=transport,
+    ), rec.repo_id, rec.hash)
+    assert transport.calls_to(url) == 1
+    assert outcome.status is VerificationStatus.CONFIRMED_ON_FORGE  # the stub answered
+
+
 @pytest.mark.parametrize("error", [urllib.error.URLError, TimeoutError],
                          ids=["ConnectionError", "Timeout"])
 def test_transport_error_is_a_failed_attempt(tmp_path, error):
@@ -477,18 +535,56 @@ def test_client_over_http_backs_off_then_falls_back(tmp_path, loopback):
         == forge.MAX_ATTEMPTS
 
 
+def test_client_over_http_reads_retry_after_in_any_letter_case(loopback):
+    server, base = loopback
+    lower, upper = make_record(1), make_record(2)
+    server.script = {
+        f"/example/repo/{rec.hash}": [(429, {name: value}, b"", None),
+                                      (200, {}, json.dumps(doc_for(rec)).encode(), None)]
+        for rec, name, value in ((lower, "retry-after", "0"), (upper, "RETRY-AFTER", "3"))
+    }
+    sleeps = []
+    client = ForgeClient([MetadataSource(kind="PrimaryForge", endpoint=base + "/{repo}/{hash}")],
+                         sleep=sleeps.append)
+    for rec in (lower, upper):
+        assert fetch(client, rec.repo_id, rec.hash).status is VerificationStatus.CONFIRMED_ON_FORGE
+    assert sleeps == [0, 3]
+
+
+def test_verify_over_http_with_a_delay_no_clock_can_wait_shows_no_traceback(
+        tmp_path, capsys, loopback):
+    server, base = loopback
+    records = partition_records()
+    commits = tmp_path / "in.ndjson"
+    with open(commits, "w", encoding="utf-8") as fh:
+        write_ndjson(records, fh)
+    report = str(tmp_path / "report.json")
+    assert main(["scan", str(commits), "--snapshot-date", "2019-10-31", "--report", report]) == 1
+    for rec in records:
+        write_stub(tmp_path / "stub", rec, committer_epoch=10 if rec.hash == hex_hash(2) else None)
+        server.script[f"/example/repo/{rec.hash}"] = [(429, {"Retry-After": "9" * 400}, b"", None)]
+    sources = tmp_path / "sources.json"
+    sources.write_text(json.dumps({"sources": [
+        {"kind": "PrimaryForge", "endpoint": base + "/{repo}/{hash}"},
+        {"kind": "FileStub", "endpoint": str(tmp_path / "stub")},
+    ]}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", report, "--sources", str(sources)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    document = json.loads(out)
+    assert [a["commit"] for a in document["confirmed"]] == [hex_hash(1)]
+    assert [a["commit"] for a in document["dropped"]] == [hex_hash(3)]
+    # Each commit's forge attempt ended at its first rate limit; the stub answered.
+    assert sorted(path for path, _ in server.requests) == sorted(
+        f"/example/repo/{hex_hash(i)}" for i in (0, 1, 2, 3))
+
+
 def test_source_validation():
     with pytest.raises(ValueError):
         MetadataSource(kind="Carrier-Pigeon", endpoint="x")
     with pytest.raises(ValueError):
         ForgeClient([])
-
-
-@pytest.mark.parametrize("workers", [0, 65])
-def test_client_refuses_workers_outside_the_config_bounds(workers):
-    # load_sources enforced the bound, but ForgeClient took any count before.
-    with pytest.raises(ValueError, match=f"workers must be at (least 1|most 64), got {workers}"):
-        ForgeClient([MetadataSource("FileStub", "stub")], workers=workers)
 
 
 # ---- Batch verification ----
@@ -709,7 +805,7 @@ def test_a_batch_that_fails_partway_leaves_only_complete_lines(tmp_path):
         MetadataSource(kind="LocalCache", endpoint=str(cache_file)),
         MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL),
     ]
-    client = ForgeClient(sources, transport=transport, workers=1)
+    client = ForgeClient(sources, transport=transport)
     with pytest.raises(RuntimeError):
         client.verify_anomalies(linear_candidates(records))
     # Candidate 1 and its parent 0 were resolved before candidate 3 failed.
@@ -717,13 +813,17 @@ def test_a_batch_that_fails_partway_leaves_only_complete_lines(tmp_path):
 
 
 def test_a_local_batch_starts_no_thread(tmp_path, monkeypatch):
-    # Catches a thread pool around LocalCache and FileStub reads, which
-    # made verify slower than reading in the calling thread.
+    # Catches a thread pool around the fetches: around LocalCache and FileStub
+    # reads it made verify slower, and HTTP sources are fetched one at a time.
     records = partition_records()
     for rec in records:
         write_stub(tmp_path / "stub", rec)
-    sources = [MetadataSource(kind="LocalCache", endpoint=str(tmp_path / "cache.ndjson")),
-               stub_source(tmp_path)]
+    transport = FakeTransport({forge_url_for(rec): [(200, json.dumps(doc_for(rec)), {})]
+                               for rec in records})
+    local = [MetadataSource(kind="LocalCache", endpoint=str(tmp_path / "cache.ndjson")),
+             stub_source(tmp_path)]
+    http = [MetadataSource(kind="LocalCache", endpoint=str(tmp_path / "http.ndjson")),
+            MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL)]
     seen = []
     fetch = ForgeClient._fetch
 
@@ -733,42 +833,19 @@ def test_a_local_batch_starts_no_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ForgeClient, "_fetch", spy)
     threads = threading.active_count()
-    for run in ("cold", "warm"):
-        seen.clear()
-        ForgeClient(sources, workers=4).verify_anomalies(linear_candidates(records))
-        assert seen, run
-        assert set(seen) == {(threading.main_thread(), threads)}, run
+    for sources in (local, http):
+        for run in ("cold", "warm"):
+            seen.clear()
+            ForgeClient(sources, transport=transport).verify_anomalies(linear_candidates(records))
+            assert seen, (sources[1].kind, run)
+            assert set(seen) == {(threading.main_thread(), threads)}, (sources[1].kind, run)
+    assert len(transport.calls) == 4  # the cold HTTP run fetched; the warm one read its cache
     assert threading.active_count() == threads
 
 
-def test_an_http_batch_keeps_its_fetches_in_flight_together():
-    # Catches the pool being lost for HTTP sources: with fetches made one
-    # at a time, the first waits alone at the barrier and breaks it.
-    records = partition_records()
-    answers = {forge_url_for(rec): (200, json.dumps(doc_for(rec)), {}) for rec in records}
-    barrier = threading.Barrier(2, timeout=5)
-    lock = threading.Lock()
-    calls = []
-
-    def transport(url, headers):
-        with lock:
-            calls.append(url)
-            first_two = len(calls) <= 2
-        if first_two:
-            barrier.wait()
-        return answers[url]
-
-    client = ForgeClient([MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL)],
-                         transport=transport, workers=2)
-    confirmed, dropped, _ = client.verify_anomalies(linear_candidates(records))
-    assert not barrier.broken
-    assert [a.commit_hash for a in confirmed + dropped] == [hex_hash(1), hex_hash(3)]
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_stub_reads_and_pooled_http_fetches_agree(tmp_path, workers):
-    # Catches the calling-thread path and the pool drifting apart: the same
-    # documents give the same verdicts and the same cache lines either way.
+def test_stub_reads_and_http_fetches_agree(tmp_path):
+    # Catches the FileStub and HTTP paths drifting apart: the same documents
+    # give the same verdicts and the same cache lines either way.
     records = partition_records() + [
         make_record(5, parents=[9, 4], committer_epoch=40),  # parent 9 exists nowhere
         make_record(6, parents=[5], committer_epoch=30),     # has no document
@@ -787,7 +864,7 @@ def test_stub_reads_and_pooled_http_fetches_agree(tmp_path, workers):
                          ("http", MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL))):
         cache = tmp_path / f"{name}.ndjson"
         client = ForgeClient([MetadataSource(kind="LocalCache", endpoint=str(cache)), source],
-                             transport=transport, workers=workers)
+                             transport=transport)
         results.append((client.verify_anomalies(candidates),
                         sorted(cache.read_text().splitlines())))
     assert results[0] == results[1]
@@ -810,8 +887,7 @@ def test_load_sources_round_trip(tmp_path):
     }
     path = tmp_path / "sources.json"
     path.write_text(json.dumps(config))
-    sources, workers = load_sources(path)
-    assert workers == 2
+    sources = load_sources(path)  # "workers" is read by nothing
     assert [s.kind for s in sources] == ["LocalCache", "PrimaryForge", "ArchiveFallback"]
     assert sources[1].auth == "FORGE_TOKEN"
 
@@ -826,8 +902,6 @@ def test_load_sources_round_trip(tmp_path):
         {"sources": [{"kind": "FileStub"}]},
         {"sources": [{"kind": "FileStub", "path": "stubs"}]},
         {"sources": ["FileStub"]},
-        {"sources": [{"kind": "FileStub", "endpoint": "stubs"}], "workers": True},
-        {"sources": [{"kind": "FileStub", "endpoint": "stubs"}], "workers": "2"},
         {"sources": [{"kind": "FileStub", "endpoint": 5}]},
         {"sources": [{"kind": "FileStub", "endpoint": "stubs", "auth": 7}]},
         {"sources": [{"kind": "PrimaryForge", "endpoint": "https://forge.test/{nope}"}]},
@@ -840,8 +914,6 @@ def test_load_sources_round_trip(tmp_path):
         {"sources": [{"kind": "PrimaryForge", "endpoint": "file:///srv/{repo}/{hash}"}]},
         {"sources": [{"kind": "ArchiveFallback", "endpoint": "ftp://a.test/{hash}"}]},
         {"sources": [{"kind": "ArchiveFallback", "endpoint": "https:/a.test/{hash}"}]},
-        # A pool would start up to one thread per candidate.
-        {"sources": [{"kind": "FileStub", "endpoint": "stubs"}], "workers": 65},
     ],
 )
 def test_bad_source_configs_rejected(tmp_path, payload):

@@ -504,6 +504,30 @@ def test_bytes_str_and_handle_parse_alike(data, fmt, monkeypatch):
         assert parse_commit_stream(io.BytesIO(data), fmt, repo_id="r") == expected, block
 
 
+@pytest.mark.parametrize("data, fmt", [(MIXED_NDJSON, "ndjson"), (MIXED_GITLOG, "gitlog")],
+                         ids=["ndjson", "gitlog"])
+def test_one_bom_at_the_head_of_a_stream_is_dropped(data, fmt, monkeypatch):
+    # RFC 8259 section 8.1 lets a parser ignore a byte order mark.
+    bom = "\ufeff".encode()
+    expected = parse_commit_stream(data, fmt, repo_id="r")
+    assert parse_commit_stream(bom + data, fmt, repo_id="r") == expected
+    assert parse_commit_stream("\ufeff" + data.decode("utf-8", errors="replace"), fmt,
+                               repo_id="r") == expected
+    for block in (1, 2, 1 << 20):
+        monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+        assert parse_commit_stream(io.BytesIO(bom + data), fmt, repo_id="r") == expected, block
+    # Only one, and only at the head: a second one makes the first record malformed.
+    twice = parse_commit_stream(bom + bom + data, fmt, repo_id="r")
+    assert twice.records == expected.records[1:]
+    assert [m.line_number for m in twice.malformed] == \
+        [1] + [m.line_number for m in expected.malformed]
+    if fmt == "ndjson":
+        assert twice.malformed[0].reason == \
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        later = parse_commit_stream(data.replace(b"\n", b"\n" + bom, 1), fmt)
+        assert later.malformed[0] == ingest.MalformedRecord(2, twice.malformed[0].reason)
+
+
 def test_ndjson_input_forms_keep_odd_lines_whole():
     result = parse_commit_stream(io.BytesIO(MIXED_NDJSON), "ndjson")
     assert [r.hash for r in result.records] == [c * 40 for c in "abcd"]

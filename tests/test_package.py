@@ -108,7 +108,7 @@ def test_runtime_imports_only_the_standard_library():
 # modules are loaded by then.
 PROBE = """
 import json, sys
-WATCHED = ("numpy", "requests", "urllib3", "urllib.request")
+WATCHED = ("numpy", "requests", "urllib3", "urllib.request", "concurrent.futures")
 loaded = lambda: [m for m in WATCHED if m in sys.modules]
 from chronolint.cli import main
 steps = [["import", None, loaded()]]
