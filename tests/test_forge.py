@@ -843,9 +843,12 @@ def test_a_local_batch_starts_no_thread(tmp_path, monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_stub_reads_and_http_fetches_agree(tmp_path):
+@pytest.mark.parametrize("workers", [2, 4])
+def test_stub_reads_and_pooled_http_fetches_agree(tmp_path, workers):
     # Catches the FileStub and HTTP paths drifting apart: the same documents
-    # give the same verdicts and the same cache lines either way.
+    # give the same verdicts and the same cache lines either way. Each config
+    # still carries the "workers" key written for the thread pool verify once
+    # had; it is read by nothing, so every size gives the one result.
     records = partition_records() + [
         make_record(5, parents=[9, 4], committer_epoch=40),  # parent 9 exists nowhere
         make_record(6, parents=[5], committer_epoch=30),     # has no document
@@ -860,11 +863,15 @@ def test_stub_reads_and_http_fetches_agree(tmp_path):
 
     candidates = linear_candidates(records)
     results = []
-    for name, source in (("stub", stub_source(tmp_path)),
-                         ("http", MetadataSource(kind="PrimaryForge", endpoint=FORGE_URL))):
+    for name, source in (("stub", {"kind": "FileStub", "endpoint": str(stub)}),
+                         ("http", {"kind": "PrimaryForge", "endpoint": FORGE_URL})):
         cache = tmp_path / f"{name}.ndjson"
-        client = ForgeClient([MetadataSource(kind="LocalCache", endpoint=str(cache)), source],
-                             transport=transport)
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({
+            "workers": workers,
+            "sources": [{"kind": "LocalCache", "endpoint": str(cache)}, source],
+        }))
+        client = ForgeClient(load_sources(config), transport=transport)
         results.append((client.verify_anomalies(candidates),
                         sorted(cache.read_text().splitlines())))
     assert results[0] == results[1]
@@ -914,6 +921,10 @@ def test_load_sources_round_trip(tmp_path):
         {"sources": [{"kind": "PrimaryForge", "endpoint": "file:///srv/{repo}/{hash}"}]},
         {"sources": [{"kind": "ArchiveFallback", "endpoint": "ftp://a.test/{hash}"}]},
         {"sources": [{"kind": "ArchiveFallback", "endpoint": "https:/a.test/{hash}"}]},
+        # The config, its source list and each source must have the right shape.
+        [{"kind": "FileStub", "endpoint": "stubs"}],
+        {"sources": {"kind": "FileStub", "endpoint": "stubs"}},
+        {"sources": [{"kind": "FileStub", "endpoint": ""}]},
     ],
 )
 def test_bad_source_configs_rejected(tmp_path, payload):
