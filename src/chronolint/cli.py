@@ -207,7 +207,7 @@ def _write_csv(directory: str, name: str, header, rows) -> None:
 
 def _load_scan_report(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
             doc = decode_json(fh.read())
     except (OSError, ValueError) as exc:  # ValueError: JSON, UTF-8 or int() digit limit
         raise CommandError(f"cannot read report {path}: {exc}") from exc

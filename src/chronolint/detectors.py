@@ -126,40 +126,40 @@ def detect_out_of_order_parents(graph, cfg: DetectorConfig) -> list[Anomaly]:
     ``delta_seconds`` is the worst (largest) gap, and the evidence names
     the parent achieving it (lexicographically smallest hash on ties).
     Merge exclusion drops an edge when either endpoint has a merge
-    message.
+    message. Anomalies come in child-hash order.
     """
-    field = cfg.date_field
-    nodes = graph.nodes
+    records = graph.records
+    epochs = [rec.date(cfg.date_field) for rec in records]
 
-    def excluded(commit_hash: str) -> bool:
-        return cfg.exclude_merges and is_merge_message(nodes[commit_hash].message)
+    def excluded(row: int) -> bool:
+        return cfg.exclude_merges and is_merge_message(records[row].message)
 
-    out = []
-    for child in sorted(nodes):
-        rec = nodes[child]
-        epoch = rec.date(field)
-        worst, delta = None, 0
-        for parent in graph.edges[child]:
-            gap = nodes[parent].date(field) - epoch
-            worse = gap > delta or (gap == delta and worst is not None and parent < worst)
+    flagged = []
+    for child, epoch in enumerate(epochs):
+        worst, delta = -1, 0
+        for parent in graph.parents(child):
+            gap = epochs[parent] - epoch
+            if gap < delta:
+                continue
+            worse = gap > delta or (worst >= 0 and records[parent].hash < records[worst].hash)
             if worse and not excluded(parent):
                 worst, delta = parent, gap
-        if worst is None or excluded(child):
-            continue
-        out.append(
-            Anomaly(
-                kind=AnomalyKind.OUT_OF_ORDER_PARENT,
-                commit_hash=child,
-                repo_id=rec.repo_id,
-                evidence=(
-                    f"parent {worst} is {delta} s newer "
-                    f"({format_utc(nodes[worst].date(field))} vs "
-                    f"{format_utc(rec.date(field))})"
-                ),
-                delta_seconds=delta,
-            )
+        if worst >= 0 and not excluded(child):
+            flagged.append((records[child].hash, child, worst, delta))
+    flagged.sort()
+    return [
+        Anomaly(
+            kind=AnomalyKind.OUT_OF_ORDER_PARENT,
+            commit_hash=commit_hash,
+            repo_id=records[child].repo_id,
+            evidence=(
+                f"parent {records[worst].hash} is {delta} s newer "
+                f"({format_utc(epochs[worst])} vs {format_utc(epochs[child])})"
+            ),
+            delta_seconds=delta,
         )
-    return out
+        for commit_hash, child, worst, delta in flagged
+    ]
 
 
 # ---- Message and metadata evidence ----
@@ -183,6 +183,8 @@ def detect_tool_signatures(records: list[CommitRecord]) -> list[Anomaly]:
     """
     out = []
     for rec in records:
+        if not _may_hold_signature(rec.message):
+            continue
         for name in _FOOTER_SIGNATURES:
             if f"{name}:" in rec.message:
                 out.append(_signature_anomaly(rec, name))
@@ -190,6 +192,16 @@ def detect_tool_signatures(records: list[CommitRecord]) -> list[Anomaly]:
             if pattern.search(rec.message):
                 out.append(_signature_anomaly(rec, name))
     return out
+
+
+def _may_hold_signature(message: str) -> bool:
+    """False only for a message no signature can match: each footer holds
+    a colon, and every character the word patterns match ignoring case
+    lower-cases to the pattern's own letter."""
+    if ":" in message:
+        return True
+    lowered = message.lower()
+    return "hg" in lowered or "moe" in lowered
 
 
 def _signature_anomaly(rec: CommitRecord, name: str) -> Anomaly:
@@ -214,28 +226,28 @@ def detect_verified_mismatch(graph) -> list[Anomaly]:
     A verified commit's date comes from the forge's clock; an unverified
     parent dated *after* it means the parent's user-controlled clock was
     ahead. Commits with unknown verification status never match.
+    Anomalies come in child-hash order, a child's in its parents' order.
     """
-    out = []
-    for child in sorted(graph.nodes):
-        child_rec = graph.nodes[child]
+    records = graph.records
+    flagged = []
+    for child, child_rec in enumerate(records):
         if child_rec.verified is not True:
             continue
-        child_epoch = child_rec.committer_date
-        for parent in graph.edges[child]:
-            parent_rec = graph.nodes[parent]
-            if parent_rec.verified is not False:
-                continue
-            if parent_rec.committer_date > child_epoch:
-                out.append(
-                    Anomaly(
-                        kind=AnomalyKind.VERIFIED_MISMATCH,
-                        commit_hash=child,
-                        repo_id=child_rec.repo_id,
-                        evidence=(
-                            f"verified commit ({format_utc(child_rec.committer_date)}) "
-                            f"predates unverified parent {parent} "
-                            f"({format_utc(parent_rec.committer_date)})"
-                        ),
-                    )
-                )
-    return out
+        for parent in graph.parents(child):
+            parent_rec = records[parent]
+            if parent_rec.verified is False and parent_rec.committer_date > child_rec.committer_date:
+                flagged.append((child_rec, parent_rec))
+    flagged.sort(key=lambda pair: pair[0].hash)  # stable: parents keep their order
+    return [
+        Anomaly(
+            kind=AnomalyKind.VERIFIED_MISMATCH,
+            commit_hash=child_rec.hash,
+            repo_id=child_rec.repo_id,
+            evidence=(
+                f"verified commit ({format_utc(child_rec.committer_date)}) "
+                f"predates unverified parent {parent_rec.hash} "
+                f"({format_utc(parent_rec.committer_date)})"
+            ),
+        )
+        for child_rec, parent_rec in flagged
+    ]

@@ -170,7 +170,7 @@ def policy_from_object(data: dict) -> FilterPolicy:
 def load_policies(path) -> list[FilterPolicy]:
     """Read policies from a JSON file: either ``{"policies": [...]}`` or a
     bare array."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
         data = decode_json(fh.read())
     if isinstance(typed(data, (dict, list), "a policy file"), dict):
         data = typed(data.get("policies"), list, "a policy file's 'policies'")

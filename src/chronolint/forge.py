@@ -152,7 +152,8 @@ class CacheStore:
                     self._torn_at = os.fstat(fh.fileno()).st_size - len(line)
                     break
                 try:
-                    text = line.decode("utf-8")
+                    # One byte order mark at the head of the file is dropped.
+                    text = line.decode("utf-8-sig" if number == 1 else "utf-8")
                     if not text.strip():
                         continue
                     repo_id, outcome = _outcome_from_entry(decode_json(text))
@@ -330,7 +331,7 @@ class ForgeClient:
     def _read_stub(self, source: MetadataSource, commit_hash: str) -> str | None:
         path = os.path.join(source.endpoint, f"{commit_hash}.json")
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
                 return fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             # A missing file is a miss, and so is a name too long for any file.
@@ -460,7 +461,7 @@ def load_sources(source) -> list[MetadataSource]:
     ...]}``; other top-level keys are ignored. Commits are fetched one at
     a time, so no key sizes a pool.
     """
-    with open(source, encoding="utf-8") as fh:
+    with open(source, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
         data = decode_json(fh.read())
     sources = []
     for item in typed(typed(data, dict, "a sources config").get("sources"), list, "sources"):

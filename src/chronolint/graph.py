@@ -1,7 +1,10 @@
 """Per-repository commit DAG: grouping, construction, linearization.
 
-The graph is immutable once built. Parent references that point outside
-the record set (shallow exports, pruned history) are tolerated and kept
+The graph is immutable once built, and it is held by row: row ``i`` is
+the ``i``-th record given to :func:`build_graph`, and each commit's
+resolved parents are rows too, kept in two flat integer arrays rather
+than in dicts keyed by hash. Parent references that point outside the
+record set (shallow exports, pruned history) are tolerated and kept
 aside as ``dangling_parents``; cycles are not tolerated -- a cyclic
 "history" is a corrupt export and nothing downstream may trust it.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -30,19 +34,40 @@ class CycleDetected(Exception):
 class CommitGraph:
     """A validated, acyclic commit DAG for one repository.
 
-    ``edges`` maps each child hash to the parent hashes that resolved to
-    real nodes, in the order the commit recorded them. Unresolvable
-    references live in ``dangling_parents`` as (child, missing parent).
+    Row ``i`` is ``records[i]``. The rows of its parents that resolved to
+    real nodes, in the order the commit recorded them, are
+    ``parent_rows[parent_start[i]:parent_start[i + 1]]``, which
+    :meth:`parents` reads: compressed sparse rows, one machine integer
+    per commit and per edge. Unresolvable references live in
+    ``dangling_parents`` as (child hash, missing parent hash). ``nodes``
+    and ``edges`` give the same graph keyed by hash, built anew on each
+    access.
     """
 
     repo_id: str
-    nodes: dict[str, CommitRecord]
-    edges: dict[str, list[str]]
+    records: list[CommitRecord]
+    parent_start: array
+    parent_rows: array
     dangling_parents: list[tuple[str, str]] = field(default_factory=list)
+
+    def parents(self, row: int) -> array:
+        """The rows of ``records[row]``'s resolved parents."""
+        return self.parent_rows[self.parent_start[row]:self.parent_start[row + 1]]
+
+    @property
+    def nodes(self) -> dict[str, CommitRecord]:
+        return {rec.hash: rec for rec in self.records}
+
+    @property
+    def edges(self) -> dict[str, list[str]]:
+        """Each child hash mapped to its resolved parent hashes."""
+        records = self.records
+        return {rec.hash: [records[parent].hash for parent in self.parents(row)]
+                for row, rec in enumerate(records)}
 
     @property
     def edge_count(self) -> int:
-        return sum(len(parents) for parents in self.edges.values())
+        return len(self.parent_rows)
 
 
 # ---- Construction ----
@@ -62,42 +87,75 @@ def build_graph(records: list[CommitRecord]) -> CommitGraph:
 
     Records must be deduplicated and belong to a single repository;
     both are cheap to check and violating either would silently corrupt
-    every downstream number.
+    every downstream number. The graph keeps ``records`` itself, not a
+    copy, as its rows.
     """
     if not records:
-        return CommitGraph(repo_id="", nodes={}, edges={})
+        return CommitGraph(repo_id="", records=[], parent_start=array("l", [0]),
+                           parent_rows=array("l"))
 
     repos = {r.repo_id for r in records}
     if len(repos) > 1:
         raise ValueError(f"records span {len(repos)} repos; build one graph per repo")
 
-    nodes: dict[str, CommitRecord] = {}
-    for rec in records:
-        if rec.hash in nodes:
-            raise ValueError(f"duplicate hash {rec.hash!r}; deduplicate before building")
-        nodes[rec.hash] = rec
+    row_of = {rec.hash: row for row, rec in enumerate(records)}
+    if len(row_of) < len(records):
+        seen = set()
+        for rec in records:
+            if rec.hash in seen:
+                raise ValueError(f"duplicate hash {rec.hash!r}; deduplicate before building")
+            seen.add(rec.hash)
 
-    edges: dict[str, list[str]] = {}
-    dangling: list[tuple[str, str]] = []
-    for rec in records:
-        resolved = []
+    get = row_of.get
+    starts, rows, dangling = array("l", [0]), array("l"), []
+    after = before = 0  # edges whose parent row lies after / before the child's
+    for child, rec in enumerate(records):
         for parent in rec.parents:
-            if parent in nodes:
-                resolved.append(parent)
-            else:
+            row = get(parent)
+            if row is None:
                 dangling.append((rec.hash, parent))
-        edges[rec.hash] = resolved
+                continue
+            rows.append(row)
+            if row > child:
+                after += 1
+            elif row < child:
+                before += 1
+        starts.append(len(rows))
+    del row_of, get
+    graph = CommitGraph(repo_id=records[0].repo_id, records=records, parent_start=starts,
+                        parent_rows=rows, dangling_parents=dangling)
 
-    _raise_on_cycle(nodes, edges)
+    # When every parent lies on the same side of its child, as in git
+    # log's newest-first order, rows strictly increase (or decrease) along
+    # each path, so no path can come back to where it started.
+    if len(rows) not in (after, before) and not _acyclic(graph):
+        raise CycleDetected(_find_cycle(graph.edges))
     if dangling:
-        log.debug("%s: %d dangling parent reference(s)", records[0].repo_id, len(dangling))
-    return CommitGraph(
-        repo_id=records[0].repo_id, nodes=nodes, edges=edges, dangling_parents=dangling
-    )
+        log.debug("%s: %d dangling parent reference(s)", graph.repo_id, len(dangling))
+    return graph
 
 
-def _raise_on_cycle(nodes, edges) -> None:
-    """Kahn elimination; anything left over holds a cycle worth naming."""
+def _acyclic(graph: CommitGraph) -> bool:
+    """Kahn elimination from the tips: a row goes once all its children
+    have gone, and in a DAG every row goes."""
+    children = [0] * len(graph.records)
+    for parent in graph.parent_rows:
+        children[parent] += 1
+    ready = [row for row, count in enumerate(children) if not count]
+    done = 0
+    while ready:
+        row = ready.pop()
+        done += 1
+        for parent in graph.parents(row):
+            children[parent] -= 1
+            if not children[parent]:
+                ready.append(parent)
+    return done == len(children)
+
+
+def _find_cycle(edges: dict[str, list[str]]) -> list[str]:
+    """The cycle to name, on a graph known to hold one: Kahn elimination
+    from the roots, then a walk from the smallest hash it leaves stuck."""
     pending = {h: len(parents) for h, parents in edges.items()}
     children = defaultdict(list)
     for child, parents in edges.items():
@@ -105,19 +163,15 @@ def _raise_on_cycle(nodes, edges) -> None:
             children[parent].append(child)
 
     queue = [h for h, n in pending.items() if n == 0]
-    done = 0
     while queue:
         node = queue.pop()
-        done += 1
         for child in children[node]:
             pending[child] -= 1
             if pending[child] == 0:
                 queue.append(child)
 
-    if done == len(nodes):
-        return
     remaining = {h for h, n in pending.items() if n > 0}
-    raise CycleDetected(_extract_cycle(remaining, edges))
+    return _extract_cycle(remaining, edges)
 
 
 def _extract_cycle(remaining, edges) -> list[str]:
@@ -145,14 +199,15 @@ def topological_order(graph: CommitGraph) -> list[str]:
     tie-break), so the output is a pure function of the graph and never
     of the input record order.
     """
-    pending = {h: len(parents) for h, parents in graph.edges.items()}
+    nodes, edges = graph.nodes, graph.edges
+    pending = {h: len(parents) for h, parents in edges.items()}
     children = defaultdict(list)
-    for child, parents in graph.edges.items():
+    for child, parents in edges.items():
         for parent in parents:
             children[parent].append(child)
 
     def key(h: str):
-        return (graph.nodes[h].committer_date, h)
+        return (nodes[h].committer_date, h)
 
     heap = [key(h) for h, n in pending.items() if n == 0]
     heapq.heapify(heap)

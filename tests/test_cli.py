@@ -100,6 +100,56 @@ def test_one_bom_at_the_head_of_each_input_is_dropped(tmp_path, capsys, command)
     assert runs[1] == runs[0]
 
 
+@pytest.mark.parametrize("document", ["policy", "report", "sources", "stub", "cache"])
+def test_one_bom_at_the_head_of_each_document_is_dropped(tmp_path, capsys, document):
+    # Each document a command reads follows the input rule: one U+FEFF at
+    # its head is dropped, and a second one leaves the document undecodable.
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    policies = policy_file(tmp_path, [{"kind": "DropOutOfOrder", "scope": "commit"}])
+    sources = stub_sources(tmp_path, records)
+    cache = tmp_path / "cache.ndjson"
+    argv = {
+        "policy": ["filter", write_records(tmp_path / "in.ndjson", records),
+                   "--policy-file", policies],
+        "report": ["stats", report],
+        "sources": ["verify", report, "--sources", sources],
+        "stub": ["verify", report, "--sources", sources],
+        "cache": ["verify", report, "--sources", cached_sources(tmp_path, records, cache)],
+    }[document]
+    targets = {
+        "policy": [Path(policies)],
+        "report": [Path(report)],
+        "sources": [Path(sources)],
+        "stub": sorted((tmp_path / "stub").iterdir()),
+        "cache": [cache],
+    }[document]
+
+    def outcome():
+        code, out, err = run(capsys, *argv)
+        return [code, *([line for line in text.splitlines() if "generated_at" not in line]
+                        for text in (out, err))]
+
+    if document == "cache":
+        assert run(capsys, *argv)[0] == 1  # writes the cache the warm runs read
+    expected = outcome()
+    assert expected[0] in (0, 1)
+    bom = "\ufeff".encode()
+    for path in targets:
+        path.write_bytes(bom + path.read_bytes())
+    assert outcome() == expected
+    if document == "cache":
+        assert cache.read_bytes().startswith(bom)  # a warm run appends nothing
+    for path in targets:
+        path.write_bytes(bom + path.read_bytes())
+    code, _, err = run(capsys, *argv)
+    if document == "stub":  # an unusable document is a miss, and no other source answers
+        assert code == 2 and "no metadata source" in err
+    else:
+        assert (code, len(err.splitlines())) == (2, 1)
+        assert "BOM" in err
+
+
 def test_scan_without_snapshot_date_exits_two(tmp_path, capsys):
     path = write_records(tmp_path / "in.ndjson", clean_records())
     code, _, err = run(capsys, "scan", path)

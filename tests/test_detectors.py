@@ -1,12 +1,16 @@
 """Tests for the anomaly detectors."""
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronolint.detectors import (
+    _FOOTER_SIGNATURES,
+    _WORD_SIGNATURES,
     DEFAULT_OLD_CUTOFF,
     DetectorConfig,
     MissingSnapshotDate,
@@ -16,6 +20,7 @@ from chronolint.detectors import (
     detect_out_of_order_parents,
     detect_tool_signatures,
     detect_verified_mismatch,
+    _may_hold_signature,
     is_merge_message,
     signature_name,
 )
@@ -346,6 +351,38 @@ def test_one_anomaly_per_signature_pair():
     assert sorted(signature_name(a) for a in anomalies) == ["Reviewed-by", "git-svn-id"]
 
 
+# Text from the signatures' letters in both cases, their non-ASCII
+# neighbours (U+0130 lower-cases to two characters, U+0131 upper-cases to
+# "I", U+017F and U+212A match "s" and "k" ignoring case), word breaks,
+# colons and the footers themselves.
+signature_text = st.lists(
+    st.sampled_from(["h", "H", "g", "G", "m", "M", "o", "O", "e", "E", "hg", "Hg", "hG", "HG",
+                     "moe", "MoE", "mOE", "MOE", "\u0130", "\u0131", "\u017f", "\u212a", "k",
+                     "s", "\u00e9", "\u00df", " ", "_", "-", "\n", ":", *_FOOTER_SIGNATURES]),
+    max_size=12,
+).map("".join) | st.text(max_size=30)
+
+
+@given(signature_text)
+@settings(max_examples=400)
+def test_the_prefilter_passes_every_message_a_signature_matches(message):
+    footers = [name for name in _FOOTER_SIGNATURES if f"{name}:" in message]
+    words = [name for name, pattern in _WORD_SIGNATURES if pattern.search(message)]
+    if footers or words:
+        assert _may_hold_signature(message)
+    found = detect_tool_signatures([make_record(1, message=message)])
+    assert [signature_name(a) for a in found] == footers + words
+
+
+def test_every_character_a_word_signature_matches_lower_cases_to_its_letter():
+    # The prefilter looks for "hg" and "moe" in the lower-cased message, so
+    # no character may match one of their letters ignoring case and
+    # lower-case to anything else.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for letter in "hgmoe":
+        assert {c.lower() for c in re.findall(letter, every, re.IGNORECASE)} == {letter}
+
+
 # ---- Verified mismatch ----
 
 
@@ -359,6 +396,17 @@ def test_verified_child_unverified_newer_parent_flagged():
     (anomaly,) = detect_verified_mismatch(build_graph(records))
     assert anomaly.kind is AnomalyKind.VERIFIED_MISMATCH
     assert anomaly.commit_hash == hex_hash(1)
+
+
+def test_a_childs_verified_mismatches_keep_its_parent_order():
+    records = [
+        make_record(5, committer_epoch=300, verified=False),
+        make_record(3, committer_epoch=200, verified=False),
+        make_record(9, parents=[5, 3], committer_epoch=100, verified=True),
+    ]
+    found = detect_verified_mismatch(build_graph(records))
+    assert [a.commit_hash for a in found] == [hex_hash(9)] * 2
+    assert [a.evidence.split("parent ")[1].split()[0] for a in found] == [hex_hash(5), hex_hash(3)]
 
 
 def test_both_verified_not_this_detectors_problem():

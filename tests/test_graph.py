@@ -1,6 +1,10 @@
 """Tests for repo grouping, commit-graph construction, topological order, and edges."""
 
+import gc
 import itertools
+import random
+import tracemalloc
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,13 @@ from chronolint.graph import (
     group_by_repo,
     topological_order,
 )
-from chronolint.model import CommitRecord
+from chronolint.detectors import (
+    DetectorConfig,
+    detect_out_of_order_parents,
+    detect_verified_mismatch,
+    is_merge_message,
+)
+from chronolint.model import Anomaly, AnomalyKind, CommitRecord, format_utc
 
 
 def h(i: int) -> str:
@@ -256,3 +266,159 @@ def test_group_by_repo_keeps_input_order_within_each_repo():
     assert groups == {"b": [records[0], records[2]], "a": [records[1], records[3]]}
     for group in groups.values():
         assert build_graph(group).repo_id == group[0].repo_id
+
+
+# ---- Rows against the hash-keyed graph they replaced ----
+#
+# The oracle is the graph and the two graph detectors as they stood when
+# every map was keyed by hash: nodes, edges and Kahn's pending counts in
+# dicts, children visited in hash order.
+
+
+def oracle_graph(records):
+    """(nodes, edges, dangling) keyed by hash; CycleDetected on a cycle."""
+    nodes = {rec.hash: rec for rec in records}
+    edges, dangling = {}, []
+    for rec in records:
+        resolved = []
+        for parent in rec.parents:
+            if parent in nodes:
+                resolved.append(parent)
+            else:
+                dangling.append((rec.hash, parent))
+        edges[rec.hash] = resolved
+
+    pending = {h: len(parents) for h, parents in edges.items()}
+    children = defaultdict(list)
+    for child, parents in edges.items():
+        for parent in parents:
+            children[parent].append(child)
+    queue = [h for h, n in pending.items() if n == 0]
+    done = 0
+    while queue:
+        node = queue.pop()
+        done += 1
+        for child in children[node]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                queue.append(child)
+    if done < len(nodes):
+        remaining = {h for h, n in pending.items() if n > 0}
+        node, path, index_of = min(remaining), [], {}
+        while node not in index_of:
+            index_of[node] = len(path)
+            path.append(node)
+            node = next(p for p in edges[node] if p in remaining)
+        raise CycleDetected(path[index_of[node]:])
+    return nodes, edges, dangling
+
+
+def oracle_out_of_order(nodes, edges, cfg):
+    field = cfg.date_field
+
+    def excluded(commit_hash):
+        return cfg.exclude_merges and is_merge_message(nodes[commit_hash].message)
+
+    out = []
+    for child in sorted(nodes):
+        rec = nodes[child]
+        epoch = rec.date(field)
+        worst, delta = None, 0
+        for parent in edges[child]:
+            gap = nodes[parent].date(field) - epoch
+            worse = gap > delta or (gap == delta and worst is not None and parent < worst)
+            if worse and not excluded(parent):
+                worst, delta = parent, gap
+        if worst is None or excluded(child):
+            continue
+        out.append(Anomaly(
+            kind=AnomalyKind.OUT_OF_ORDER_PARENT, commit_hash=child, repo_id=rec.repo_id,
+            evidence=(f"parent {worst} is {delta} s newer "
+                      f"({format_utc(nodes[worst].date(field))} vs {format_utc(epoch)})"),
+            delta_seconds=delta))
+    return out
+
+
+def oracle_verified(nodes, edges):
+    out = []
+    for child in sorted(nodes):
+        child_rec = nodes[child]
+        if child_rec.verified is not True:
+            continue
+        for parent in edges[child]:
+            parent_rec = nodes[parent]
+            if parent_rec.verified is False and parent_rec.committer_date > child_rec.committer_date:
+                out.append(Anomaly(
+                    kind=AnomalyKind.VERIFIED_MISMATCH, commit_hash=child,
+                    repo_id=child_rec.repo_id,
+                    evidence=(f"verified commit ({format_utc(child_rec.committer_date)}) "
+                              f"predates unverified parent {parent} "
+                              f"({format_utc(parent_rec.committer_date)})")))
+    return out
+
+
+@st.composite
+def histories(draw):
+    """Records in the order drawn, reversed or shuffled, with hashes in an
+    order unrelated to it, dangling and repeated parent references, dates
+    from a range small enough for equal gaps, merge messages and every
+    verification state. A cyclic draw may name any record as a parent."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    cyclic = draw(st.booleans())
+    hashes = [f"{k:040x}" for k in
+              draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n, unique=True))]
+    records = []
+    for i in range(n):
+        parents = []
+        for k in draw(st.lists(st.integers(-2, n - 1), max_size=3)):
+            if k < 0:
+                parents.append(f"{2**20 - k:040x}")  # no record has it
+            elif cyclic or k < i:
+                parents.append(hashes[k])
+        records.append(CommitRecord(
+            hash=hashes[i], repo_id="r", parents=tuple(parents),
+            author_date=draw(st.integers(0, 3)), committer_date=draw(st.integers(0, 3)),
+            author_id="a", committer_id="c",
+            message=draw(st.sampled_from(["fix", "Merge branch 'x'", "submerged pump", "tidy"])),
+            verified=draw(st.sampled_from([True, False, None]))))
+    order = draw(st.sampled_from(["drawn", "reversed", "shuffled"]))
+    if order == "reversed":
+        records.reverse()
+    elif order == "shuffled":
+        records = draw(st.permutations(records))
+    return records
+
+
+@given(histories(), st.booleans(), st.sampled_from(["committer", "author"]))
+@settings(max_examples=400)
+def test_rows_agree_with_the_hash_keyed_oracle(records, exclude_merges, date_field):
+    cfg = DetectorConfig(exclude_merges=exclude_merges, date_field=date_field)
+    try:
+        nodes, edges, dangling = oracle_graph(records)
+    except CycleDetected as expected:
+        with pytest.raises(CycleDetected) as got:
+            build_graph(records)
+        assert got.value.cycle == expected.cycle
+        return
+    graph = build_graph(records)
+    assert (graph.nodes, graph.edges, graph.dangling_parents) == (nodes, edges, dangling)
+    assert detect_out_of_order_parents(graph, cfg) == oracle_out_of_order(nodes, edges, cfg)
+    assert detect_verified_mismatch(graph) == oracle_verified(nodes, edges)
+
+
+def test_build_graph_keeps_and_peaks_at_a_few_words_per_commit():
+    # A shuffled chain takes the Kahn check.
+    n = 20_000
+    records = [record(i, [i - 1] if i else []) for i in range(n)]
+    random.Random(7).shuffle(records)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = build_graph(records)
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count == n - 1
+    assert kept <= 32 * n, kept / n
+    assert peak <= 128 * n, peak / n
