@@ -370,8 +370,7 @@ def cmd_scan(args) -> int:
         raise CommandError(str(exc)) from exc
 
     summary = analytics.summarize(anomalies)
-    by_hash = {rec.hash: rec for rec in records}
-    flagged = sorted({a.commit_hash for a in anomalies})
+    flagged = {a.commit_hash for a in anomalies}
     report = {
         "config": _run_config(cfg, enabled, ()),
         "dataset": {
@@ -382,13 +381,13 @@ def cmd_scan(args) -> int:
         "summary": summary,
         "anomalies": [anomaly_to_object(a) for a in anomalies],
         "commits": {
-            h: {
-                "repo": by_hash[h].repo_id,
-                "committer": by_hash[h].committer_id,
-                "message": by_hash[h].message,
+            rec.hash: {
+                "repo": rec.repo_id,
+                "committer": rec.committer_id,
+                "message": rec.message,
             }
-            for h in flagged
-            if h in by_hash
+            for rec in records
+            if rec.hash in flagged
         },
         "ledgers": [],
         "stats": {},

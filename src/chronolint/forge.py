@@ -46,10 +46,11 @@ class VerificationStatus(str, Enum):
 class MetadataSource:
     """One place to ask about a commit, in priority order.
 
-    ``endpoint`` is a URL template with ``{repo}``/``{hash}`` holes for
-    the HTTP kinds, a directory for FileStub, and an NDJSON file path
-    for LocalCache. ``auth`` names an environment variable holding a
-    bearer token; the token itself never lives in config.
+    ``endpoint`` is a URL template with bare ``{repo}``/``{hash}`` holes
+    (no format spec, no conversion) for the HTTP kinds, a directory for
+    FileStub, and an NDJSON file path for LocalCache. ``auth`` names an
+    environment variable holding a bearer token; the token itself never
+    lives in config.
     """
 
     kind: str
@@ -67,21 +68,16 @@ class MetadataSource:
                 raise ValueError(f"source {self.kind!r}: endpoint must be an http:// "
                                  "or https:// URL template")
             try:
-                fields = set(_template_fields(self.endpoint))
+                fields = list(string.Formatter().parse(self.endpoint))
             except ValueError as exc:
                 raise ValueError(f"source {self.kind!r}: bad endpoint template: {exc}") from None
-            unknown = fields - {"repo", "hash"}
-            if unknown:
-                raise ValueError(f"source {self.kind!r}: endpoint fields {sorted(unknown)} "
-                                 "are neither {repo} nor {hash}")
-
-
-def _template_fields(template: str):
-    """Every field name in a format template, nested format specs included."""
-    for _, field, spec, _ in string.Formatter().parse(template):
-        if field is not None:
-            yield field
-            yield from _template_fields(spec)
+            # Bare fields only: a format spec or a conversion would act on
+            # the hash at fetch time, where "{hash:d}" fails and
+            # "{hash:9999999999}" pads it to gigabytes.
+            for _, name, spec, conversion in fields:
+                if name is not None and (name not in ("repo", "hash") or spec or conversion):
+                    raise ValueError(f"source {self.kind!r}: endpoint field {name!r} must be a "
+                                     "bare {repo} or {hash}, with no format spec or conversion")
 
 
 @dataclass(frozen=True)

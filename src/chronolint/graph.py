@@ -3,10 +3,12 @@
 The graph is immutable once built, and it is held by row: row ``i`` is
 the ``i``-th record given to :func:`build_graph`, and each commit's
 resolved parents are rows too, kept in two flat integer arrays rather
-than in dicts keyed by hash. Parent references that point outside the
-record set (shallow exports, pruned history) are tolerated and kept
-aside as ``dangling_parents``; cycles are not tolerated -- a cyclic
-"history" is a corrupt export and nothing downstream may trust it.
+than in dicts keyed by hash. The cycle check, the naming of a cycle and
+the topological order all walk those rows. Parent references that
+point outside the record set (shallow exports, pruned history) are
+tolerated and kept aside as ``dangling_parents``; cycles are not
+tolerated -- a cyclic "history" is a corrupt export and nothing
+downstream may trust it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import heapq
 import logging
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .model import CommitRecord
@@ -39,9 +40,8 @@ class CommitGraph:
     ``parent_rows[parent_start[i]:parent_start[i + 1]]``, which
     :meth:`parents` reads: compressed sparse rows, one machine integer
     per commit and per edge. Unresolvable references live in
-    ``dangling_parents`` as (child hash, missing parent hash). ``nodes``
-    and ``edges`` give the same graph keyed by hash, built anew on each
-    access.
+    ``dangling_parents`` as (child hash, missing parent hash). There is
+    no view keyed by hash: a commit's hash is ``records[row].hash``.
     """
 
     repo_id: str
@@ -53,17 +53,6 @@ class CommitGraph:
     def parents(self, row: int) -> array:
         """The rows of ``records[row]``'s resolved parents."""
         return self.parent_rows[self.parent_start[row]:self.parent_start[row + 1]]
-
-    @property
-    def nodes(self) -> dict[str, CommitRecord]:
-        return {rec.hash: rec for rec in self.records}
-
-    @property
-    def edges(self) -> dict[str, list[str]]:
-        """Each child hash mapped to its resolved parent hashes."""
-        records = self.records
-        return {rec.hash: [records[parent].hash for parent in self.parents(row)]
-                for row, rec in enumerate(records)}
 
     @property
     def edge_count(self) -> int:
@@ -129,7 +118,7 @@ def build_graph(records: list[CommitRecord]) -> CommitGraph:
     # log's newest-first order, rows strictly increase (or decrease) along
     # each path, so no path can come back to where it started.
     if len(rows) not in (after, before) and not _acyclic(graph):
-        raise CycleDetected(_find_cycle(graph.edges))
+        raise CycleDetected(_find_cycle(graph))
     if dangling:
         log.debug("%s: %d dangling parent reference(s)", graph.repo_id, len(dangling))
     return graph
@@ -137,7 +126,14 @@ def build_graph(records: list[CommitRecord]) -> CommitGraph:
 
 def _acyclic(graph: CommitGraph) -> bool:
     """Kahn elimination from the tips: a row goes once all its children
-    have gone, and in a DAG every row goes."""
+    have gone, and in a DAG every row goes.
+
+    It counts each row's children instead of listing them, one integer
+    per row. ``test_build_graph_keeps_and_peaks_at_a_few_words_per_commit``
+    holds the peak of :func:`build_graph` to 128 bytes per commit, and
+    child lists would break that. :func:`_roots_first` needs the lists,
+    and runs only to name a cycle or to produce an order.
+    """
     children = [0] * len(graph.records)
     for parent in graph.parent_rows:
         children[parent] += 1
@@ -153,39 +149,49 @@ def _acyclic(graph: CommitGraph) -> bool:
     return done == len(children)
 
 
-def _find_cycle(edges: dict[str, list[str]]) -> list[str]:
-    """The cycle to name, on a graph known to hold one: Kahn elimination
-    from the roots, then a walk from the smallest hash it leaves stuck."""
-    pending = {h: len(parents) for h, parents in edges.items()}
-    children = defaultdict(list)
-    for child, parents in edges.items():
-        for parent in parents:
+def _roots_first(graph: CommitGraph) -> list[int]:
+    """Kahn elimination from the roots: a row goes once all its parents
+    have gone, and among the rows ready to go the smallest
+    (committer date, hash) goes first. Rows on a cycle, and every row
+    below one, never go and are left out."""
+    records = graph.records
+    starts = graph.parent_start
+    pending = [starts[row + 1] - starts[row] for row in range(len(records))]
+    children: list[list[int]] = [[] for _ in records]
+    for child in range(len(records)):
+        for parent in graph.parents(child):
             children[parent].append(child)
 
-    queue = [h for h, n in pending.items() if n == 0]
-    while queue:
-        node = queue.pop()
-        for child in children[node]:
+    heap = [(rec.committer_date, rec.hash, row)
+            for row, rec in enumerate(records) if not pending[row]]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        row = heapq.heappop(heap)[2]
+        order.append(row)
+        for child in children[row]:
             pending[child] -= 1
-            if pending[child] == 0:
-                queue.append(child)
+            if not pending[child]:
+                rec = records[child]
+                heapq.heappush(heap, (rec.committer_date, rec.hash, child))
+    return order
 
-    remaining = {h for h, n in pending.items() if n > 0}
-    return _extract_cycle(remaining, edges)
 
-
-def _extract_cycle(remaining, edges) -> list[str]:
-    """Walk parent links inside the stuck set until a node repeats."""
-    start = min(remaining)  # deterministic pick
-    path: list[str] = []
-    index_of: dict[str, int] = {}
-    node = start
-    while node not in index_of:
-        index_of[node] = len(path)
-        path.append(node)
-        # any still-stuck parent keeps the walk inside the stuck set
-        node = next(p for p in edges[node] if p in remaining)
-    return path[index_of[node]:]
+def _find_cycle(graph: CommitGraph) -> list[str]:
+    """The cycle to name, on a graph known to hold one: from the stuck row
+    with the smallest hash, follow each row's first stuck parent until a
+    row repeats. A stuck row always has a stuck parent, so the walk
+    stays among them."""
+    records = graph.records
+    stuck = set(range(len(records))).difference(_roots_first(graph))
+    row = min(stuck, key=lambda r: records[r].hash)
+    path: list[int] = []
+    index_of: dict[int, int] = {}
+    while row not in index_of:
+        index_of[row] = len(path)
+        path.append(row)
+        row = next(parent for parent in graph.parents(row) if parent in stuck)
+    return [records[r].hash for r in path[index_of[row]:]]
 
 
 # ---- Linearization ----
@@ -199,25 +205,5 @@ def topological_order(graph: CommitGraph) -> list[str]:
     tie-break), so the output is a pure function of the graph and never
     of the input record order.
     """
-    nodes, edges = graph.nodes, graph.edges
-    pending = {h: len(parents) for h, parents in edges.items()}
-    children = defaultdict(list)
-    for child, parents in edges.items():
-        for parent in parents:
-            children[parent].append(child)
-
-    def key(h: str):
-        return (nodes[h].committer_date, h)
-
-    heap = [key(h) for h, n in pending.items() if n == 0]
-    heapq.heapify(heap)
-
-    out: list[str] = []
-    while heap:
-        _, node = heapq.heappop(heap)
-        out.append(node)
-        for child in children[node]:
-            pending[child] -= 1
-            if pending[child] == 0:
-                heapq.heappush(heap, key(child))
-    return out
+    records = graph.records
+    return [records[row].hash for row in _roots_first(graph)]

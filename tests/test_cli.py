@@ -626,6 +626,7 @@ def test_verify_rejects_bad_sources_config(tmp_path, capsys):
     ("endpoint", 5),
     ("endpoint", "https://forge.test/{repo}/{nope}"),
     ("endpoint", "forge.test/{repo}/{hash}"),
+    ("endpoint", "https://forge.test/{repo}/{hash:d}"),
     ("auth", 7),
 ])
 def test_verify_mistyped_sources_config_exits_two_with_one_line(tmp_path, capsys, field, value):

@@ -925,6 +925,10 @@ def test_load_sources_round_trip(tmp_path):
         [{"kind": "FileStub", "endpoint": "stubs"}],
         {"sources": {"kind": "FileStub", "endpoint": "stubs"}},
         {"sources": [{"kind": "FileStub", "endpoint": ""}]},
+        # Template fields must be bare: no format spec, no conversion. Only
+        # loaded here, never fetched through: a width spec allocates its width.
+        {"sources": [{"kind": "ArchiveFallback", "endpoint": "https://a.test/{hash:9999999999}"}]},
+        {"sources": [{"kind": "ArchiveFallback", "endpoint": "https://a.test/{hash!r}"}]},
     ],
 )
 def test_bad_source_configs_rejected(tmp_path, payload):

@@ -1,6 +1,7 @@
 """Tests for repo grouping, commit-graph construction, topological order, and edges."""
 
 import gc
+import heapq
 import itertools
 import random
 import tracemalloc
@@ -43,17 +44,28 @@ def record(i: int, parents=(), epoch: int = 0, repo: str = "r") -> CommitRecord:
     )
 
 
+def hash_view(graph: CommitGraph):
+    """(nodes, edges): each hash mapped to its record, and each child hash
+    to its resolved parent hashes, read off the graph's rows."""
+    records = graph.records
+    nodes = {rec.hash: rec for rec in records}
+    edges = {rec.hash: [records[parent].hash for parent in graph.parents(row)]
+             for row, rec in enumerate(records)}
+    return nodes, edges
+
+
 # ---- Independent oracle: exhaustive enumeration of valid orders ----
 
 
 def all_valid_orders(graph: CommitGraph):
     """Every permutation of nodes in which each parent precedes its child."""
-    hashes = sorted(graph.nodes)
+    nodes, edges = hash_view(graph)
+    hashes = sorted(nodes)
     for perm in itertools.permutations(hashes):
         position = {node: i for i, node in enumerate(perm)}
         if all(
             position[parent] < position[child]
-            for child, parents in graph.edges.items()
+            for child, parents in edges.items()
             for parent in parents
         ):
             yield list(perm)
@@ -61,8 +73,10 @@ def all_valid_orders(graph: CommitGraph):
 
 def rule_predicted_order(graph: CommitGraph):
     """The tie-break rule picks the key-lexicographically smallest valid order."""
+    nodes, _ = hash_view(graph)
+
     def keyed(order):
-        return [(graph.nodes[node].committer_date, node) for node in order]
+        return [(nodes[node].committer_date, node) for node in order]
 
     return min(all_valid_orders(graph), key=keyed)
 
@@ -72,7 +86,7 @@ def rule_predicted_order(graph: CommitGraph):
 
 def test_chain_shape():
     graph = build_graph([record(0), record(1, [0]), record(2, [1])])
-    assert len(graph.nodes) == 3
+    assert len(hash_view(graph)[0]) == 3
     assert graph.edge_count == 2
     assert graph.dangling_parents == []
 
@@ -80,7 +94,7 @@ def test_chain_shape():
 def test_dangling_parent_recorded_not_fatal():
     graph = build_graph([record(1, [99])])
     assert graph.dangling_parents == [(h(1), h(99))]
-    assert graph.edges[h(1)] == []
+    assert hash_view(graph)[1][h(1)] == []
 
 
 def test_two_cycle_detected():
@@ -116,9 +130,9 @@ def test_mixed_repos_rejected():
 
 def test_empty_input_builds_empty_graph():
     graph = build_graph([])
-    assert graph.nodes == {}
+    assert hash_view(graph)[0] == {}
     assert topological_order(graph) == []
-    assert graph.edges == {}
+    assert hash_view(graph)[1] == {}
     assert graph.edge_count == 0
 
 
@@ -158,17 +172,18 @@ def test_equal_dates_fall_back_to_hash():
 
 def edge_deltas(graph):
     """(child, parent, parent epoch - child epoch) for each resolved edge."""
+    nodes, edges = hash_view(graph)
     return sorted(
         (child, parent,
-         graph.nodes[parent].committer_date - graph.nodes[child].committer_date)
-        for child, parents in graph.edges.items()
+         nodes[parent].committer_date - nodes[child].committer_date)
+        for child, parents in edges.items()
         for parent in parents
     )
 
 
 def test_parent_newer_gives_positive_delta():
     graph = build_graph([record(0, epoch=200), record(1, [0], epoch=100)])
-    assert graph.edges == {h(0): [], h(1): [h(0)]}
+    assert hash_view(graph)[1] == {h(0): [], h(1): [h(0)]}
     assert edge_deltas(graph) == [(h(1), h(0), 100)]
 
 
@@ -202,7 +217,7 @@ def test_anomalous_edge_count():
 
 def test_dangling_edges_excluded_from_deltas():
     graph = build_graph([record(0), record(1, [0, 42])])
-    assert graph.edges[h(1)] == [h(0)]
+    assert hash_view(graph)[1][h(1)] == [h(0)]
     assert graph.edge_count == 1
     assert graph.dangling_parents == [(h(1), h(42))]
 
@@ -228,10 +243,11 @@ def dag_records(draw, max_nodes: int = 10):
 def test_order_is_valid_and_permutation_invariant(records, rng):
     graph = build_graph(records)
     order = topological_order(graph)
+    nodes, edges = hash_view(graph)
 
-    assert len(order) == len(graph.nodes)
+    assert len(order) == len(nodes)
     position = {node: i for i, node in enumerate(order)}
-    for child, parents in graph.edges.items():
+    for child, parents in edges.items():
         for parent in parents:
             assert position[parent] < position[child]
 
@@ -239,7 +255,7 @@ def test_order_is_valid_and_permutation_invariant(records, rng):
     rng.shuffle(shuffled)
     regraph = build_graph(shuffled)
     assert topological_order(regraph) == order
-    assert regraph.edges == graph.edges
+    assert hash_view(regraph)[1] == edges
 
 
 @given(dag_records(max_nodes=6))
@@ -270,9 +286,9 @@ def test_group_by_repo_keeps_input_order_within_each_repo():
 
 # ---- Rows against the hash-keyed graph they replaced ----
 #
-# The oracle is the graph and the two graph detectors as they stood when
-# every map was keyed by hash: nodes, edges and Kahn's pending counts in
-# dicts, children visited in hash order.
+# The oracle is the graph, its topological order and the two graph
+# detectors as they stood when every map was keyed by hash: nodes, edges
+# and Kahn's pending counts in dicts, children visited in hash order.
 
 
 def oracle_graph(records):
@@ -311,6 +327,31 @@ def oracle_graph(records):
             node = next(p for p in edges[node] if p in remaining)
         raise CycleDetected(path[index_of[node]:])
     return nodes, edges, dangling
+
+
+def oracle_topological_order(nodes, edges):
+    """Parents first; among the ready, the smallest (committer date, hash)."""
+    pending = {h: len(parents) for h, parents in edges.items()}
+    children = defaultdict(list)
+    for child, parents in edges.items():
+        for parent in parents:
+            children[parent].append(child)
+
+    def key(h: str):
+        return (nodes[h].committer_date, h)
+
+    heap = [key(h) for h, n in pending.items() if n == 0]
+    heapq.heapify(heap)
+
+    out: list[str] = []
+    while heap:
+        _, node = heapq.heappop(heap)
+        out.append(node)
+        for child in children[node]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                heapq.heappush(heap, key(child))
+    return out
 
 
 def oracle_out_of_order(nodes, edges, cfg):
@@ -401,9 +442,36 @@ def test_rows_agree_with_the_hash_keyed_oracle(records, exclude_merges, date_fie
         assert got.value.cycle == expected.cycle
         return
     graph = build_graph(records)
-    assert (graph.nodes, graph.edges, graph.dangling_parents) == (nodes, edges, dangling)
+    assert (*hash_view(graph), graph.dangling_parents) == (nodes, edges, dangling)
     assert detect_out_of_order_parents(graph, cfg) == oracle_out_of_order(nodes, edges, cfg)
     assert detect_verified_mismatch(graph) == oracle_verified(nodes, edges)
+
+
+@given(histories())
+@settings(max_examples=400)
+def test_order_agrees_with_the_hash_keyed_reference(records):
+    try:
+        nodes, edges, _ = oracle_graph(records)
+    except CycleDetected:
+        return
+    assert topological_order(build_graph(records)) == oracle_topological_order(nodes, edges)
+
+
+def test_cycle_named_from_the_smallest_stuck_hash_below_it():
+    # Root 1 sits above the cycle 5 -> 7 -> 6 -> 5 (child to parent);
+    # 2 hangs below it, and 3 <-> 4 is a second cycle of its own. The
+    # smallest stuck hash is 2, on no cycle: its first stuck parent leads
+    # into 6 -> 5 -> 7. Eliminating from the tips would leave 1 stuck
+    # instead of 2, and 1 has no parent to walk to.
+    records = [record(6, [5]), record(2, [6]), record(4, [3]), record(1),
+               record(5, [1, 7]), record(3, [4]), record(7, [6])]
+    with pytest.raises(CycleDetected) as excinfo:
+        build_graph(records)
+    assert excinfo.value.cycle == [h(6), h(5), h(7)]
+    assert str(excinfo.value) == f"commit graph has a cycle: {h(6)} -> {h(5)} -> {h(7)}"
+    with pytest.raises(CycleDetected) as oracle:
+        oracle_graph(records)
+    assert oracle.value.cycle == excinfo.value.cycle
 
 
 def test_build_graph_keeps_and_peaks_at_a_few_words_per_commit():
