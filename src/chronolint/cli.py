@@ -23,6 +23,7 @@ import sys
 import time
 from contextlib import contextmanager
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import NoneType
 
@@ -85,42 +86,32 @@ def _run_config(cfg: DetectorConfig, detectors, policies) -> dict:
 # ---- Serialization ----
 
 
-def record_to_object(rec: CommitRecord) -> dict:
-    """Canonical NDJSON shape for a record; parses back to the same record.
-
-    A record carries one timezone offset, the committer's, and writes it
-    as ``tz_offset_min`` when it is not zero. gitlog's author offset is
-    checked on input but not kept.
-    """
-    obj = {
-        "hash": rec.hash,
-        "repo": rec.repo_id,
-        "parents": list(rec.parents),
-        "author_date": rec.author_date,
-        "committer_date": rec.committer_date,
-        "author": rec.author_id,
-        "committer": rec.committer_id,
-        "message": rec.message,
-    }
-    if rec.tz_offset_min:
-        obj["tz_offset_min"] = rec.tz_offset_min
-    if rec.verified is not None:
-        obj["verified"] = rec.verified
-    if rec.stars is not None:
-        obj["stars"] = rec.stars
-    return obj
-
-
-# One encoder for every record: json.dumps with these options builds a new
-# JSONEncoder per call. The encoder holds no state between calls.
-_NDJSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def write_ndjson(records, fh) -> None:
-    encode = _NDJSON_ENCODER.encode
+    """Write each record as one line of canonical NDJSON; it parses back to
+    the same record.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))``, written field by field in sorted key order.
+    A record carries one timezone offset, the committer's, and writes it
+    as ``tz_offset_min`` when it is not zero; ``stars`` and ``verified``
+    are left out when unknown. gitlog's author offset is checked on input
+    but not kept.
+    """
+    enc = encode_basestring_ascii
+    write = fh.write
     for rec in records:
-        fh.write(encode(record_to_object(rec)))
-        fh.write("\n")
+        tail = ""
+        if rec.stars is not None:
+            tail += f',"stars":{rec.stars!r}'
+        if rec.tz_offset_min:
+            tail += f',"tz_offset_min":{rec.tz_offset_min!r}'
+        if rec.verified is not None:
+            tail += ',"verified":true' if rec.verified else ',"verified":false'
+        write(f'{{"author":{enc(rec.author_id)},"author_date":{rec.author_date!r},'
+              f'"committer":{enc(rec.committer_id)},"committer_date":{rec.committer_date!r},'
+              f'"hash":{enc(rec.hash)},"message":{enc(rec.message)},'
+              f'"parents":[{",".join(map(enc, rec.parents))}],"repo":{enc(rec.repo_id)}'
+              f'{tail}}}\n')
 
 
 def anomaly_to_object(anomaly: Anomaly) -> dict:
@@ -369,26 +360,27 @@ def cmd_scan(args) -> int:
     except (CycleDetected, ValueError) as exc:
         raise CommandError(str(exc)) from exc
 
-    summary = analytics.summarize(anomalies)
     flagged = {a.commit_hash for a in anomalies}
+    dataset = {
+        "records": len(records),
+        "projects": len({rec.repo_id for rec in records}),
+        "dedup": _dedup_to_object(dedup),
+    }
+    commits = {
+        rec.hash: {"repo": rec.repo_id, "committer": rec.committer_id, "message": rec.message}
+        for rec in records
+        if rec.hash in flagged
+    }
+    # An anomaly holds only the hash and repo strings the records share, so
+    # the records are freed before the report is built and encoded.
+    del records, flagged
+    summary = analytics.summarize(anomalies)
     report = {
         "config": _run_config(cfg, enabled, ()),
-        "dataset": {
-            "records": len(records),
-            "projects": len({rec.repo_id for rec in records}),
-            "dedup": _dedup_to_object(dedup),
-        },
+        "dataset": dataset,
         "summary": summary,
         "anomalies": [anomaly_to_object(a) for a in anomalies],
-        "commits": {
-            rec.hash: {
-                "repo": rec.repo_id,
-                "committer": rec.committer_id,
-                "message": rec.message,
-            }
-            for rec in records
-            if rec.hash in flagged
-        },
+        "commits": commits,
         "ledgers": [],
         "stats": {},
     }

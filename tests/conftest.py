@@ -48,6 +48,28 @@ def make_record(
     )
 
 
+def record_to_object(rec: CommitRecord) -> dict:
+    """The NDJSON object for a record, as ``write_ndjson`` writes it: the
+    reference for its bytes, and the way tests build input lines."""
+    obj = {
+        "hash": rec.hash,
+        "repo": rec.repo_id,
+        "parents": list(rec.parents),
+        "author_date": rec.author_date,
+        "committer_date": rec.committer_date,
+        "author": rec.author_id,
+        "committer": rec.committer_id,
+        "message": rec.message,
+    }
+    if rec.tz_offset_min:
+        obj["tz_offset_min"] = rec.tz_offset_min
+    if rec.verified is not None:
+        obj["verified"] = rec.verified
+    if rec.stars is not None:
+        obj["stars"] = rec.stars
+    return obj
+
+
 @pytest.fixture
 def record_builder():
     return make_record

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 import chronolint
 from chronolint import cli, filters, forge
-from chronolint.cli import main, record_to_object, write_ndjson
+from chronolint.cli import main, write_ndjson
 from chronolint.detectors import DetectorConfig
 from chronolint.ingest import parse_commit_stream
 from chronolint.model import EPOCH_MAX, EPOCH_MIN, CommitRecord, parse_utc
-from conftest import hex_hash, make_record
+from conftest import hex_hash, make_record, record_to_object
 
 SNAPSHOT = "2019-10-31T00:00:00Z"
 
@@ -1386,6 +1386,14 @@ def test_a_record_round_trips_through_ndjson(rec):
     assert obj.get("tz_offset_min", 0) == rec.tz_offset_min
     (back,) = parse_commit_stream(json.dumps(obj)).records
     assert back == rec
+
+
+@given(RECORDS)
+def test_write_ndjson_writes_the_bytes_of_json_dumps(rec):
+    out = io.StringIO()
+    write_ndjson([rec], out)
+    assert out.getvalue() == json.dumps(record_to_object(rec), sort_keys=True,
+                                        separators=(",", ":")) + "\n"
 
 
 # ---- any one value of an input document ----

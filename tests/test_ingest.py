@@ -5,15 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronolint import ingest
 from chronolint.ingest import DedupReport, deduplicate, parse_commit_stream
-from chronolint.model import CommitRecord
+from chronolint.model import CommitRecord, decode_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -306,6 +307,51 @@ def test_dedup_is_idempotent(hash_picks):
     )
 
 
+def test_dedup_counts_one_record_listed_twice():
+    a = simple_record("a" * 40)
+    b = simple_record("b" * 40)
+    kept, report = deduplicate([a, b, a, a])
+    assert kept == [a, b] and kept[0] is a
+    assert report.total_in == 4 and report.unique_out == 2
+    assert report.duplicate_hashes == (("a" * 40, 3),)
+    assert report.conflicts == ()
+
+
+def two_dict_deduplicate(records):
+    """The dedup that counted every hash in a second dict: the oracle."""
+    kept = {}
+    counts = {}
+    conflicts = []
+    for rec in records:
+        counts[rec.hash] = counts.get(rec.hash, 0) + 1
+        first = kept.get(rec.hash)
+        if first is None:
+            kept[rec.hash] = rec
+        elif rec.committer_date != first.committer_date:
+            conflicts.append(
+                ingest.DuplicateHashConflict(rec.hash, first.committer_date, rec.committer_date))
+    order = list(kept.values())
+    return order, DedupReport(
+        total_in=len(records), unique_out=len(order),
+        duplicate_hashes=tuple((r.hash, counts[r.hash]) for r in order if counts[r.hash] > 1),
+        conflicts=tuple(conflicts))
+
+
+# A pool where hashes repeat with equal and with differing dates; a draw
+# may list one record object several times.
+DEDUP_POOL = [simple_record(f"{h:040x}", epoch) for h in range(4) for epoch in (100, 100, 200)]
+
+
+@given(st.lists(st.sampled_from(range(len(DEDUP_POOL))), max_size=40))
+def test_dedup_matches_the_two_dict_oracle(picks):
+    records = [DEDUP_POOL[i] for i in picks]
+    kept, report = deduplicate(records)
+    want_kept, want_report = two_dict_deduplicate(records)
+    assert len(kept) == len(want_kept)
+    assert all(a is b for a, b in zip(kept, want_kept))
+    assert report == want_report
+
+
 # ---- Malformed-record reasons ----
 # Each reason reaches `scan`'s stderr, so the text is part of the command
 # line's contract. Where a record has several faults, the row fixes which
@@ -424,6 +470,73 @@ def test_gitlog_malformed_reason(chunk, reason):
     result = parse_commit_stream(raw.encode(), "gitlog", repo_id="r")
     assert [r.hash for r in result.records] == ["f" * 40]
     assert [(m.line_number, m.reason) for m in result.malformed] == [(2, reason)]
+
+
+def reference_parse_ndjson(lines) -> ingest.ParseResult:
+    """The NDJSON parse with decode_json on every line: the oracle for the
+    scanner's fast path."""
+    records, malformed = [], []
+    hashes, names, ints = {}, {}, {}
+    for line_number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = decode_json(line)
+        except json.JSONDecodeError as exc:
+            malformed.append(ingest.MalformedRecord(line_number, f"invalid JSON: {exc.msg}"))
+            continue
+        except ValueError as exc:
+            malformed.append(ingest.MalformedRecord(line_number, f"invalid JSON: {exc}"))
+            continue
+        try:
+            records.append(ingest._record_from_object(obj, hashes, names, ints))
+        except ValueError as exc:
+            malformed.append(ingest.MalformedRecord(line_number, str(exc)))
+    return ingest.ParseResult(records, malformed)
+
+
+# Lines the scanner alone cannot take whole, and record lines. The tails
+# hold JSON whitespace, and characters that str.strip() strips but JSON
+# does not.
+ODD_CORES = [
+    "", " ", "{}", "[1]", '"text"', "null", "not json", "{broken", '"unterminated',
+    "[" * 5000 + "]" * 5000,
+    '{"a":' * 3000 + "1" + "}" * 3000,
+    ndjson_line(stars=1).replace('"stars": 1', '"stars": 1' + "0" * 5000),
+    "-" + "9" * 4301,
+    ndjson_line(message="one two", stars=1000, tz_offset_min=330),
+]
+HEADS = ["", " ", "\t ", "\ufeff", "\r"]
+TAILS = ["", " ", "\r", " \r", "\t\r", "\r\r", "x", " 1", "}", "]", ",", "\ufeff", "\x0b",
+         " \u3000", "\x85"]
+NDJSON_LINES = st.builds(
+    lambda head, core, tail: head + core + tail,
+    st.sampled_from(HEADS),
+    st.builds(lambda h, p, stars, tz: ndjson_line(hash=f"{h:040x}", parents=[f"{p:040x}"],
+                                                  stars=stars, tz_offset_min=tz),
+              st.integers(0, 5), st.integers(0, 5), st.integers(0, 3000),
+              st.integers(-1100, 1100))
+    | st.sampled_from(ODD_CORES),
+    st.sampled_from(TAILS),
+)
+
+
+def assert_fast_path_matches(lines):
+    text = "\n".join(lines)
+    expected = reference_parse_ndjson(ingest._pieces(text, "\n"))
+    assert ingest._parse_ndjson(ingest._pieces(text, "\n")) == expected
+    assert parse_commit_stream(text.encode(), "ndjson") == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NDJSON_LINES, max_size=8))
+def test_ndjson_fast_path_matches_decoding_every_line(lines):
+    assert_fast_path_matches(lines)
+
+
+def test_ndjson_fast_path_matches_on_every_head_core_and_tail():
+    assert_fast_path_matches([head + core + tail for head in HEADS for core in ODD_CORES
+                              for tail in TAILS])
 
 
 def test_failed_hash_memo_keeps_naming_the_field():
@@ -583,6 +696,51 @@ def test_parent_reference_shares_the_hash_object(fmt):
     # Repo and person ids are shared the same way.
     assert merge.repo_id is child.repo_id
     assert merge.author_id is child.author_id is child.committer_id
+
+
+def test_repeated_star_counts_and_offsets_share_one_int():
+    # Python shares only the ints up to 256 by itself.
+    data = "\n".join(ndjson_line(hash=f"{i:040x}", stars=int("1000"), tz_offset_min=int("330"))
+                     for i in range(3))
+    first, *rest = parse_commit_stream(data, "ndjson").records
+    for rec in rest:
+        assert rec.stars is first.stars and rec.tz_offset_min is first.tz_offset_min
+
+
+def synthetic_ndjson(n: int) -> bytes:
+    return "".join(
+        ndjson_line(hash=f"{i:040x}", repo=f"org/repo{i % 50}", parents=[f"{i - 1:040x}"][:i],
+                    author_date=10**9 + i, committer_date=10**9 + i, author=f"dev{i % 97}",
+                    committer=f"dev{i % 89}", message=f"change {i}: fix the thing",
+                    stars=1000 + i % 50, verified=i % 3 == 0) + "\n"
+        for i in range(n)).encode()
+
+
+def synthetic_gitlog(n: int) -> bytes:
+    return "".join(
+        gitlog_record(f"{i:040x}", f"{i - 1:040x}" if i else "", 10**9 + i, "+0200", 10**9 + i, "-0430",
+                      f"dev{i % 89}", f"dev{i % 97}", f"change {i}: fix the thing\n") + "\n"
+        for i in range(n)).encode()
+
+
+@pytest.mark.parametrize("data, fmt", [(synthetic_ndjson(5000), "ndjson"),
+                                       (synthetic_gitlog(5000), "gitlog")],
+                         ids=["ndjson", "gitlog"])
+def test_a_parse_holds_its_records_and_one_small_block(data, fmt):
+    # What a parse holds beyond the records it returns: one block's bytes,
+    # text and lines, and the per-parse memos. The bound is fixed, not
+    # derived from the block size: megabyte blocks would hold these inputs,
+    # of 0.8 and 1.5 MB, about three times over.
+
+    handle = io.BytesIO(data)
+    tracemalloc.start()
+    try:
+        result = parse_commit_stream(handle, fmt, repo_id="r")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 5000 and not result.malformed
+    assert peak - kept < 48 * 5000 + 256 * 1024, (peak - kept) / 5000
 
 
 def test_str_input_splits_on_newline_only():

@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 import chronolint
-from chronolint.cli import record_to_object, write_ndjson
-from conftest import make_record
+from chronolint.cli import write_ndjson
+from conftest import make_record, record_to_object
 
 PACKAGE = Path(chronolint.__file__).parent
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
