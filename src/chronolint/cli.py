@@ -11,6 +11,12 @@ Exit codes: 0 means a clean run with no findings, 1 means findings were
 reported, and 2 means the inputs or the configuration were unusable.
 Reports never read the wall clock except for the ``generated_at`` header,
 so fixed inputs and flags always reproduce the same bytes elsewhere.
+
+Only :mod:`~chronolint.model` is imported with this module. Each command
+binds the pipeline stages it runs on first use (``_bind``), so ``stats``
+loads ``analytics`` alone and ``verify`` only ``forge`` and ``ingest``. The
+stages stay module globals of this module, looked up by name at each call,
+because ``perfbench/traced.py`` times a layer by wrapping those globals.
 """
 
 from __future__ import annotations
@@ -22,26 +28,16 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from importlib import import_module
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import NoneType
 
-from . import analytics
-from .detectors import (
-    DEFAULT_OLD_CUTOFF,
-    DetectorConfig,
-    detect_future,
-    detect_old,
-    detect_out_of_order_parents,
-    detect_tool_signatures,
-    detect_verified_mismatch,
-)
-from .filters import apply_policies, load_policies
-from .forge import load_sources, verify_anomalies
-from .graph import CycleDetected, build_graph, group_by_repo
-from .ingest import _HEX_HASH, _SVN_HASH, deduplicate, parse_commit_stream
 from .model import (
+    _HEX_HASH,
+    _SVN_HASH,
+    DEFAULT_OLD_CUTOFF,
     OUT_OF_ORDER_KINDS,
     Anomaly,
     AnomalyKind,
@@ -51,6 +47,40 @@ from .model import (
     parse_utc,
     typed,
 )
+
+# Each pipeline stage, by the module that defines it ("analytics" is the
+# module itself). Once a stage timer in the package replaces the tracer's
+# wrapping, these become plain imports inside the functions that use them.
+_STAGES = {
+    name: module
+    for module, names in {
+        "analytics": ("analytics",),
+        "detectors": ("DetectorConfig", "detect_future", "detect_old",
+                      "detect_out_of_order_parents", "detect_tool_signatures",
+                      "detect_verified_mismatch"),
+        "filters": ("apply_policies", "load_policies"),
+        "forge": ("load_sources", "verify_anomalies"),
+        "graph": ("CycleDetected", "build_graph", "group_by_repo"),
+        "ingest": ("deduplicate", "parse_commit_stream"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Import stage ``name``'s module and bind the stage as a global, unless
+    something, such as the benchmark's tracer, has bound it first."""
+    try:
+        module = import_module(f"{__package__}.{_STAGES[name]}")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return globals().setdefault(name, module if name == _STAGES[name] else getattr(module, name))
+
+
+def _bind(*names: str) -> None:
+    for name in names:
+        __getattr__(name)
+
 
 SCHEMA_VERSION = 1
 EXIT_CLEAN = 0
@@ -253,6 +283,7 @@ def _read_records(paths, fmt: str, repo_id: str) -> list[CommitRecord]:
             raise CommandError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from exc
         records.extend(result.records)
         broken.extend(f"{path}:{m.line_number}: {m.reason}" for m in result.malformed)
+        del result  # its records are in the combined list now
     if broken:
         for line in broken:
             print(f"chronolint: malformed record at {line}", file=sys.stderr)
@@ -310,6 +341,8 @@ def run_scan(records, cfg: DetectorConfig, enabled=DETECTOR_NAMES):
     Returns (anomalies sorted by repo/commit/kind, deduped records,
     dedup report).
     """
+    _bind("deduplicate", "group_by_repo", "build_graph", "detect_old", "detect_future",
+          "detect_out_of_order_parents", "detect_tool_signatures", "detect_verified_mismatch")
     records, dedup = deduplicate(records)
     anomalies = [
         a for repo in group_by_repo(records).values()
@@ -347,6 +380,7 @@ def _scan_csv(directory: str, anomalies, summary: dict) -> None:
 
 
 def cmd_scan(args) -> int:
+    _bind("parse_commit_stream", "DetectorConfig", "CycleDetected", "analytics")
     enabled = _parse_detector_list(args.detectors)
     cfg = _detector_config(args)
     if "future" in enabled and cfg.future_cutoff is None:
@@ -354,9 +388,10 @@ def cmd_scan(args) -> int:
             "--snapshot-date is required while the 'future' detector is enabled "
             "(pass it, or narrow --detectors)"
         )
-    records = _read_records(args.inputs, args.format, args.repo)
     try:
-        anomalies, records, dedup = run_scan(records, cfg, enabled)
+        # Passed on, not held: the parsed list is freed once run_scan dedups it.
+        anomalies, records, dedup = run_scan(
+            _read_records(args.inputs, args.format, args.repo), cfg, enabled)
     except (CycleDetected, ValueError) as exc:
         raise CommandError(str(exc)) from exc
 
@@ -397,13 +432,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    _bind("load_policies", "DetectorConfig", "parse_commit_stream", "deduplicate",
+          "apply_policies", "CycleDetected")
     try:
         policies = load_policies(args.policy_file)
     except (OSError, ValueError) as exc:
         raise CommandError(f"bad policy file: {exc}") from exc
     cfg = _detector_config(args)
-    records = _read_records(args.inputs, args.format, args.repo)
-    unique, dedup = deduplicate(records)
+    # The parsed list, duplicates and all, is freed once deduplicated.
+    unique, dedup = deduplicate(_read_records(args.inputs, args.format, args.repo))
     try:
         retained, ledgers = apply_policies(unique, policies, cfg)
     except (CycleDetected, ValueError) as exc:
@@ -417,7 +454,7 @@ def cmd_filter(args) -> int:
 
     document = {
         "config": _run_config(cfg, (), policies),
-        "input_records": len(records),
+        "input_records": dedup.total_in,
         "dedup": _dedup_to_object(dedup),
         "output_records": len(retained),
         "ledgers": [ledger.to_dict() for ledger in ledgers],
@@ -472,6 +509,9 @@ def _stats_csv(directory: str, tables: dict) -> None:
 
 
 def cmd_stats(args) -> int:
+    if "" in args.exclude_term:  # every message contains it
+        raise CommandError("--exclude-term must not be empty")
+    _bind("analytics")
     report = _load_scan_report(args.scan_report)
     tables = _stats_tables(report, args.exclude_term)
     _emit_document({**report, "stats": tables}, args.report)
@@ -484,6 +524,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _bind("load_sources", "verify_anomalies")
     # The report itself is not kept: only its candidates are needed.
     candidates = [a for a in _report_anomalies(_load_scan_report(args.scan_report))
                   if a.kind in OUT_OF_ORDER_KINDS]

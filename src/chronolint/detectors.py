@@ -13,11 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import Anomaly, AnomalyKind, CommitRecord, format_utc
-
-# 1990-11-19T00:00:00Z, the CVS 1.0 release. Mainstream version control
-# starts here; a commit dated before it cannot carry an honest clock.
-DEFAULT_OLD_CUTOFF = 658972800
+from .model import DEFAULT_OLD_CUTOFF, Anomaly, AnomalyKind, CommitRecord, format_utc
 
 
 class MissingSnapshotDate(Exception):

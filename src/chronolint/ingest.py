@@ -27,6 +27,8 @@ from .model import (
     ASCII_INT,
     EPOCH_MAX,
     EPOCH_MIN,
+    _HEX_HASH,
+    _SVN_HASH,
     _UNIT_FACTORS,
     CommitRecord,
     decode_json,
@@ -36,9 +38,6 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-# Matched with fullmatch: "$" would also match before a trailing newline.
-_HEX_HASH = re.compile(r"[0-9a-f]{40}")
-_SVN_HASH = re.compile(r"r[0-9]+@\S+")  # Subversion revisions: "r<N>@<repo>"
 _TZ_HHMM = re.compile(r"([+-])([0-9]{2})([0-9]{2})")
 
 # The widest offsets in use are -12:00 and +14:00; this allows +-18:00.

@@ -1,4 +1,5 @@
-"""Core value types: commit records and anomalies, and UTC date text.
+"""Core value types: commit records and anomalies, the commit id rule, the
+old-date cutoff, and UTC date text.
 
 Everything here is an immutable value object, safe to share across threads.
 A date is an int: whole seconds since the Unix epoch, UTC, as on the wire.
@@ -20,6 +21,15 @@ EPOCH_MAX = 2**63 - 1
 _UNIT_FACTORS = {"s": 1, "ms": 10**3, "us": 10**6}
 
 NO_NAME = "(no name)"
+
+# 1990-11-19T00:00:00Z, the CVS 1.0 release. Mainstream version control
+# starts here; a commit dated before it cannot carry an honest clock.
+DEFAULT_OLD_CUTOFF = 658972800
+
+# The commit ids ingest accepts, matched with fullmatch: "$" would also
+# match before a trailing newline.
+_HEX_HASH = re.compile(r"[0-9a-f]{40}")
+_SVN_HASH = re.compile(r"r[0-9]+@\S+")  # Subversion revisions: "r<N>@<repo>"
 
 # What an error message calls each JSON type.
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",

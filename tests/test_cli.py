@@ -465,6 +465,13 @@ def test_stats_exclude_term_drops_whole_messages(tmp_path, capsys):
     assert "appli" not in tokens and "feedback" not in tokens
 
 
+def test_stats_empty_exclude_term_exits_two_with_one_line(tmp_path, capsys):
+    # Every message contains "", so it would silently drop them all.
+    report = scan_report_path(tmp_path, capsys, ooo_fixture())
+    code, out, err = run(capsys, "stats", report, "--exclude-term", "x", "--exclude-term", "")
+    assert (code, out, err) == (2, "", "chronolint: error: --exclude-term must not be empty\n")
+
+
 def test_stats_ranks_committers_and_projects(tmp_path, capsys):
     records = [
         make_record(0, committer_epoch=1_000_000_600, committer="carol"),

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import chronolint
@@ -18,6 +19,29 @@ PERFBENCH = PACKAGE.parent.parent / "perfbench"
 def test_every_exported_name_resolves():
     assert [name for name in chronolint.__all__ if not hasattr(chronolint, name)] == []
     assert len(set(chronolint.__all__)) == len(chronolint.__all__)
+
+
+def test_the_package_exports_exactly_all_and_each_name_from_its_defining_module():
+    namespace = {}
+    exec("from chronolint import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(chronolint.__all__)
+    assert dir(chronolint) == sorted(chronolint.__all__)
+    defined = {}  # top-level name -> the modules that define it, not import it
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defined.setdefault(name, []).append(path.stem)
+    for name in chronolint.__all__:
+        [module] = defined[name]
+        owner = chronolint if module == "__init__" else import_module(f"chronolint.{module}")
+        assert getattr(chronolint, name) is getattr(owner, name), name
+    assert chronolint.DEFAULT_OLD_CUTOFF is chronolint.detectors.DEFAULT_OLD_CUTOFF
 
 
 def test_every_exported_name_is_used_by_the_package_or_the_acceptance_tests():
@@ -224,3 +248,49 @@ def test_every_command_records_the_spans_of_the_layers_it_reaches(tmp_path):
         ("scan", 1), ("filter", 0), ("verify cold", 1), ("verify warm", 1), ("stats", 0)]
     assert {name: sorted(SPANS[name] - set(spans)) for name, _, spans in steps} == {
         name: [] for name in SPANS}
+
+
+# Prints the exit code of one step in a fresh interpreter, and the package's
+# modules loaded by then: the package import, the command-line parser, or
+# one command.
+IMPORT_PROBE = """
+import json, sys
+step = json.loads(sys.argv[1])
+code = None
+if step == "import":
+    import chronolint
+elif step == "parser":
+    from chronolint.cli import build_parser
+    build_parser()
+else:
+    from chronolint.cli import main
+    code = main(step)
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "chronolint")]))
+"""
+
+# Each step's exit code and the submodules it loads: only the stages it runs.
+LOADS = {
+    "import": [None, []],
+    "parser": [None, ["cli", "model"]],
+    "scan": [1, ["analytics", "cli", "detectors", "graph", "ingest", "model"]],
+    "filter": [0, ["cli", "detectors", "filters", "graph", "ingest", "model"]],
+    "verify cold": [1, ["cli", "forge", "ingest", "model"]],
+    "verify warm": [1, ["cli", "forge", "ingest", "model"]],
+    "stats": [0, ["analytics", "cli", "model"]],
+}
+
+
+def test_each_command_loads_only_the_modules_of_the_stages_it_runs(tmp_path):
+    steps = [["import", "import"], ["parser", "parser"],
+             *tiny_commands(tmp_path, [{"kind": "DropOutOfOrder", "scope": "commit"}])]
+    loaded = {}
+    for name, step in steps:  # in order: scan writes the report the later ones read
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(step)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded[name] = json.loads(done.stdout)
+    assert loaded == {name: [code, ["chronolint", *(f"chronolint.{m}" for m in modules)]]
+                      for name, (code, modules) in LOADS.items()}
