@@ -12,11 +12,11 @@ reported, and 2 means the inputs or the configuration were unusable.
 Reports never read the wall clock except for the ``generated_at`` header,
 so fixed inputs and flags always reproduce the same bytes elsewhere.
 
-Only :mod:`~chronolint.model` is imported with this module. Each command
-binds the pipeline stages it runs on first use (``_bind``), so ``stats``
-loads ``analytics`` alone and ``verify`` only ``forge`` and ``ingest``. The
-stages stay module globals of this module, looked up by name at each call,
-because ``perfbench/traced.py`` times a layer by wrapping those globals.
+Only :mod:`~chronolint.model` is imported with this module; each command
+imports the stages it runs, so ``stats`` loads ``analytics`` alone. The
+stages that ``perfbench/traced.py`` times by wrapping a global of this
+module stay such globals, bound on first use (``_bind``) from the
+package's own table of names.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import NoneType
 
+from . import _NAMES
 from .model import (
     _HEX_HASH,
     _SVN_HASH,
@@ -48,33 +49,13 @@ from .model import (
     typed,
 )
 
-# Each pipeline stage, by the module that defines it ("analytics" is the
-# module itself). Once a stage timer in the package replaces the tracer's
-# wrapping, these become plain imports inside the functions that use them.
-_STAGES = {
-    name: module
-    for module, names in {
-        "analytics": ("analytics",),
-        "detectors": ("DetectorConfig", "detect_future", "detect_old",
-                      "detect_out_of_order_parents", "detect_tool_signatures",
-                      "detect_verified_mismatch"),
-        "filters": ("apply_policies", "load_policies"),
-        "forge": ("load_sources", "verify_anomalies"),
-        "graph": ("CycleDetected", "build_graph", "group_by_repo"),
-        "ingest": ("deduplicate", "parse_commit_stream"),
-    }.items()
-    for name in names
-}
-
 
 def __getattr__(name: str):
-    """Import stage ``name``'s module and bind the stage as a global, unless
-    something, such as the benchmark's tracer, has bound it first."""
-    try:
-        module = import_module(f"{__package__}.{_STAGES[name]}")
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return globals().setdefault(name, module if name == _STAGES[name] else getattr(module, name))
+    """Bind the package's public name ``name`` as a global, unless something,
+    such as the benchmark's tracer, has bound it first."""
+    if name not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(import_module(__package__), name))
 
 
 def _bind(*names: str) -> None:
@@ -268,6 +249,7 @@ def _read_records(paths, fmt: str, repo_id: str) -> list[CommitRecord]:
     """Parse every input path ('-' = stdin); any malformed record is fatal."""
     if fmt == "gitlog" and not repo_id:
         raise CommandError("--repo is required with --format gitlog")
+    _bind("parse_commit_stream")
     records: list[CommitRecord] = []
     broken: list[str] = []
     for path in paths or ["-"]:
@@ -292,6 +274,8 @@ def _read_records(paths, fmt: str, repo_id: str) -> list[CommitRecord]:
 
 
 def _detector_config(args) -> DetectorConfig:
+    from .detectors import DetectorConfig
+
     try:
         old_cutoff = parse_utc(args.old_cutoff)
         future_cutoff = parse_utc(args.snapshot_date) if args.snapshot_date else None
@@ -341,7 +325,9 @@ def run_scan(records, cfg: DetectorConfig, enabled=DETECTOR_NAMES):
     Returns (anomalies sorted by repo/commit/kind, deduped records,
     dedup report).
     """
-    _bind("deduplicate", "group_by_repo", "build_graph", "detect_old", "detect_future",
+    from .graph import group_by_repo
+
+    _bind("deduplicate", "build_graph", "detect_old", "detect_future",
           "detect_out_of_order_parents", "detect_tool_signatures", "detect_verified_mismatch")
     records, dedup = deduplicate(records)
     anomalies = [
@@ -380,7 +366,8 @@ def _scan_csv(directory: str, anomalies, summary: dict) -> None:
 
 
 def cmd_scan(args) -> int:
-    _bind("parse_commit_stream", "DetectorConfig", "CycleDetected", "analytics")
+    from . import analytics
+
     enabled = _parse_detector_list(args.detectors)
     cfg = _detector_config(args)
     if "future" in enabled and cfg.future_cutoff is None:
@@ -392,7 +379,7 @@ def cmd_scan(args) -> int:
         # Passed on, not held: the parsed list is freed once run_scan dedups it.
         anomalies, records, dedup = run_scan(
             _read_records(args.inputs, args.format, args.repo), cfg, enabled)
-    except (CycleDetected, ValueError) as exc:
+    except ValueError as exc:  # a cycle too
         raise CommandError(str(exc)) from exc
 
     flagged = {a.commit_hash for a in anomalies}
@@ -432,8 +419,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    _bind("load_policies", "DetectorConfig", "parse_commit_stream", "deduplicate",
-          "apply_policies", "CycleDetected")
+    from .filters import apply_policies, load_policies
+
+    _bind("deduplicate")
     try:
         policies = load_policies(args.policy_file)
     except (OSError, ValueError) as exc:
@@ -443,7 +431,7 @@ def cmd_filter(args) -> int:
     unique, dedup = deduplicate(_read_records(args.inputs, args.format, args.repo))
     try:
         retained, ledgers = apply_policies(unique, policies, cfg)
-    except (CycleDetected, ValueError) as exc:
+    except ValueError as exc:  # a cycle too
         raise CommandError(str(exc)) from exc
 
     if args.output:
@@ -467,6 +455,8 @@ def cmd_filter(args) -> int:
 
 
 def _stats_tables(report: dict, exclude_terms) -> dict:
+    from . import analytics
+
     anomalies = _report_anomalies(report)
     commits = report.get("commits", {})
 
@@ -511,7 +501,6 @@ def _stats_csv(directory: str, tables: dict) -> None:
 def cmd_stats(args) -> int:
     if "" in args.exclude_term:  # every message contains it
         raise CommandError("--exclude-term must not be empty")
-    _bind("analytics")
     report = _load_scan_report(args.scan_report)
     tables = _stats_tables(report, args.exclude_term)
     _emit_document({**report, "stats": tables}, args.report)
@@ -524,7 +513,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _bind("load_sources", "verify_anomalies")
+    from .forge import load_sources
+
+    _bind("verify_anomalies")
     # The report itself is not kept: only its candidates are needed.
     candidates = [a for a in _report_anomalies(_load_scan_report(args.scan_report))
                   if a.kind in OUT_OF_ORDER_KINDS]

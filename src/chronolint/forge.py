@@ -26,7 +26,6 @@ from enum import Enum
 from pathlib import Path
 from types import NoneType
 
-from .ingest import _record_from_object
 from .model import OUT_OF_ORDER_KINDS, Anomaly, decode_json, typed
 
 log = logging.getLogger(__name__)
@@ -34,6 +33,7 @@ log = logging.getLogger(__name__)
 HTTP_KINDS = ("PrimaryForge", "ArchiveFallback")
 SOURCE_KINDS = (*HTTP_KINDS, "LocalCache", "FileStub")
 MAX_ATTEMPTS = 5  # per HTTP fetch; a rate limit and a transport error each use one
+HTTP_TIMEOUT_S = 30.0  # per attempt, to connect and then between received bytes
 
 
 class VerificationStatus(str, Enum):
@@ -223,10 +223,11 @@ def _outcome_from_entry(entry) -> tuple[str, VerificationOutcome]:
 # ---- Transport ----
 
 
-def http_transport(url: str, headers: dict, timeout: float = 30.0):
+def http_transport(url: str, headers: dict):
     """Default HTTP GET: (status_code, body_text, response_headers) for any
     status; the headers' lookup ignores letter case. A failed connection or
-    response raises ``OSError``. Imported on first use, ``urllib.request``
+    response raises ``OSError``, and so does a server that stays silent for
+    ``HTTP_TIMEOUT_S``. Imported on first use, ``urllib.request``
     loads ``http.client``, ``ssl`` and ``email``."""
     from http.client import HTTPException
     from urllib.error import HTTPError
@@ -239,7 +240,7 @@ def http_transport(url: str, headers: dict, timeout: float = 30.0):
     request = Request(quote(url, safe=safe), headers=headers)
     try:
         try:
-            resp = _opener().open(request, timeout=timeout)
+            resp = _opener().open(request, timeout=HTTP_TIMEOUT_S)
         except HTTPError as exc:
             resp = exc  # an error status still carries a body
         with resp:
@@ -379,6 +380,8 @@ class ForgeClient:
     def _outcome_from_document(self, source: MetadataSource, commit_hash: str,
                                body: str) -> VerificationOutcome | None:
         """What a fetched document states; None if it is unusable or another commit's."""
+        from .ingest import _record_from_object  # loaded by a fetch, not by a cache hit
+
         try:
             record = _record_from_object(decode_json(body), {}, {}, {})
         except ValueError as exc:

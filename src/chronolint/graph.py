@@ -23,7 +23,7 @@ from .model import CommitRecord
 log = logging.getLogger(__name__)
 
 
-class CycleDetected(Exception):
+class CycleDetected(ValueError):
     """The parent references loop back on themselves."""
 
     def __init__(self, cycle: list[str]):

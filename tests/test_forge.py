@@ -3,6 +3,7 @@
 import contextlib
 import json
 import threading
+import time
 import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -416,14 +417,18 @@ def test_transport_error_is_a_failed_attempt(tmp_path, error):
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
-    """Answers GET path -> list of (status, headers, body, declared length);
-    the last response repeats. A declared length above the body's is a
-    response cut short."""
+    """Answers GET path -> list of (status, headers, body, declared length),
+    with an optional fifth item, the seconds to stay silent before
+    answering, or until the server closes; the last response repeats. A
+    declared length above the body's is a response cut short."""
 
     def do_GET(self):
         self.server.requests.append((self.path, self.headers.get("Authorization")))
         responses = self.server.script.get(self.path, [(404, {}, b"no such commit", None)])
-        status, headers, body, length = responses.pop(0) if len(responses) > 1 else responses[0]
+        status, headers, body, length, *stall = (
+            responses.pop(0) if len(responses) > 1 else responses[0])
+        if stall and self.server.closing.wait(stall[0]):
+            return  # nobody waits for this answer any more
         self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
@@ -439,12 +444,13 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 @contextlib.contextmanager
 def scripted_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    server.script, server.requests = {}, []
+    server.script, server.requests, server.closing = {}, [], threading.Event()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         yield server, f"http://127.0.0.1:{server.server_address[1]}"
     finally:
+        server.closing.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
@@ -508,6 +514,25 @@ def test_http_transport_percent_encodes_the_url(loopback, path, sent):
     server.script = {sent: [(200, {}, b"found", None)]}
     assert forge.http_transport(base + path, {})[:2] == (200, "found")
     assert server.requests == [(sent, None)]
+
+
+def test_a_server_silent_for_the_timeout_costs_the_client_one_attempt(loopback, monkeypatch):
+    server, base = loopback
+    monkeypatch.setattr(forge, "HTTP_TIMEOUT_S", 0.2)
+    rec = make_record(1)
+    answer = (200, {}, json.dumps(doc_for(rec)).encode(), None)
+    server.script = {"/silent": [(*answer, 60.0)],
+                     f"/example/repo/{rec.hash}": [(*answer, 60.0), answer]}
+    started = time.monotonic()
+    with pytest.raises(OSError):
+        forge.http_transport(f"{base}/silent", {})
+    assert time.monotonic() - started < 10
+    sleeps = []
+    client = ForgeClient([MetadataSource(kind="PrimaryForge", endpoint=base + "/{repo}/{hash}")],
+                         sleep=sleeps.append)
+    assert fetch(client, rec.repo_id, rec.hash).status is VerificationStatus.CONFIRMED_ON_FORGE
+    assert [path for path, _ in server.requests].count(f"/example/repo/{rec.hash}") == 2
+    assert sleeps == []  # a transport error gives no hint to back off from
 
 
 def test_client_over_http_backs_off_then_falls_back(tmp_path, loopback):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import chronolint
 from chronolint.cli import write_ndjson
-from conftest import make_record, record_to_object
+from conftest import hex_hash, make_record, record_to_object
 
 PACKAGE = Path(chronolint.__file__).parent
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -275,7 +275,7 @@ LOADS = {
     "scan": [1, ["analytics", "cli", "detectors", "graph", "ingest", "model"]],
     "filter": [0, ["cli", "detectors", "filters", "graph", "ingest", "model"]],
     "verify cold": [1, ["cli", "forge", "ingest", "model"]],
-    "verify warm": [1, ["cli", "forge", "ingest", "model"]],
+    "verify warm": [1, ["cli", "forge", "model"]],
     "stats": [0, ["analytics", "cli", "model"]],
 }
 
@@ -294,3 +294,59 @@ def test_each_command_loads_only_the_modules_of_the_stages_it_runs(tmp_path):
         loaded[name] = json.loads(done.stdout)
     assert loaded == {name: [code, ["chronolint", *(f"chronolint.{m}" for m in modules)]]
                       for name, (code, modules) in LOADS.items()}
+
+
+# Reads, in a fresh interpreter, each stage the benchmark's tracer rebinds
+# through cli, then two names cli must not resolve, then runs scan and
+# filter on a cycle; prints whether each read stage is its defining
+# module's object, the names that raised AttributeError, and each
+# command's exit code and stderr.
+NAME_PROBE = """
+import contextlib, io, json, sys
+from importlib import import_module
+from chronolint import cli
+stages, argvs = json.loads(sys.argv[1])
+same = {name: getattr(cli, name) is getattr(import_module(f"chronolint.{module}"), name)
+        for name, module in stages.items()}
+refused = []
+for name in ("no_such_stage", "__all__"):
+    try:
+        getattr(cli, name)
+    except AttributeError:
+        refused.append(name)
+runs = []
+for argv in argvs:
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        runs.append([cli.main(argv), err.getvalue()])
+print(json.dumps([same, refused, runs]))
+"""
+
+# The stages perfbench/traced.py wraps as globals of cli, by defining module.
+TRACED = {
+    "parse_commit_stream": "ingest", "deduplicate": "ingest", "build_graph": "graph",
+    "detect_old": "detectors", "detect_future": "detectors",
+    "detect_out_of_order_parents": "detectors", "detect_tool_signatures": "detectors",
+    "detect_verified_mismatch": "detectors", "verify_anomalies": "forge",
+}
+
+
+def test_cli_reads_each_stage_from_the_package_table_and_a_cycle_is_a_value_error(tmp_path):
+    assert issubclass(chronolint.CycleDetected, ValueError)
+    path = tmp_path / "cycle.ndjson"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_ndjson([make_record(1, parents=[2]), make_record(2, parents=[1])], fh)
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps([{"kind": "DropOutOfOrder", "scope": "commit"}]))
+    argvs = [["scan", str(path), "--snapshot-date", "2019-10-31T00:00:00Z"],
+             ["filter", str(path), "--policy-file", str(policies)]]
+    done = subprocess.run(
+        [sys.executable, "-c", NAME_PROBE, json.dumps([TRACED, argvs])],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    same, refused, runs = json.loads(done.stdout)
+    assert same == {name: True for name in TRACED}
+    assert refused == ["no_such_stage", "__all__"]
+    cycle = f"chronolint: error: commit graph has a cycle: {hex_hash(1)} -> {hex_hash(2)}\n"
+    assert runs == [[2, cycle], [2, cycle]]
