@@ -268,6 +268,13 @@ def _opener():
     return build_opener(SameOriginAuthRedirect)
 
 
+@functools.cache
+def _record_reader():
+    """ingest's commit reader: the first fetched document loads it, a cache hit never does."""
+    from .ingest import _record_from_object
+    return _record_from_object
+
+
 # ---- Client ----
 
 
@@ -380,10 +387,8 @@ class ForgeClient:
     def _outcome_from_document(self, source: MetadataSource, commit_hash: str,
                                body: str) -> VerificationOutcome | None:
         """What a fetched document states; None if it is unusable or another commit's."""
-        from .ingest import _record_from_object  # loaded by a fetch, not by a cache hit
-
         try:
-            record = _record_from_object(decode_json(body), {}, {}, {})
+            record = _record_reader()(decode_json(body), {}, {}, {})
         except ValueError as exc:
             log.warning("unusable metadata document from %s: %s", source.kind, exc)
             return None
