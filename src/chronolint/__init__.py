@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 _NAMES = {
     name: module
     for module, names in {
-        "analytics": ("DeltaHistogram", "DeltaStats", "TokenTable", "delta_histogram",
-                      "delta_statistics", "summarize", "token_frequency", "top_committers",
-                      "top_projects"),
+        "analytics": ("DeltaHistogram", "DeltaStats", "delta_histogram", "delta_statistics",
+                      "summarize", "token_frequency", "top_committers", "top_projects"),
         "detectors": ("DetectorConfig", "MissingSnapshotDate", "detect_future", "detect_old",
                       "detect_out_of_order_linear", "detect_out_of_order_parents",
                       "detect_tool_signatures", "detect_verified_mismatch", "is_merge_message",

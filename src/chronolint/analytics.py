@@ -3,7 +3,9 @@ histograms, message-token frequencies, and top-K attributions.
 
 Everything here is a pure aggregation with a deterministic final sort,
 so results are independent of input order and safe to compute in
-parallel per repository and merge.
+parallel per repository and merge. A ranked table is a plain list of
+(key, count) pairs, which the report writes as rows. Input that has no
+statistics, such as no deltas at all, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from functools import reduce
 from operator import add
 
 from .model import NO_NAME, Anomaly, AnomalyKind
-
-
-class EmptyInput(Exception):
-    """Statistics over nothing are not zeros; refuse loudly."""
 
 
 # Fixed histogram geometry: eleven buckets from half a minute to beyond a
@@ -83,16 +81,6 @@ class DeltaHistogram:
                 for label, (bound, count) in zip(HISTOGRAM_LABELS, self.buckets)
             ]
         }
-
-
-@dataclass(frozen=True)
-class TokenTable:
-    """(token, count) rows, most frequent first, ties alphabetical."""
-
-    rows: tuple[tuple[str, int], ...]
-
-    def to_dict(self) -> dict:
-        return {"rows": [{"token": t, "count": c} for t, c in self.rows]}
 
 
 # ---- Summaries ----
@@ -159,8 +147,8 @@ def _quantile(ordered: list[int], q: float) -> float:
 
 def _checked_deltas(deltas) -> list[int]:
     deltas = list(deltas)
-    if not deltas:
-        raise EmptyInput("no deltas to aggregate")
+    if not deltas:  # statistics over nothing are not zeros
+        raise ValueError("no deltas to aggregate")
     if min(deltas) < 1:
         raise ValueError("deltas must be positive (parent strictly newer)")
     return deltas
@@ -249,8 +237,9 @@ def tokenize(message: str) -> list[str]:
     ]
 
 
-def token_frequency(messages, exclude_terms=frozenset()) -> TokenTable:
-    """Token counts over messages, most frequent first.
+def token_frequency(messages, exclude_terms=frozenset()) -> list[tuple[str, int]]:
+    """(token, count) rows over messages, most frequent first, ties
+    alphabetical.
 
     A message containing any of ``exclude_terms`` (raw, case-sensitive
     substring test, applied before any normalization) is dropped whole --
@@ -263,7 +252,7 @@ def token_frequency(messages, exclude_terms=frozenset()) -> TokenTable:
             continue
         for token in tokenize(message):
             counts[token] = counts.get(token, 0) + 1
-    return TokenTable(rows=tuple(_ranked(counts.items())))
+    return _ranked(counts.items())
 
 
 # ---- Attribution ----

@@ -197,11 +197,17 @@ def _emit_document(doc: dict, path: str | None, stream=None) -> None:
 
 
 def _write_csv(directory: str, name: str, header, rows) -> None:
-    """Write one table to ``directory/name``, making the directory as needed."""
+    """Write one table to ``directory/name``, making the directory as needed.
+
+    A lone surrogate, which a JSON escape or a non-UTF-8 byte of argv can
+    put in an id, has no UTF-8 form: a cell holds it as the JSON report
+    escapes it, such as ``\\ud800``.
+    """
     with _writing(directory):
         Path(directory).mkdir(parents=True, exist_ok=True)
     path = Path(directory) / name
-    with _writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", newline="", encoding="utf-8",
+                              errors="backslashreplace") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -419,6 +425,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    from .detectors import DetectorConfig
     from .filters import apply_policies, load_policies
 
     _bind("deduplicate")
@@ -426,7 +433,8 @@ def cmd_filter(args) -> int:
         policies = load_policies(args.policy_file)
     except (OSError, ValueError) as exc:
         raise CommandError(f"bad policy file: {exc}") from exc
-    cfg = _detector_config(args)
+    # No policy reads a cutoff: the ledger's config states the defaults.
+    cfg = DetectorConfig(exclude_merges=not args.include_merges, date_field=args.date_field)
     # The parsed list, duplicates and all, is freed once deduplicated.
     unique, dedup = deduplicate(_read_records(args.inputs, args.format, args.repo))
     try:
@@ -472,7 +480,7 @@ def _stats_tables(report: dict, exclude_terms) -> dict:
     return {
         "deltas": stats,
         "histogram": histogram,
-        "tokens": tokens.to_dict(),
+        "tokens": {"rows": [{"token": t, "count": c} for t, c in tokens]},
         "top_committers": [
             {"committer": who, "commits": n}
             for who, n in analytics.top_committers(anomalies, committers)
@@ -596,9 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write surviving records here as NDJSON (default: stdout)")
     fil.add_argument("--report", metavar="PATH",
                      help="write the removal-ledger document here (default: stderr)")
-    # No policy reads a cutoff: the ledger's config states the defaults.
-    fil.set_defaults(func=cmd_filter, snapshot_date=None,
-                     old_cutoff=format_utc(DEFAULT_OLD_CUTOFF))
+    fil.set_defaults(func=cmd_filter)
 
     stats = sub.add_parser("stats", help="derive distribution tables from a scan report")
     stats.add_argument("scan_report", metavar="REPORT", help="report produced by 'scan'")

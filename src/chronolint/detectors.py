@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .model import DEFAULT_OLD_CUTOFF, Anomaly, AnomalyKind, CommitRecord, format_utc
 
 
-class MissingSnapshotDate(Exception):
+class MissingSnapshotDate(ValueError):
     """Future detection needs to know when the dataset was frozen."""
 
 

@@ -66,12 +66,12 @@ class RemovalLedger:
         }
 
 
-def repo_star_table(records) -> list[tuple[str, int]]:
+def repo_star_table(records) -> dict[str, int]:
     """Repo-level star counts: the max seen per repo, 0 when never set."""
     stars: dict[str, int] = {}
     for rec in records:  # ingest refuses negative counts
         stars[rec.repo_id] = max(stars.get(rec.repo_id, 0), rec.stars or 0)
-    return sorted(stars.items())
+    return stars
 
 
 # ---- What each kind keeps ----
@@ -98,14 +98,14 @@ def _keep_in_order(records, scope: str, cfg: DetectorConfig):
 def _keep_starred(records, min_stars: int, cfg):
     """Repos with at least ``min_stars``; a repo whose records never carry
     a count has zero stars, so any positive threshold removes it."""
-    stars = dict(repo_star_table(records))
+    stars = repo_star_table(records)
     return lambda r: stars[r.repo_id] >= min_stars
 
 
 def _keep_top_k(records, k: int, cfg):
     """The k most-starred repos; boundary ties go to the smaller id, and
     fewer than k repos means all of them."""
-    ranked = sorted(repo_star_table(records), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(repo_star_table(records).items(), key=lambda item: (-item[1], item[0]))
     top = {repo_id for repo_id, _ in ranked[:k]}
     return lambda r: r.repo_id in top
 

@@ -388,7 +388,7 @@ class ForgeClient:
                                body: str) -> VerificationOutcome | None:
         """What a fetched document states; None if it is unusable or another commit's."""
         try:
-            record = _record_reader()(decode_json(body), {}, {}, {})
+            record = _record_reader()(decode_json(body), {}, {})
         except ValueError as exc:
             log.warning("unusable metadata document from %s: %s", source.kind, exc)
             return None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import logging
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import CommitRecord
 
@@ -33,7 +33,8 @@ class CycleDetected(ValueError):
 
 @dataclass(frozen=True)
 class CommitGraph:
-    """A validated, acyclic commit DAG for one repository.
+    """A validated, acyclic commit DAG for one repository, whose id is
+    that of any of its records.
 
     Row ``i`` is ``records[i]``. The rows of its parents that resolved to
     real nodes, in the order the commit recorded them, are
@@ -44,11 +45,10 @@ class CommitGraph:
     no view keyed by hash: a commit's hash is ``records[row].hash``.
     """
 
-    repo_id: str
     records: list[CommitRecord]
     parent_start: array
     parent_rows: array
-    dangling_parents: list[tuple[str, str]] = field(default_factory=list)
+    dangling_parents: list[tuple[str, str]]
 
     def parents(self, row: int) -> array:
         """The rows of ``records[row]``'s resolved parents."""
@@ -77,12 +77,8 @@ def build_graph(records: list[CommitRecord]) -> CommitGraph:
     Records must be deduplicated and belong to a single repository;
     both are cheap to check and violating either would silently corrupt
     every downstream number. The graph keeps ``records`` itself, not a
-    copy, as its rows.
+    copy, as its rows; no records make the empty graph.
     """
-    if not records:
-        return CommitGraph(repo_id="", records=[], parent_start=array("l", [0]),
-                           parent_rows=array("l"))
-
     repos = {r.repo_id for r in records}
     if len(repos) > 1:
         raise ValueError(f"records span {len(repos)} repos; build one graph per repo")
@@ -111,8 +107,7 @@ def build_graph(records: list[CommitRecord]) -> CommitGraph:
                 before += 1
         starts.append(len(rows))
     del row_of, get
-    graph = CommitGraph(repo_id=records[0].repo_id, records=records, parent_start=starts,
-                        parent_rows=rows, dangling_parents=dangling)
+    graph = CommitGraph(records, starts, rows, dangling)
 
     # When every parent lies on the same side of its child, as in git
     # log's newest-first order, rows strictly increase (or decrease) along
@@ -120,7 +115,7 @@ def build_graph(records: list[CommitRecord]) -> CommitGraph:
     if len(rows) not in (after, before) and not _acyclic(graph):
         raise CycleDetected(_find_cycle(graph))
     if dangling:
-        log.debug("%s: %d dangling parent reference(s)", graph.repo_id, len(dangling))
+        log.debug("%s: %d dangling parent reference(s)", records[0].repo_id, len(dangling))
     return graph
 
 

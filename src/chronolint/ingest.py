@@ -198,14 +198,15 @@ def _parse_tz_minutes(text: str, tzs: dict) -> int:
 # ---- NDJSON format ----
 
 
-def _record_from_object(obj, hashes: dict, names: dict, ints: dict) -> CommitRecord:
+def _record_from_object(obj, hashes: dict, shared: dict) -> CommitRecord:
     """Validate one decoded NDJSON object; checks run, and fail, in a fixed
     order, so a record with several faults always names the same one.
 
-    ``hashes`` is :func:`_canon_hash`'s memo. ``names`` maps each repo,
-    author and committer id to the first string seen with its value, so
-    that records share one string per id. ``ints`` does the same for star
-    counts and offsets: Python shares only the ints up to 256.
+    ``hashes`` is :func:`_canon_hash`'s memo. ``shared`` maps each repo,
+    author and committer id, star count and offset to the first object
+    seen with its value, so that records share one object per value:
+    Python shares only the ints up to 256. One dict serves both, since a
+    str never equals an int, and the type checks keep bools out.
     """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
@@ -224,7 +225,7 @@ def _record_from_object(obj, hashes: dict, names: dict, ints: dict) -> CommitRec
 
     commit_hash = _canon_hash(raw_hash, "hash", hashes)
     if type(repo_id) is str:
-        repo_id = names.setdefault(repo_id, repo_id)
+        repo_id = shared.setdefault(repo_id, repo_id)
     else:
         typed(repo_id, str, "repo")
 
@@ -244,7 +245,7 @@ def _record_from_object(obj, hashes: dict, names: dict, ints: dict) -> CommitRec
         typed(raw_author_date, int, "author_date")
     author_date = normalize_timestamp(raw_author_date, unit)
     _check_tz_range(tz)
-    tz = ints.setdefault(tz, tz)
+    tz = shared.setdefault(tz, tz)
     if type(raw_committer_date) is not int:
         typed(raw_committer_date, int, "committer_date")
     committer_date = normalize_timestamp(raw_committer_date, unit)
@@ -259,14 +260,14 @@ def _record_from_object(obj, hashes: dict, names: dict, ints: dict) -> CommitRec
             typed(stars, int, "stars")
         if stars < 0:
             raise ValueError("stars must be non-negative")
-        stars = ints.setdefault(stars, stars)
+        stars = shared.setdefault(stars, stars)
 
     if type(author_id) is str:
-        author_id = names.setdefault(author_id, author_id)
+        author_id = shared.setdefault(author_id, author_id)
     else:
         typed(author_id, str, "author")
     if type(committer_id) is str:
-        committer_id = names.setdefault(committer_id, committer_id)
+        committer_id = shared.setdefault(committer_id, committer_id)
     else:
         typed(committer_id, str, "committer")
     if type(message) is not str:
@@ -281,8 +282,7 @@ def _parse_ndjson(lines) -> ParseResult:
     records: list[CommitRecord] = []
     malformed: list[MalformedRecord] = []
     hashes: dict[str, str] = {}
-    names: dict[str, str] = {}
-    ints: dict[int, int] = {}
+    shared: dict = {}
     # The scanner json.loads calls, without its wrappers. It takes a line
     # that starts with one JSON value followed by nothing but JSON
     # whitespace, as a CRLF line is; any other line is decoded again by
@@ -305,7 +305,7 @@ def _parse_ndjson(lines) -> ParseResult:
                 malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc}"))
                 continue
         try:
-            records.append(_record_from_object(obj, hashes, names, ints))
+            records.append(_record_from_object(obj, hashes, shared))
         except ValueError as exc:
             malformed.append(MalformedRecord(line_number, str(exc)))
     return ParseResult(records, malformed)
@@ -316,8 +316,10 @@ def _parse_ndjson(lines) -> ParseResult:
 
 def _record_from_gitlog_chunk(chunk: str, repo_id: str, hashes: dict, names: dict,
                               tzs: dict) -> CommitRecord:
-    """Validate one NUL-delimited gitlog record; the memos are as for
-    :func:`_record_from_object`, and ``tzs`` is :func:`_parse_tz_minutes`'s."""
+    """Validate one NUL-delimited gitlog record. ``hashes`` is
+    :func:`_canon_hash`'s memo, ``tzs`` is :func:`_parse_tz_minutes`'s, and
+    ``names`` shares one string per person name. All three are keyed by
+    text, so they stay apart: a committer named ``+0100`` is no offset."""
     fields = chunk.split(GITLOG_FIELD_SEP, 8)
     if len(fields) != 9:
         raise ValueError(f"expected 9 unit-separated fields, got {len(fields)}")

@@ -13,7 +13,6 @@ from chronolint.analytics import (
     HISTOGRAM_BOUNDS,
     HISTOGRAM_LABELS,
     DeltaStats,
-    EmptyInput,
     delta_histogram,
     delta_statistics,
     stem_token,
@@ -124,9 +123,9 @@ def test_symmetric_four_values():
 
 
 def test_empty_deltas_refused():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="no deltas"):
         delta_statistics([])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="no deltas"):
         delta_histogram([])
 
 
@@ -271,18 +270,18 @@ def test_stemmer_rules(token, stem):
 
 def test_token_frequency_hand_worked_example():
     table = token_frequency(["fixed bug", "fixes bug"])
-    assert table.rows == (("bug", 2), ("fix", 2))
+    assert table == [("bug", 2), ("fix", 2)]
 
 
 def test_all_stopwords_vanish():
-    assert token_frequency(["the of and"]).rows == ()
+    assert token_frequency(["the of and"]) == []
 
 
 def test_excluded_term_drops_whole_message():
     messages = ["git-svn-id: svn://x \n update everything"]
-    assert token_frequency(messages, exclude_terms={"git-svn-id"}).rows == ()
+    assert token_frequency(messages, exclude_terms={"git-svn-id"}) == []
     # Without the exclusion, the message contributes tokens.
-    assert token_frequency(messages).rows != ()
+    assert token_frequency(messages) != []
 
 
 def test_contraction_fragments_are_stopworded():
@@ -291,9 +290,9 @@ def test_contraction_fragments_are_stopworded():
 
 def test_sort_order_count_then_token():
     table = token_frequency(["beta beta beta alpha alpha gamma"])
-    assert table.rows == (("beta", 3), ("alpha", 2), ("gamma", 1))
+    assert table == [("beta", 3), ("alpha", 2), ("gamma", 1)]
     tied = token_frequency(["zeta kappa zeta kappa"])
-    assert tied.rows == (("kappa", 2), ("zeta", 2))
+    assert tied == [("kappa", 2), ("zeta", 2)]
 
 
 @given(st.permutations(["fix bug", "bug squash", "release notes", "fix typo"]))

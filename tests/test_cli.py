@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import dataclasses
 import io
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronolint
@@ -277,6 +278,43 @@ def test_scan_report_and_csv_outputs(tmp_path, capsys):
     assert anomaly_lines[0] == "kind,repo,commit,delta_seconds,evidence"
     assert len(anomaly_lines) == 1 + len(report["anomalies"])
     assert (csv_dir / "summary.csv").exists()
+
+
+def read_csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_a_lone_surrogate_in_an_id_is_written_to_csv_as_the_report_escapes_it(
+        tmp_path, capsys):
+    # JSON can spell a lone surrogate, which UTF-8 cannot encode; the CSV
+    # cell holds the same escape that the JSON report does.
+    records = [make_record(0, committer_epoch=0, repo="org/r\ud800x", committer="c\udfffy")]
+    path = write_records(tmp_path / "in.ndjson", records)
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT,
+                       "--report", str(report), "--csv-dir", str(tmp_path / "scan"))
+    assert code == 1, err
+    assert '"org/r\\ud800x"' in report.read_text(encoding="utf-8")
+    assert read_csv_rows(tmp_path / "scan" / "anomalies.csv")[1][1] == "org/r\\ud800x"
+
+    code, _, err = run(capsys, "stats", str(report), "--report", str(tmp_path / "stats.json"),
+                       "--csv-dir", str(tmp_path / "stats"))
+    assert (code, err) == (0, "")
+    assert read_csv_rows(tmp_path / "stats" / "top_committers.csv")[1] == ["c\\udfffy", "1"]
+    assert read_csv_rows(tmp_path / "stats" / "top_projects.csv")[1] == ["org/r\\ud800x", "1"]
+
+
+def test_a_repo_argument_that_is_not_utf8_is_written_to_csv_escaped(tmp_path, capsys):
+    # The interpreter decodes a non-UTF-8 byte of argv to a lone surrogate.
+    path = tmp_path / "log.bin"
+    path.write_text("\x1f".join([hex_hash(0), "", "0", "+0000", "0", "+0000", "a", "a", "m"]),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "scan", str(path), "--format", "gitlog", "--repo", "org/\udc80",
+                         "--snapshot-date", SNAPSHOT, "--csv-dir", str(tmp_path / "csv"))
+    assert code == 1, err
+    assert json.loads(out)["anomalies"][0]["repo"] == "org/\udc80"
+    assert read_csv_rows(tmp_path / "csv" / "anomalies.csv")[1][1] == "org/\\udc80"
 
 
 def test_scan_rerun_is_byte_stable(tmp_path, capsys):
@@ -1524,3 +1562,105 @@ def test_any_one_replaced_value_exits_0_1_or_2_with_one_error_line(
         if command != "scan" and "no metadata source" not in lines[-1]:
             assert len(lines) == 1, lines
         assert lines[-1].startswith("chronolint: error: ")
+
+
+# ---- any bytes of an input document ----
+
+# Bytes that readers trip on: NUL, CR, gitlog's field separator, U+2028, a
+# BOM, a byte that is never UTF-8, a lead byte with no continuation, and
+# the JSON escape of a lone surrogate, which UTF-8 cannot encode.
+PIECES = [b"\x00", b"\r", b"\x1f", "\u2028".encode(), "\ufeff".encode(), b"\xff", b"\xc3",
+          b"\\ud800"]
+STUB = f"stub/{hex_hash(1)}.json"
+# The documents each command reads, by file name.
+READ_FILES = {
+    "scan": ["commits.ndjson", "commits.gitlog"],
+    "filter": ["commits.ndjson", "commits.gitlog", "policies.json"],
+    "stats": ["report.json"],
+    "verify": ["report.json", "sources.json", "cache.ndjson", STUB],
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory, valid_documents):
+    """The bytes of a valid copy of each document, by file name: the commit
+    export in both formats, with an old commit of a repository of its own,
+    a scan report of it, and ``valid_documents``' policy file, sources
+    config (with relative endpoints), cache line and stub of the candidate."""
+    root = tmp_path_factory.mktemp("files")
+    (root / "stub").mkdir()
+    documents = valid_documents[2]
+    records = ooo_fixture() + [make_record(9, committer_epoch=0, repo="other/repo")]
+    write_records(root / "commits.ndjson", records)
+    with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(["scan", "commits.ndjson", "--snapshot-date", SNAPSHOT, "--report", "report.json"])
+    gitlog = "".join("\x1f".join([rec.hash, " ".join(rec.parents), str(rec.committer_date),
+                                  "+0000", str(rec.author_date), "+0000", rec.committer_id,
+                                  rec.author_id, rec.message]) + "\x00\n" for rec in records)
+    sources = {"sources": [{"kind": "LocalCache", "endpoint": "cache.ndjson"},
+                           {"kind": "FileStub", "endpoint": "stub"},
+                           documents["sources"]["sources"][2]]}
+    files = {
+        "commits.ndjson": (root / "commits.ndjson").read_bytes(),
+        "commits.gitlog": gitlog.encode(),
+        "policies.json": json.dumps(documents["policies"]).encode(),
+        "report.json": (root / "report.json").read_bytes(),
+        "sources.json": json.dumps(sources).encode(),
+        "cache.ndjson": json.dumps(CACHE_LINE).encode() + b"\n",
+        STUB: json.dumps(record_to_object(ooo_fixture()[1])).encode(),
+    }
+    return root, files
+
+
+def mutated(data: bytes, how: str, at: int, piece: bytes) -> bytes:
+    """``data`` cut at offset ``at`` (a negative one counts from the end),
+    with ``piece`` inserted or replacing the byte there, or with the line
+    that holds that offset repeated."""
+    at %= len(data) + 1
+    if how == "truncate":
+        return data[:at]
+    if how == "insert":
+        return data[:at] + piece + data[at:]
+    if how == "replace":
+        return data[:at] + piece + data[at + 1:]
+    start = data.rfind(b"\n", 0, at) + 1
+    end = data.find(b"\n", at) + 1 or len(data)
+    return data[:end] + data[start:end] + data[end:]
+
+
+@settings(max_examples=200, deadline=None)
+# A lone surrogate in the old commit's repository id, which anomalies.csv names.
+@example(read=("scan", "commits.ndjson"), how="insert", at=-8, piece=b"\\ud800")
+@given(read=st.sampled_from([(command, name) for command, names in READ_FILES.items()
+                             for name in names]),
+       how=st.sampled_from(["truncate", "insert", "replace", "repeat"]),
+       at=st.integers(-5000, 5000), piece=st.sampled_from(PIECES))
+def test_any_bytes_of_a_document_exit_0_1_or_2_with_one_error_line(
+        valid_files, read, how, at, piece):
+    root, files = valid_files
+    command, name = read
+    for file, data in files.items():
+        (root / file).write_bytes(mutated(data, how, at, piece) if file == name else data)
+    fmt = "gitlog" if name == "commits.gitlog" else "ndjson"
+    commits = [f"commits.{fmt}", "--format", fmt, "--repo", "example/repo"]
+    argv = {
+        "scan": ["scan", *commits, "--snapshot-date", SNAPSHOT, "--report", "scanned.json",
+                 "--csv-dir", "scan-csv"],
+        "filter": ["filter", *commits, "--policy-file", "policies.json",
+                   "--output", "out.ndjson", "--report", "ledger.json"],
+        "stats": ["stats", "report.json", "--report", "stats.json", "--csv-dir", "stats-csv"],
+        "verify": ["verify", "report.json", "--sources", "sources.json",
+                   "--report", "verified.json"],
+    }[command]
+    err = io.StringIO()
+    with contextlib.chdir(root), mock.patch.object(forge, "_opener", _no_network), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    # Lines end at "\n" alone: U+2028 in a message does not break its line.
+    # Other lines may come first: scan's malformed records, the parse's
+    # count of them, forge's warnings and verify's accounting.
+    lines = err.getvalue().split("\n")[:-1]
+    errors = [line for line in lines if line.startswith("chronolint: error: ")]
+    assert errors == (lines[-1:] if code == 2 else []), lines

@@ -254,7 +254,7 @@ def test_missing_stars_mean_zero():
 
 def test_star_table_uses_max_per_repo():
     records = [make_record(1, repo="r", stars=None), make_record(2, repo="r", stars=7)]
-    assert repo_star_table(records) == [("r", 7)]
+    assert repo_star_table(records) == {"r": 7}
 
 
 def test_remaining_bad_fraction_shrinks_with_threshold():

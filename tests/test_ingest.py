@@ -476,7 +476,7 @@ def reference_parse_ndjson(lines) -> ingest.ParseResult:
     """The NDJSON parse with decode_json on every line: the oracle for the
     scanner's fast path."""
     records, malformed = [], []
-    hashes, names, ints = {}, {}, {}
+    hashes, shared = {}, {}
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -489,7 +489,7 @@ def reference_parse_ndjson(lines) -> ingest.ParseResult:
             malformed.append(ingest.MalformedRecord(line_number, f"invalid JSON: {exc}"))
             continue
         try:
-            records.append(ingest._record_from_object(obj, hashes, names, ints))
+            records.append(ingest._record_from_object(obj, hashes, shared))
         except ValueError as exc:
             malformed.append(ingest.MalformedRecord(line_number, str(exc)))
     return ingest.ParseResult(records, malformed)
@@ -705,6 +705,29 @@ def test_repeated_star_counts_and_offsets_share_one_int():
     first, *rest = parse_commit_stream(data, "ndjson").records
     for rec in rest:
         assert rec.stars is first.stars and rec.tz_offset_min is first.tz_offset_min
+
+
+def test_ids_spelled_as_numbers_and_the_numbers_share_one_memo_apart():
+    # Ids and ints share one memo: "480" and 480 must each read back as given.
+    data = "\n".join([
+        ndjson_line(hash="a" * 40, repo="480", committer="-300", stars=480, tz_offset_min=-300),
+        ndjson_line(hash="b" * 40, repo="-300", committer="480", stars=480, tz_offset_min=-300),
+    ])
+    first, second = parse_commit_stream(data, "ndjson").records
+    assert (first.repo_id, first.committer_id, first.stars, first.tz_offset_min) == (
+        "480", "-300", 480, -300)
+    assert (second.repo_id, second.committer_id, second.stars, second.tz_offset_min) == (
+        "-300", "480", 480, -300)
+    assert type(second.repo_id) is type(second.committer_id) is str
+    assert type(second.stars) is type(second.tz_offset_min) is int
+
+
+def test_a_gitlog_name_spelled_as_an_offset_stays_a_name():
+    # gitlog's memos are all keyed by text, so they stay apart.
+    data = (gitlog_record("a" * 40, "", 1, "+0100", 1, "+0100", "+0100", "+0100", "m")
+            + gitlog_record("b" * 40, "", 2, "+0100", 2, "+0100", "+0100", "+0100", "m"))
+    for rec in parse_commit_stream(data, "gitlog", repo_id="r").records:
+        assert (rec.committer_id, rec.author_id, rec.tz_offset_min) == ("+0100", "+0100", 60)
 
 
 def synthetic_ndjson(n: int) -> bytes:

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -19,6 +20,14 @@ PERFBENCH = PACKAGE.parent.parent / "perfbench"
 def test_every_exported_name_resolves():
     assert [name for name in chronolint.__all__ if not hasattr(chronolint, name)] == []
     assert len(set(chronolint.__all__)) == len(chronolint.__all__)
+
+
+def test_every_exported_refusal_is_a_value_error():
+    errors = [name for name in chronolint.__all__
+              if isinstance(getattr(chronolint, name), type)
+              and issubclass(getattr(chronolint, name), BaseException)]
+    assert errors == ["CycleDetected", "MissingSnapshotDate"]
+    assert all(issubclass(getattr(chronolint, name), ValueError) for name in errors)
 
 
 def test_the_package_exports_exactly_all_and_each_name_from_its_defining_module():
@@ -350,3 +359,25 @@ def test_cli_reads_each_stage_from_the_package_table_and_a_cycle_is_a_value_erro
     assert refused == ["no_such_stage", "__all__"]
     cycle = f"chronolint: error: commit graph has a cycle: {hex_hash(1)} -> {hex_hash(2)}\n"
     assert runs == [[2, cycle], [2, cycle]]
+
+
+def test_readme_python_examples_run_in_order_with_warnings_as_errors(tmp_path):
+    # Each block goes on from the one before it. The export holds two
+    # repositories and a repeated commit, which one graph cannot.
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    records = [make_record(0, repo="org/a", committer_epoch=1_000_000_600),
+               make_record(1, parents=[0], repo="org/a"),
+               make_record(2, repo="org/b", stars=5)]
+    records.append(records[0])
+    with open(tmp_path / "commits.ndjson", "w", encoding="utf-8") as fh:
+        write_ndjson(records, fh)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "\n".join(blocks)], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert len(blocks) == 2
+    assert done.stdout.splitlines()[0].startswith(f"{hex_hash(1)} 600 ")
+    assert "'retained_commits': 3" in done.stdout
