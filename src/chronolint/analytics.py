@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -228,30 +229,29 @@ def stem_token(token: str) -> str:
     return token
 
 
-def tokenize(message: str) -> list[str]:
-    """Lowercase, split on non-alphanumerics, drop stopwords, stem."""
-    return [
-        stem_token(token)
-        for token in _TOKEN_RE.findall(message.lower())
-        if token not in STOPWORDS
-    ]
-
-
 def token_frequency(messages, exclude_terms=frozenset()) -> list[tuple[str, int]]:
     """(token, count) rows over messages, most frequent first, ties
-    alphabetical.
+    alphabetical. A message is lowercased and split on non-alphanumerics;
+    stopwords are dropped and the other tokens stemmed.
 
     A message containing any of ``exclude_terms`` (raw, case-sensitive
     substring test, applied before any normalization) is dropped whole --
     the use case is silencing machine-written messages whose boilerplate
     would drown the table.
+
+    The raw tokens are counted first; each distinct one is then checked
+    against the stopwords and stemmed once, and the counts of the raw
+    tokens that share a stem are summed.
     """
-    counts: dict[str, int] = {}
+    raw = Counter()
     for message in messages:
-        if any(term in message for term in exclude_terms):
-            continue
-        for token in tokenize(message):
-            counts[token] = counts.get(token, 0) + 1
+        if not any(term in message for term in exclude_terms):
+            raw.update(_TOKEN_RE.findall(message.lower()))
+    counts: dict[str, int] = {}
+    for token, count in raw.items():
+        if token not in STOPWORDS:
+            stem = stem_token(token)
+            counts[stem] = counts.get(stem, 0) + count
     return _ranked(counts.items())
 
 

@@ -28,8 +28,9 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from functools import cache
 from importlib import import_module
-from itertools import islice
+from itertools import chain, repeat, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import NoneType
@@ -171,18 +172,100 @@ def _writing(path):
         raise CommandError(f"cannot write {path}: {exc}") from exc
 
 
-# The indented form has no C encoder: encoding a report yields a few
-# hundred thousand small pieces. Writing them in batches holds one batch
-# at a time, not the whole text, and keeps the number of writes small.
-_DOCUMENT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-_PIECES_PER_WRITE = 8192
+# A document is written as json.dumps(doc, sort_keys=True, indent=2)
+# writes it, but that indented form has no C encoder. So only containers
+# that hold containers are laid out here. A flat container, one whose
+# values are all plain scalars, is encoded by one call to the C encoder,
+# with the newline and indentation of its depth as its item separator;
+# only the newlines after its opening and before its closing bracket are
+# added. A value counts as a plain scalar by its exact type, so anything
+# else, a subclass too, is laid out here or fails as json.dumps fails.
+#
+# A run of up to _RUN non-empty flat dicts, as list items or dict values,
+# is also encoded by one call, as a list. In that text "}," + separator +
+# "{" occurs only between two dicts: their values are plain scalars, a
+# string is ASCII-escaped, so it holds no raw newline, and within a dict
+# the separator is followed by a key's quote. The run is cut there into
+# its dicts.
+#
+# The text reaches the stream in writes of _WRITE_CHARS, apart from the
+# last, so the whole text is never held.
+_SCALARS = frozenset((str, int, float, bool, NoneType))
+_RUN = 128
+_WRITE_CHARS = 1 << 16
+
+
+@cache
+def _flat_encoder(level: int):
+    """Encode a flat container nested ``level`` deep, without the newlines
+    around its contents."""
+    separator = ",\n" + "  " * (level + 1)
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+
+
+def _flat_dicts(items) -> bool:
+    """Whether each of ``items`` is a non-empty dict of plain scalars."""
+    return (all(map(isinstance, items, repeat(dict))) and all(items)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, items)))))
+
+
+def _flat_run(items, start: int):
+    """The longest run of at most _RUN non-empty flat dicts from ``items[start]``."""
+    run = items[start:start + _RUN]
+    if _flat_dicts(run):
+        return run
+    return list(takewhile(lambda item: _flat_dicts((item,)), run))
+
+
+def _layout(value, level: int):
+    """Yield, in pieces, the text of ``value`` nested ``level`` deep."""
+    is_dict = isinstance(value, dict)
+    if not (value and (is_dict or isinstance(value, (list, tuple)))):
+        yield _flat_encoder(level)(value)  # a scalar or an empty container
+        return
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    keys = sorted(value) if is_dict else None
+    items = [value[key] for key in keys] if is_dict else value
+    if _SCALARS.issuperset(map(type, items)):
+        text = _flat_encoder(level)(value)
+        yield f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+        return
+    opening, closing = "{" + inner + "  ", inner + "}"  # of a dict nested one deeper
+    boundary = "}," + inner + "  {"
+    yield "{" if is_dict else "["
+    start = 0
+    while start < len(items):
+        lead = "," + inner if start else inner
+        run = _flat_run(items, start)
+        if not run:
+            yield lead + (f"{encode_basestring_ascii(keys[start])}: " if is_dict else "")
+            yield from _layout(items[start], level + 1)
+            start += 1
+            continue
+        text = _flat_encoder(level + 1)(run)[2:-2]
+        if is_dict:
+            yield lead + ("," + inner).join(
+                f"{encode_basestring_ascii(key)}: {opening}{part}{closing}"
+                for key, part in zip(keys[start:start + len(run)], text.split(boundary)))
+        else:
+            yield lead + opening + text.replace(boundary, closing + "," + inner + opening) + closing
+        start += len(run)
+    yield outer + ("}" if is_dict else "]")
 
 
 def _write_document(doc: dict, fh) -> None:
-    pieces = _DOCUMENT_ENCODER.iterencode(doc)
-    while batch := list(islice(pieces, _PIECES_PER_WRITE)):
-        fh.write("".join(batch))
-    fh.write("\n")
+    pending, size = [], 0
+    for piece in _layout(doc, 0):
+        pending.append(piece)
+        size += len(piece)
+        if size >= _WRITE_CHARS:
+            text = "".join(pending)
+            cut = size - size % _WRITE_CHARS
+            for start in range(0, cut, _WRITE_CHARS):
+                fh.write(text[start:start + _WRITE_CHARS])
+            pending, size = [text[cut:]], size - cut
+    pending.append("\n")
+    fh.write("".join(pending))
 
 
 def _emit_document(doc: dict, path: str | None, stream=None) -> None:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 from chronolint.analytics import (
     HISTOGRAM_BOUNDS,
     HISTOGRAM_LABELS,
+    STOPWORDS,
     DeltaStats,
     delta_histogram,
     delta_statistics,
     stem_token,
     summarize,
     token_frequency,
-    tokenize,
     top_committers,
     top_projects,
 )
@@ -285,7 +286,7 @@ def test_excluded_term_drops_whole_message():
 
 
 def test_contraction_fragments_are_stopworded():
-    assert tokenize("don't won't can't") == []
+    assert token_frequency(["don't won't can't"]) == []
 
 
 def test_sort_order_count_then_token():
@@ -299,6 +300,42 @@ def test_sort_order_count_then_token():
 def test_token_frequency_order_invariant(messages):
     baseline = token_frequency(["fix bug", "bug squash", "release notes", "fix typo"])
     assert token_frequency(messages) == baseline
+
+
+def reference_token_frequency(messages, exclude_terms=frozenset()):
+    """The token table with every occurrence stemmed: the oracle for
+    token_frequency, which stems each distinct token once."""
+    counts = {}
+    for message in messages:
+        if any(term in message for term in exclude_terms):
+            continue
+        for token in re.findall(r"[a-z0-9]+", message.lower()):
+            if token not in STOPWORDS:
+                stem = stem_token(token)
+                counts[stem] = counts.get(stem, 0) + 1
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+
+
+MESSAGE_WORDS = (
+    st.sampled_from(sorted(STOPWORDS))
+    | st.builds("{}{}".format, st.text("abdeginpsy019", max_size=4),
+                st.sampled_from(["ing", "ed", "es", "ss", "s", "y", ""]))
+    | st.text(max_size=4))
+MESSAGES = st.lists(
+    st.lists(st.tuples(MESSAGE_WORDS, st.sampled_from([str, str.upper, str.title]),
+                       st.sampled_from([" ", "-", "'", "\n", ": ", ""])),
+             max_size=8)
+    .map(lambda words: "".join(case(word) + sep for word, case, sep in words)),
+    max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MESSAGES, st.sets(st.sampled_from(["Fix", "fix", "ed ", "-", "git-svn-id"])
+                         | st.text(min_size=1, max_size=2), max_size=2))
+def test_token_frequency_matches_stemming_every_occurrence(messages, exclude_terms):
+    assert token_frequency(messages) == reference_token_frequency(messages)
+    assert (token_frequency(messages, exclude_terms=exclude_terms)
+            == reference_token_frequency(messages, exclude_terms))
 
 
 # ---- top-K attribution ----

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -1195,34 +1196,56 @@ def many_old_records(n=7_000):
     return [make_record(i, committer_epoch=0, repo=f"org/r{i % 50}") for i in range(n)]
 
 
-def assert_written_as_dumps_writes_it(text):
+@pytest.fixture
+def document_writes(monkeypatch):
+    """The sizes of the writes by which each document reaches its stream."""
+    writes = []
+    write_document = cli._write_document
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(len(text))
+            return self.fh.write(text)
+
+    monkeypatch.setattr(cli, "_write_document", lambda doc, fh: write_document(doc, Counting(fh)))
+    return writes
+
+
+def assert_written_as_dumps_writes_it(text, writes):
     doc = json.loads(text)
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    # Several batches long, so that a batch dropped, repeated or reordered shows.
-    assert sum(1 for _ in cli._DOCUMENT_ENCODER.iterencode(doc)) > 3 * cli._PIECES_PER_WRITE
+    # Several writes long, so that a batch dropped, repeated or reordered shows.
+    assert len(writes) > 3 and sum(writes) == len(text), writes
+    writes.clear()
     return doc
 
 
-def test_a_report_several_batches_long_is_written_as_dumps_writes_it(tmp_path, capsys):
+def test_a_report_several_batches_long_is_written_as_dumps_writes_it(
+        tmp_path, capsys, document_writes):
     path = write_records(tmp_path / "in.ndjson", many_old_records())
     report = tmp_path / "report.json"
     assert run(capsys, "scan", path, "--snapshot-date", SNAPSHOT, "--report", str(report))[0] == 1
-    to_file = assert_written_as_dumps_writes_it(report.read_bytes().decode("utf-8"))
+    to_file = assert_written_as_dumps_writes_it(report.read_bytes().decode("utf-8"),
+                                                document_writes)
     code, out, _ = run(capsys, "scan", path, "--snapshot-date", SNAPSHOT)
     assert code == 1
-    to_stdout = assert_written_as_dumps_writes_it(out)
+    to_stdout = assert_written_as_dumps_writes_it(out, document_writes)
     assert len(to_file["anomalies"]) == 7_000
     assert {**to_file, "generated_at": None} == {**to_stdout, "generated_at": None}
 
 
-def test_a_ledger_several_batches_long_is_written_to_stderr_as_dumps_writes_it(tmp_path, capsys):
+def test_a_ledger_several_batches_long_is_written_to_stderr_as_dumps_writes_it(
+        tmp_path, capsys, document_writes):
     path = write_records(tmp_path / "in.ndjson", clean_records())
     blocklist = [f"org/blocked{i}" for i in range(30_000)]
     policies = policy_file(tmp_path, [{"kind": "ProjectBlocklist", "blocklist": blocklist}])
     code, _, err = run(capsys, "filter", path, "--policy-file", policies,
                        "--output", str(tmp_path / "out.ndjson"))
     assert code == 0
-    ledger = assert_written_as_dumps_writes_it(err)
+    ledger = assert_written_as_dumps_writes_it(err, document_writes)
     assert ledger["config"]["policies"][0]["blocklist"] == sorted(blocklist)
 
 
@@ -1247,6 +1270,47 @@ def test_a_document_is_written_without_its_whole_text_in_memory(tmp_path):
         tracemalloc.stop()
     # Encoding the whole text before writing it peaks near six times its size.
     assert peak < size / 2, (peak, size)
+
+
+# Strings that hold what the writer cuts a run on, escapes and non-ASCII text.
+DOCUMENT_STRINGS = st.lists(
+    st.text(max_size=4)
+    | st.sampled_from(["},", "{", "}", '"', "\\", "\n", "\u2028", "caf\u00e9", "\ud800",
+                       "\udfff", "},\n  {", '": {', ",\n    "]),
+    max_size=4).map("".join)
+DOCUMENT_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | DOCUMENT_STRINGS
+    | st.sampled_from([2**64, -(2**100), -0.0, 1e300, float("nan"), float("inf"), float("-inf")]))
+FLAT_DICTS = st.dictionaries(DOCUMENT_STRINGS, DOCUMENT_SCALARS, min_size=1, max_size=4)
+
+
+@st.composite
+def long_runs(draw):
+    """Just over three runs of flat dicts, as list items or dict values,
+    with an empty dict, a scalar or a nested container among them, or none."""
+    flat = draw(st.lists(FLAT_DICTS, min_size=1, max_size=3))
+    items = [flat[i % len(flat)] for i in range(3 * cli._RUN + 1)]
+    odd = draw(st.sampled_from([None, {}, 0, "x", [{"a": 1}], {"a": {"b": 1}}]))
+    if odd is not None:
+        items.insert(draw(st.integers(0, len(items))), odd)
+    if draw(st.booleans()):
+        return {f"{i:04}": item for i, item in enumerate(items)}
+    return items
+
+
+DOCUMENTS = st.recursive(
+    DOCUMENT_SCALARS | FLAT_DICTS | st.lists(FLAT_DICTS, max_size=4) | long_runs(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(DOCUMENT_STRINGS, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+def test_any_document_is_written_as_dumps_writes_it(doc):
+    out = io.StringIO()
+    cli._write_document(doc, out)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_a_reader_that_leaves_mid_document_gets_one_error_line(tmp_path):
@@ -1664,3 +1728,73 @@ def test_any_bytes_of_a_document_exit_0_1_or_2_with_one_error_line(
     lines = err.getvalue().split("\n")[:-1]
     errors = [line for line in lines if line.startswith("chronolint: error: ")]
     assert errors == (lines[-1:] if code == 2 else []), lines
+
+
+# ---- a standard output that fills up ----
+
+
+class FullAfter(io.StringIO):
+    """A stdout with room for ``room`` characters: a write past them keeps
+    what fits and fails as a full device does."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room = room
+
+    def write(self, text):
+        left = self.room - self.tell()
+        if len(text) > left:
+            super().write(text[:left])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+
+@pytest.fixture(scope="module")
+def full_stdout_runs(tmp_path_factory):
+    """Per command, its argv without --report, its exit code and the length
+    of the document it writes to stdout. The scan report is several write
+    batches long."""
+    root = tmp_path_factory.mktemp("full-stdout")
+    (root / "stub").mkdir()
+    records = ooo_fixture() + [make_record(1000 + i, committer_epoch=0, repo=f"org/r{i % 7}")
+                               for i in range(600)]
+    for rec in records:
+        (root / "stub" / f"{rec.hash}.json").write_text(json.dumps(record_to_object(rec)))
+    write_records(root / "in.ndjson", records)
+    (root / "sources.json").write_text(
+        json.dumps({"sources": [{"kind": "FileStub", "endpoint": "stub"}]}), encoding="utf-8")
+    argvs = {"scan": ["scan", "in.ndjson", "--snapshot-date", SNAPSHOT],
+             "stats": ["stats", "report.json"],
+             "verify": ["verify", "report.json", "--sources", "sources.json"]}
+    runs = {}
+    with contextlib.chdir(root), contextlib.redirect_stderr(io.StringIO()):
+        main([*argvs["scan"], "--report", "report.json"])
+        for command, argv in argvs.items():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv)
+            runs[command] = (argv, code, len(out.getvalue()))
+    assert runs["scan"][2] > 3 * cli._WRITE_CHARS
+    return root, runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["scan", "stats", "verify"]))
+def test_a_stdout_that_fills_up_at_any_character_exits_two_with_one_error_line(
+        full_stdout_runs, data, command):
+    root, runs = full_stdout_runs
+    argv, code, size = runs[command]
+    room = data.draw(st.integers(0, size + 10), label="room")
+    out, err = FullAfter(room), io.StringIO()
+    with contextlib.chdir(root), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        got = main(argv)
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("chronolint: error: ")]
+    if room < size:
+        # verify states its accounting first; the error is the one last line.
+        assert got == 2
+        assert errors == lines[-1:], lines
+        assert errors[0].startswith("chronolint: error: cannot write stdout: ")
+        assert len(out.getvalue()) == room
+    else:
+        assert (got, errors, len(out.getvalue())) == (code, [], size)
