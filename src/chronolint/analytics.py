@@ -14,9 +14,9 @@ import math
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .model import NO_NAME, Anomaly, AnomalyKind
 
@@ -31,10 +31,7 @@ HISTOGRAM_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class DeltaStats:
-    """Moments and quartiles of parent-minus-child gaps, in seconds."""
-
+class _DeltaStatsFields(NamedTuple):
     n: int
     mean: float
     std: float  # population, not sample
@@ -44,12 +41,20 @@ class DeltaStats:
     p75: float
     max: int
 
-    def __post_init__(self):
+
+class DeltaStats(_DeltaStatsFields):
+    """Moments and quartiles of parent-minus-child gaps, in seconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("stats need at least one observation")
         # The quartiles are floats, which round ints above 2**53.
         if not float(self.min) <= self.p25 <= self.p50 <= self.p75 <= float(self.max):
             raise ValueError("quantiles out of order")
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -58,18 +63,23 @@ class DeltaStats:
         }
 
 
-@dataclass(frozen=True)
-class DeltaHistogram:
-    """Eleven (upper_bound, count) buckets; the last bound is None (open)."""
-
+class _DeltaHistogramFields(NamedTuple):
     buckets: tuple[tuple[int | None, int], ...]
 
-    def __post_init__(self):
+
+class DeltaHistogram(_DeltaHistogramFields):
+    """Eleven (upper_bound, count) buckets; the last bound is None (open)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.buckets) != len(HISTOGRAM_LABELS):
             raise ValueError(f"expected {len(HISTOGRAM_LABELS)} buckets")
         bounds = [b for b, _ in self.buckets[:-1]]
         if bounds != sorted(set(bounds)) or self.buckets[-1][0] is not None:
             raise ValueError("bounds must increase strictly and end open")
+        return self
 
     @property
     def total(self) -> int:

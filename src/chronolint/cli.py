@@ -138,6 +138,12 @@ def anomaly_to_object(anomaly: Anomaly) -> dict:
     return obj
 
 
+# Each kind by its value. A report names one kind per entry, and a dict
+# lookup costs a fraction of the Enum call, which stays for an unknown
+# value and raises its error.
+_KIND_BY_VALUE = {kind.value: kind for kind in AnomalyKind}
+
+
 def anomaly_from_object(obj: dict, index: int) -> Anomaly:
     """Rebuild entry ``index`` of a report's anomaly list, checking its types."""
     try:
@@ -150,8 +156,9 @@ def anomaly_from_object(obj: dict, index: int) -> Anomaly:
         # A report writes ids as ingest accepts them; only such an id may reach a source.
         if not (_HEX_HASH.fullmatch(commit) or _SVN_HASH.fullmatch(commit)):
             raise ValueError(f"commit {commit!r} is neither 40-char hex nor r<N>@<repo>")
+        kind = typed(obj["kind"], str, "kind")
         return Anomaly(
-            kind=AnomalyKind(typed(obj["kind"], str, "kind")),
+            kind=_KIND_BY_VALUE.get(kind) or AnomalyKind(kind),
             commit_hash=commit,
             repo_id=typed(obj["repo"], str, "repo"),
             evidence=typed(obj.get("evidence", ""), str, "evidence"),

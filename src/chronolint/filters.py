@@ -12,7 +12,6 @@ repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .detectors import DetectorConfig, detect_out_of_order_parents
@@ -20,15 +19,19 @@ from .graph import build_graph, group_by_repo
 from .model import canonical_repo_id, decode_json, parse_utc, typed
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
-    """One declarative cleaning step: a kind and the one value it takes,
-    which a policy file names by the kind's field (see ``_KINDS``)."""
-
+class _FilterPolicyFields(NamedTuple):
     kind: str
     value: int | frozenset[str] | str | None = None
 
-    def __post_init__(self):
+
+class FilterPolicy(_FilterPolicyFields):
+    """One declarative cleaning step: a kind and the one value it takes,
+    which a policy file names by the kind's field (see ``_KINDS``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         spec = _KINDS[self.kind]
@@ -41,15 +44,14 @@ class FilterPolicy:
             value = spec.load(value)
         if spec.check and not spec.check[0](value):
             raise ValueError(f"{self.kind} needs {spec.field} {spec.check[1]}, got {value!r}")
-        object.__setattr__(self, "value", value)
+        return self._replace(value=value)
 
     def to_dict(self) -> dict:
         spec = _KINDS[self.kind]
         return {"kind": self.kind, spec.field: spec.dump(self.value) if spec.dump else self.value}
 
 
-@dataclass(frozen=True)
-class RemovalLedger:
+class RemovalLedger(NamedTuple):
     """What one policy application cost: commits and whole projects removed."""
 
     policy: FilterPolicy

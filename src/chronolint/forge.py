@@ -15,20 +15,17 @@ from __future__ import annotations
 import errno
 import functools
 import json
-import logging
 import os
 import re
 import string
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import NoneType
+from typing import NamedTuple
 
-from .model import OUT_OF_ORDER_KINDS, Anomaly, decode_json, typed
-
-log = logging.getLogger(__name__)
+from .model import OUT_OF_ORDER_KINDS, Anomaly, decode_json, log_debug, log_warning, typed
 
 HTTP_KINDS = ("PrimaryForge", "ArchiveFallback")
 SOURCE_KINDS = (*HTTP_KINDS, "LocalCache", "FileStub")
@@ -42,8 +39,13 @@ class VerificationStatus(str, Enum):
     UNVERIFIABLE = "unverifiable"
 
 
-@dataclass(frozen=True)
-class MetadataSource:
+class _MetadataSourceFields(NamedTuple):
+    kind: str
+    endpoint: str
+    auth: str | None = None
+
+
+class MetadataSource(_MetadataSourceFields):
     """One place to ask about a commit, in priority order.
 
     ``endpoint`` is a URL template with bare ``{repo}``/``{hash}`` holes
@@ -53,11 +55,10 @@ class MetadataSource:
     lives in config.
     """
 
-    kind: str
-    endpoint: str
-    auth: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if not typed(self.endpoint, str, f"source {self.kind!r}: endpoint"):
@@ -78,10 +79,18 @@ class MetadataSource:
                 if name is not None and (name not in ("repo", "hash") or spec or conversion):
                     raise ValueError(f"source {self.kind!r}: endpoint field {name!r} must be a "
                                      "bare {repo} or {hash}, with no format spec or conversion")
+        return self
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class _VerificationOutcomeFields(NamedTuple):
+    commit_hash: str
+    status: VerificationStatus
+    verified_flag: bool | None = None
+    parents: tuple[str, ...] | None = None
+    committer_date: int | None = None
+
+
+class VerificationOutcome(_VerificationOutcomeFields):
     """What the sources know about one commit.
 
     ``committer_date`` is the fetched epoch, the ground truth the audit
@@ -90,17 +99,15 @@ class VerificationOutcome:
     status.
     """
 
-    commit_hash: str
-    status: VerificationStatus
-    verified_flag: bool | None = None
-    parents: tuple[str, ...] | None = None
-    committer_date: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.status is not VerificationStatus.UNVERIFIABLE:
             if self.parents is None or self.committer_date is None:
                 raise ValueError("resolved outcomes need parents and a committer date")
-            object.__setattr__(self, "parents", tuple(self.parents))
+            self = self._replace(parents=tuple(self.parents))
+        return self
 
 
 # ---- Cache ----
@@ -144,7 +151,7 @@ class CacheStore:
         with open(self.path, "rb") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.endswith(b"\n"):
-                    log.warning("%s: skipping torn last line %d", self.path, number)
+                    log_warning(__name__, "%s: skipping torn last line %d", self.path, number)
                     self._torn_at = os.fstat(fh.fileno()).st_size - len(line)
                     break
                 try:
@@ -207,13 +214,19 @@ def _entry_from_outcome(repo_id: str, outcome: VerificationOutcome) -> dict:
     }
 
 
+# Each status by its value, for the cache's lines; the Enum call stays
+# for an unknown value and raises its error.
+_STATUS_BY_VALUE = {status.value: status for status in VerificationStatus}
+
+
 def _outcome_from_entry(entry) -> tuple[str, VerificationOutcome]:
     """Read a cache line's object back as (repo, outcome); every key must be there."""
     repo_id = typed(typed(entry, dict, "the line")["repo"], str, "repo")
     parents = typed(entry["parents"], (list, NoneType), "parents")
+    status = typed(entry["status"], str, "status")
     return repo_id, VerificationOutcome(
         commit_hash=typed(entry["hash"], str, "hash"),
-        status=VerificationStatus(typed(entry["status"], str, "status")),
+        status=_STATUS_BY_VALUE.get(status) or VerificationStatus(status),
         verified_flag=typed(entry["verified"], (bool, NoneType), "verified"),
         parents=None if parents is None else tuple(typed(p, str, "a parent") for p in parents),
         committer_date=typed(entry["committer_date"], (int, NoneType), "committer_date"),
@@ -361,7 +374,7 @@ class ForgeClient:
                 status, body, resp_headers = self.transport(url, headers)
             except OSError as exc:
                 # A failed connection or response: no hint to back off from.
-                log.debug("transport error on %s: %s", url, exc)
+                log_debug(__name__, "transport error on %s: %s", url, exc)
                 continue
             if status == 200:
                 return body
@@ -376,7 +389,7 @@ class ForgeClient:
                 else:
                     delay *= 2
                 if attempt + 1 < MAX_ATTEMPTS:
-                    log.debug("rate limited on %s; sleeping %ss", url, delay)
+                    log_debug(__name__, "rate limited on %s; sleeping %ss", url, delay)
                     self.sleep(delay)
             except (OverflowError, ValueError):
                 # int() refuses a hint of over 4,300 digits, and sleep a delay
@@ -390,10 +403,10 @@ class ForgeClient:
         try:
             record = _record_reader()(decode_json(body), {}, {})
         except ValueError as exc:
-            log.warning("unusable metadata document from %s: %s", source.kind, exc)
+            log_warning(__name__, "unusable metadata document from %s: %s", source.kind, exc)
             return None
         if record.hash != commit_hash:
-            log.warning("%s answered with %s when asked for %s",
+            log_warning(__name__, "%s answered with %s when asked for %s",
                         source.kind, record.hash, commit_hash)
             return None
         if source.kind == "ArchiveFallback":

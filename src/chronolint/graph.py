@@ -14,13 +14,10 @@ downstream may trust it.
 from __future__ import annotations
 
 import heapq
-import logging
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import CommitRecord
-
-log = logging.getLogger(__name__)
+from .model import CommitRecord, log_debug
 
 
 class CycleDetected(ValueError):
@@ -31,8 +28,7 @@ class CycleDetected(ValueError):
         super().__init__(f"commit graph has a cycle: {' -> '.join(self.cycle)}")
 
 
-@dataclass(frozen=True)
-class CommitGraph:
+class CommitGraph(NamedTuple):
     """A validated, acyclic commit DAG for one repository, whose id is
     that of any of its records.
 
@@ -115,7 +111,8 @@ def build_graph(records: list[CommitRecord]) -> CommitGraph:
     if len(rows) not in (after, before) and not _acyclic(graph):
         raise CycleDetected(_find_cycle(graph))
     if dangling:
-        log.debug("%s: %d dangling parent reference(s)", records[0].repo_id, len(dangling))
+        log_debug(__name__, "%s: %d dangling parent reference(s)",
+                  records[0].repo_id, len(dangling))
     return graph
 
 

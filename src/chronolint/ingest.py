@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     ASCII_INT,
@@ -32,11 +31,10 @@ from .model import (
     _UNIT_FACTORS,
     CommitRecord,
     decode_json,
+    log_warning,
     normalize_timestamp,
     typed,
 )
-
-log = logging.getLogger(__name__)
 
 _TZ_HHMM = re.compile(r"([+-])([0-9]{2})([0-9]{2})")
 
@@ -69,8 +67,7 @@ _READ_BLOCK = 1 << 16
 # ---- Result containers ----
 
 
-@dataclass(frozen=True)
-class MalformedRecord:
+class MalformedRecord(NamedTuple):
     """A record that failed to parse, with enough context to find it again.
 
     ``line_number`` is the 1-based physical line for NDJSON input and the
@@ -81,16 +78,14 @@ class MalformedRecord:
     reason: str
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     """Everything a parse produced: good records plus skip-and-report rejects."""
 
     records: list[CommitRecord]
     malformed: list[MalformedRecord]
 
 
-@dataclass(frozen=True)
-class DuplicateHashConflict:
+class DuplicateHashConflict(NamedTuple):
     """Two records shared a hash but disagreed on the committer date.
 
     The first-seen record wins; this notes what was thrown away.
@@ -101,26 +96,31 @@ class DuplicateHashConflict:
     dropped: int
 
 
-@dataclass(frozen=True)
-class DedupReport:
+class _DedupReportFields(NamedTuple):
+    total_in: int
+    unique_out: int
+    duplicate_hashes: tuple[tuple[str, int], ...]
+    conflicts: tuple[DuplicateHashConflict, ...] = ()
+
+
+class DedupReport(_DedupReportFields):
     """Accounting for a deduplication pass.
 
     Every dropped record is accounted for:
     ``total_in == unique_out + sum(count - 1 for each duplicated hash)``.
     """
 
-    total_in: int
-    unique_out: int
-    duplicate_hashes: tuple[tuple[str, int], ...]
-    conflicts: tuple[DuplicateHashConflict, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         dropped = sum(count - 1 for _, count in self.duplicate_hashes)
         if self.total_in != self.unique_out + dropped:
             raise ValueError(
                 f"dedup accounting broken: {self.total_in} in != "
                 f"{self.unique_out} unique + {dropped} dropped"
             )
+        return self
 
 
 # ---- Field validators ----
@@ -439,7 +439,7 @@ def parse_commit_stream(stream, format: str = "ndjson", repo_id: str = "") -> Pa
         raise ValueError(f"unknown format {format!r} (expected 'ndjson' or 'gitlog')")
 
     if result.malformed:
-        log.warning("skipped %d malformed record(s) of %d",
+        log_warning(__name__, "skipped %d malformed record(s) of %d",
                     len(result.malformed), len(result.records) + len(result.malformed))
     return result
 

@@ -1,7 +1,12 @@
 """Core value types: commit records and anomalies, the commit id rule, the
-old-date cutoff, and UTC date text.
+old-date cutoff, and UTC date text; and the package's two log calls.
 
 Everything here is an immutable value object, safe to share across threads.
+Every value type of the package is a ``typing.NamedTuple``: immutable and,
+when its fields are, hashable; as a tuple, it iterates over its fields and
+compares equal to a plain tuple of them. A type that checks its fields
+does so in ``__new__``, which ``_make`` and ``_replace`` do not call.
+
 A date is an int: whole seconds since the Unix epoch, UTC, as on the wire.
 Every comparison in the toolkit is on these ints. A record carries one
 timezone offset, the committer's, for output only; it is never applied.
@@ -9,8 +14,9 @@ timezone offset, the committer's, for output only; it is never applied.
 
 import json
 import re
-from dataclasses import dataclass
+import sys
 from enum import Enum
+from typing import NamedTuple
 
 # Epochs are int64 seconds. Ingest rejects a record with a date outside
 # this range, so two dates never differ by 2**64 seconds or more.
@@ -49,6 +55,24 @@ def typed(value, json_type, field: str):
     return value
 
 
+def log_warning(name: str, msg: str, *args) -> None:
+    """Warn on ``logging.getLogger(name)``, with the caller's line in the
+    record. ``logging`` is imported here, so a run that warns of nothing
+    never loads it."""
+    import logging
+
+    logging.getLogger(name).warning(msg, *args, stacklevel=2)
+
+
+def log_debug(name: str, msg: str, *args) -> None:
+    """Log at DEBUG on ``logging.getLogger(name)``, with the caller's line
+    in the record, once something has imported ``logging``. Until then
+    nothing has configured it, and its last-resort handler takes WARNING
+    and up, so the message is dropped without the import."""
+    if "logging" in sys.modules:
+        sys.modules["logging"].getLogger(name).debug(msg, *args, stacklevel=2)
+
+
 def decode_json(text: str | bytes):
     """``json.loads``, except that a document nested deeper than the
     recursion limit raises ``ValueError``, as any other undecodable
@@ -59,12 +83,13 @@ def decode_json(text: str | bytes):
         raise ValueError("nested too deeply to decode") from None
 
 
-@dataclass(frozen=True, slots=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """One commit's identity and metadata, normalized to internal units.
 
     Dates are epoch seconds; negative ones are legal, and are exactly the
-    suspicious values this toolkit exists to surface.
+    suspicious values this toolkit exists to surface. A record is a
+    tuple of its eleven fields in the order below: it iterates over them,
+    and it compares equal to, and hashes as, a plain tuple of them.
     """
 
     hash: str
@@ -101,22 +126,28 @@ class AnomalyKind(str, Enum):
 OUT_OF_ORDER_KINDS = frozenset({AnomalyKind.OUT_OF_ORDER_LINEAR, AnomalyKind.OUT_OF_ORDER_PARENT})
 
 
-@dataclass(frozen=True)
-class Anomaly:
-    """A flagged commit with the reason and, for ordering problems, the
-    measured parent-minus-child gap in seconds."""
-
+class _AnomalyFields(NamedTuple):
     kind: AnomalyKind
     commit_hash: str
     repo_id: str
     evidence: str
     delta_seconds: int | None = None
 
-    def __post_init__(self):
-        if (self.delta_seconds is not None) != (self.kind in OUT_OF_ORDER_KINDS):
+
+class Anomaly(_AnomalyFields):
+    """A flagged commit with the reason and, for ordering problems, the
+    measured parent-minus-child gap in seconds."""
+
+    __slots__ = ()
+
+    # The fields are spelled out, not taken as *args: stats builds one
+    # Anomaly per report entry, and this form builds in half the time.
+    def __new__(cls, kind, commit_hash, repo_id, evidence, delta_seconds=None):
+        if (delta_seconds is not None) != (kind in OUT_OF_ORDER_KINDS):
             raise ValueError(
                 "delta_seconds must be set exactly for out-of-order anomalies"
             )
+        return tuple.__new__(cls, (kind, commit_hash, repo_id, evidence, delta_seconds))
 
 
 def normalize_timestamp(raw: int, unit: str) -> int:

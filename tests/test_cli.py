@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import csv
-import dataclasses
 import errno
 import io
 import json
@@ -906,6 +905,24 @@ def test_anomaly_entry_without_commit_names_the_missing_field(tmp_path, capsys, 
     assert err.splitlines() == ["chronolint: error: unreadable anomaly entry 0: missing 'commit'"]
 
 
+def test_an_unknown_kind_or_status_is_refused_with_the_enum_error(tmp_path, capsys):
+    # Both readers look a known value up in a dict, and leave the rest to the Enum.
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    doc = json.loads(Path(report).read_text(encoding="utf-8"))
+    doc["anomalies"][0]["kind"] = "Old"
+    Path(report).write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "stats", report) == (
+        2, "", "chronolint: error: unreadable anomaly entry 0: 'Old' is not a valid AnomalyKind\n")
+
+    report = scan_report_path(tmp_path, capsys, records)
+    cache = tmp_path / "cache.ndjson"
+    cache.write_text(json.dumps({**CACHE_LINE, "status": "confirmed"}) + "\n", encoding="utf-8")
+    assert run(capsys, "verify", report, "--sources", cached_sources(tmp_path, records, cache)) == (
+        2, "", f"chronolint: error: corrupt cache {cache} line 1: "
+               "'confirmed' is not a valid VerificationStatus\n")
+
+
 def test_epoch_beyond_int64_is_malformed_so_stats_never_overflows(tmp_path, capsys):
     # Two int64 epochs are at most 2**64 - 1 seconds apart; stats takes that.
     records = [make_record(0, committer_epoch=2**63 - 1),
@@ -1482,7 +1499,7 @@ def test_record_serialization_round_trips(extras):
 
 
 def test_record_serialization_keeps_committer_timezone():
-    rec = dataclasses.replace(make_record(7), tz_offset_min=330)
+    rec = make_record(7)._replace(tz_offset_min=330)
     obj = record_to_object(rec)
     assert obj["tz_offset_min"] == 330
     (back,) = parse_commit_stream(json.dumps(obj)).records

@@ -3,6 +3,7 @@
 import gc
 import heapq
 import itertools
+import logging
 import random
 import tracemalloc
 from collections import defaultdict
@@ -95,6 +96,13 @@ def test_dangling_parent_recorded_not_fatal():
     graph = build_graph([record(1, [99])])
     assert graph.dangling_parents == [(h(1), h(99))]
     assert hash_view(graph)[1][h(1)] == []
+
+
+def test_a_dangling_parent_is_logged_at_debug_level_from_build_graph(caplog):
+    with caplog.at_level(logging.DEBUG, logger="chronolint.graph"):
+        build_graph([record(1, [99]), record(2, [98, 97])])
+    assert [(r.name, r.levelname, r.funcName, r.getMessage()) for r in caplog.records] == [
+        ("chronolint.graph", "DEBUG", "build_graph", "r: 3 dangling parent reference(s)")]
 
 
 def test_two_cycle_detected():

@@ -9,6 +9,8 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 import chronolint
 from chronolint.cli import write_ndjson
 from conftest import hex_hash, make_record, record_to_object
@@ -381,3 +383,132 @@ def test_readme_python_examples_run_in_order_with_warnings_as_errors(tmp_path):
     assert len(blocks) == 2
     assert done.stdout.splitlines()[0].startswith(f"{hex_hash(1)} 600 ")
     assert "'retained_commits': 3" in done.stdout
+
+
+# IMPORT_PROBE, then which of the standard modules the package keeps off
+# its start path are loaded by the end of the step.
+START_PROBE = IMPORT_PROBE + """
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect", "logging") if m in sys.modules)))
+"""
+
+
+def test_no_step_loads_dataclasses_and_a_run_that_logs_nothing_loads_no_logging(tmp_path):
+    # The last scan's commit names a parent outside the export, which
+    # build_graph logs at debug level only.
+    dangling = tmp_path / "dangling.ndjson"
+    with open(dangling, "w", encoding="utf-8") as fh:
+        write_ndjson([make_record(1, parents=[2])], fh)
+    steps = [["import", "import"], ["parser", "parser"],
+             *tiny_commands(tmp_path, [{"kind": "DropOutOfOrder", "scope": "commit"}]),
+             ["scan dangling", ["scan", str(dangling), "--snapshot-date", "2019-10-31",
+                                "--report", str(tmp_path / "dangling.json")]]]
+    loaded = {}
+    for name, step in steps:  # in order: scan writes the report the later ones read
+        done = subprocess.run(
+            [sys.executable, "-c", START_PROBE, json.dumps(step)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded[name] = json.loads(done.stdout.splitlines()[1])
+    assert loaded == {name: [] for name, _ in steps}
+
+    # A run that logs loads logging then, and its warning still reaches
+    # stderr through logging's last-resort handler.
+    cache = tmp_path / "cache.ndjson"
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write('{"repo": "r", "hash": "ab')  # a crash mid-append
+    done = subprocess.run(
+        [sys.executable, "-m", "chronolint.cli", *dict(steps)["verify warm"]],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr.splitlines()[0]) == (
+        1, f"{cache}: skipping torn last line 3")
+
+
+def _value_types():
+    """(class, the fields of a valid value, whether they hash, and each bad
+    set of fields with the ValueError text its check raises) for every
+    value type of the package."""
+    from chronolint.analytics import HISTOGRAM_BOUNDS, DeltaHistogram, DeltaStats
+    from chronolint.detectors import DetectorConfig
+    from chronolint.filters import FilterPolicy, RemovalLedger
+    from chronolint.forge import MetadataSource, VerificationOutcome, VerificationStatus
+    from chronolint.graph import CommitGraph, build_graph
+    from chronolint.ingest import DedupReport, DuplicateHashConflict, MalformedRecord, ParseResult
+    from chronolint.model import Anomaly, AnomalyKind, CommitRecord
+
+    rec = make_record(1)
+    graph = build_graph([rec])
+    old, ooo = AnomalyKind.OLD, AnomalyKind.OUT_OF_ORDER_PARENT
+    forge, stub = VerificationStatus.CONFIRMED_ON_FORGE, "FileStub"
+    buckets = tuple(zip((*HISTOGRAM_BOUNDS, None), [1] + [0] * 10))
+    return [
+        (CommitRecord, (rec.hash, "r", (), 1, 2, "a", "c", "m", None, 5, 60), True, []),
+        (Anomaly, (old, rec.hash, "r", "e"), True, [
+            ((old, rec.hash, "r", "e", 5),
+             "delta_seconds must be set exactly for out-of-order anomalies"),
+            ((ooo, rec.hash, "r", "e"),
+             "delta_seconds must be set exactly for out-of-order anomalies")]),
+        (MetadataSource, (stub, "stub"), True, [
+            (("Mirror", "stub"), "unknown source kind 'Mirror'"),
+            ((stub, ""), "source 'FileStub' needs an endpoint"),
+            ((stub, 1), "source 'FileStub': endpoint must be a string, got int"),
+            ((stub, "stub", 1), "source 'FileStub': auth must be a string or null, got int"),
+            (("PrimaryForge", "ftp://x/{hash}"), "source 'PrimaryForge': endpoint must be an "
+             "http:// or https:// URL template"),
+            (("PrimaryForge", "https://x/{hash"), "source 'PrimaryForge': bad endpoint "
+             "template: expected '}' before end of string"),
+            (("PrimaryForge", "https://x/{hash!r}"), "source 'PrimaryForge': endpoint field "
+             "'hash' must be a bare {repo} or {hash}, with no format spec or conversion")]),
+        # A list of parents is held as a tuple, so the outcome hashes.
+        (VerificationOutcome, (rec.hash, forge, True, [rec.hash], 5), True, [
+            ((rec.hash, forge, True, None, 5),
+             "resolved outcomes need parents and a committer date"),
+            ((rec.hash, forge, True, (), None),
+             "resolved outcomes need parents and a committer date")]),
+        (MalformedRecord, (3, "bad"), True, []),
+        (ParseResult, ([rec], []), False, []),
+        (DuplicateHashConflict, (rec.hash, 1, 2), True, []),
+        (DedupReport, (3, 2, ((rec.hash, 2),)), True, [
+            ((3, 3, ((rec.hash, 2),)), "dedup accounting broken: 3 in != 3 unique + 1 dropped")]),
+        (DetectorConfig, (0, 10), True, [
+            ((0, None, True, "commit"), "date_field must be committer or author, got 'commit'"),
+            ((10, 10), "old_cutoff must lie before future_cutoff")]),
+        (CommitGraph, (graph.records, graph.parent_start, graph.parent_rows, []), False, []),
+        (FilterPolicy, ("TopKStars", 5), True, [
+            (("TopK", 5), "unknown policy kind 'TopK'"),
+            (("TopKStars",), "TopKStars needs k"),
+            (("TopKStars", 0), "TopKStars needs k >= 1, got 0")]),
+        (RemovalLedger, (FilterPolicy("TopKStars", 5), 1, 0, 2), True, []),
+        (DeltaStats, (1, 5.0, 0.0, 5, 5.0, 5.0, 5.0, 5), True, [
+            ((0, 5.0, 0.0, 5, 5.0, 5.0, 5.0, 5), "stats need at least one observation"),
+            ((2, 5.0, 0.0, 5, 6.0, 5.0, 5.0, 5), "quantiles out of order")]),
+        (DeltaHistogram, (buckets,), True, [
+            ((buckets[1:],), "expected 11 buckets"),
+            (((buckets[1],) + buckets[1:],), "bounds must increase strictly and end open"),
+            ((buckets[:-1] + ((10**9, 0),),), "bounds must increase strictly and end open")]),
+    ]
+
+
+VALUE_TYPES = _value_types()
+
+
+@pytest.mark.parametrize("cls, fields, hashable, refusals", VALUE_TYPES,
+                         ids=[cls.__name__ for cls, *_ in VALUE_TYPES])
+def test_a_value_type_is_immutable_hashes_by_value_and_keeps_its_checks(
+        cls, fields, hashable, refusals):
+    value, again = cls(*fields), cls(*fields)
+    for name in (cls._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert value == again
+    if hashable:
+        assert hash(value) == hash(again)
+    assert repr(value).startswith(f"{cls.__name__}(")
+    for bad, message in refusals:
+        with pytest.raises(ValueError) as refused:
+            cls(*bad)
+        assert str(refused.value) == message
+
