@@ -18,7 +18,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .model import NO_NAME, Anomaly, AnomalyKind
+from .model import NO_NAME, Anomaly, AnomalyKind, checked
 
 
 # Fixed histogram geometry: eleven buckets from half a minute to beyond a
@@ -31,7 +31,10 @@ HISTOGRAM_LABELS = (
 )
 
 
-class _DeltaStatsFields(NamedTuple):
+@checked
+class DeltaStats(NamedTuple):
+    """Moments and quartiles of parent-minus-child gaps, in seconds."""
+
     n: int
     mean: float
     std: float  # population, not sample
@@ -41,20 +44,12 @@ class _DeltaStatsFields(NamedTuple):
     p75: float
     max: int
 
-
-class DeltaStats(_DeltaStatsFields):
-    """Moments and quartiles of parent-minus-child gaps, in seconds."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.n < 1:
             raise ValueError("stats need at least one observation")
         # The quartiles are floats, which round ints above 2**53.
         if not float(self.min) <= self.p25 <= self.p50 <= self.p75 <= float(self.max):
             raise ValueError("quantiles out of order")
-        return self
 
     def to_dict(self) -> dict:
         return {
@@ -63,23 +58,18 @@ class DeltaStats(_DeltaStatsFields):
         }
 
 
-class _DeltaHistogramFields(NamedTuple):
-    buckets: tuple[tuple[int | None, int], ...]
-
-
-class DeltaHistogram(_DeltaHistogramFields):
+@checked
+class DeltaHistogram(NamedTuple):
     """Eleven (upper_bound, count) buckets; the last bound is None (open)."""
 
-    __slots__ = ()
+    buckets: tuple[tuple[int | None, int], ...]
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if len(self.buckets) != len(HISTOGRAM_LABELS):
             raise ValueError(f"expected {len(HISTOGRAM_LABELS)} buckets")
         bounds = [b for b, _ in self.buckets[:-1]]
         if bounds != sorted(set(bounds)) or self.buckets[-1][0] is not None:
             raise ValueError("bounds must increase strictly and end open")
-        return self
 
     @property
     def total(self) -> int:

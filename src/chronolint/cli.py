@@ -195,11 +195,10 @@ def _writing(path):
 # the separator is followed by a key's quote. The run is cut there into
 # its dicts.
 #
-# The text reaches the stream in writes of _WRITE_CHARS, apart from the
-# last, so the whole text is never held.
+# Each piece reaches the stream as it is laid out, so the whole text is
+# never held.
 _SCALARS = frozenset((str, int, float, bool, NoneType))
 _RUN = 128
-_WRITE_CHARS = 1 << 16
 
 
 @cache
@@ -261,18 +260,9 @@ def _layout(value, level: int):
 
 
 def _write_document(doc: dict, fh) -> None:
-    pending, size = [], 0
     for piece in _layout(doc, 0):
-        pending.append(piece)
-        size += len(piece)
-        if size >= _WRITE_CHARS:
-            text = "".join(pending)
-            cut = size - size % _WRITE_CHARS
-            for start in range(0, cut, _WRITE_CHARS):
-                fh.write(text[start:start + _WRITE_CHARS])
-            pending, size = [text[cut:]], size - cut
-    pending.append("\n")
-    fh.write("".join(pending))
+        fh.write(piece)
+    fh.write("\n")
 
 
 def _emit_document(doc: dict, path: str | None, stream=None) -> None:

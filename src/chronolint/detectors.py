@@ -13,36 +13,31 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .model import DEFAULT_OLD_CUTOFF, Anomaly, AnomalyKind, CommitRecord, format_utc
+from .model import DEFAULT_OLD_CUTOFF, Anomaly, AnomalyKind, CommitRecord, checked, format_utc
 
 
 class MissingSnapshotDate(ValueError):
     """Future detection needs to know when the dataset was frozen."""
 
 
-class _DetectorConfigFields(NamedTuple):
-    old_cutoff: int = DEFAULT_OLD_CUTOFF
-    future_cutoff: int | None = None
-    exclude_merges: bool = True
-    date_field: str = "committer"
-
-
-class DetectorConfig(_DetectorConfigFields):
+@checked
+class DetectorConfig(NamedTuple):
     """Shared knobs for the detectors.
 
     ``future_cutoff`` is the dataset snapshot date and has no safe
     default -- it must come from the dataset's manifest.
     """
 
-    __slots__ = ()
+    old_cutoff: int = DEFAULT_OLD_CUTOFF
+    future_cutoff: int | None = None
+    exclude_merges: bool = True
+    date_field: str = "committer"
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.date_field not in ("committer", "author"):
             raise ValueError(f"date_field must be committer or author, got {self.date_field!r}")
         if self.future_cutoff is not None and not self.old_cutoff < self.future_cutoff:
             raise ValueError("old_cutoff must lie before future_cutoff")
-        return self
 
 
 # ---- Cutoff detectors ----

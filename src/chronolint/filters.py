@@ -16,22 +16,18 @@ from typing import Callable, NamedTuple
 
 from .detectors import DetectorConfig, detect_out_of_order_parents
 from .graph import build_graph, group_by_repo
-from .model import canonical_repo_id, decode_json, parse_utc, typed
+from .model import canonical_repo_id, checked, decode_json, parse_utc, typed
 
 
-class _FilterPolicyFields(NamedTuple):
-    kind: str
-    value: int | frozenset[str] | str | None = None
-
-
-class FilterPolicy(_FilterPolicyFields):
+@checked
+class FilterPolicy(NamedTuple):
     """One declarative cleaning step: a kind and the one value it takes,
     which a policy file names by the kind's field (see ``_KINDS``)."""
 
-    __slots__ = ()
+    kind: str
+    value: int | frozenset[str] | str | None = None
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         spec = _KINDS[self.kind]

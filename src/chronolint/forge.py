@@ -25,7 +25,7 @@ from pathlib import Path
 from types import NoneType
 from typing import NamedTuple
 
-from .model import OUT_OF_ORDER_KINDS, Anomaly, decode_json, log_debug, log_warning, typed
+from .model import OUT_OF_ORDER_KINDS, Anomaly, checked, decode_json, log_debug, log_warning, typed
 
 HTTP_KINDS = ("PrimaryForge", "ArchiveFallback")
 SOURCE_KINDS = (*HTTP_KINDS, "LocalCache", "FileStub")
@@ -39,13 +39,8 @@ class VerificationStatus(str, Enum):
     UNVERIFIABLE = "unverifiable"
 
 
-class _MetadataSourceFields(NamedTuple):
-    kind: str
-    endpoint: str
-    auth: str | None = None
-
-
-class MetadataSource(_MetadataSourceFields):
+@checked
+class MetadataSource(NamedTuple):
     """One place to ask about a commit, in priority order.
 
     ``endpoint`` is a URL template with bare ``{repo}``/``{hash}`` holes
@@ -55,10 +50,11 @@ class MetadataSource(_MetadataSourceFields):
     lives in config.
     """
 
-    __slots__ = ()
+    kind: str
+    endpoint: str
+    auth: str | None = None
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if not typed(self.endpoint, str, f"source {self.kind!r}: endpoint"):
@@ -79,18 +75,10 @@ class MetadataSource(_MetadataSourceFields):
                 if name is not None and (name not in ("repo", "hash") or spec or conversion):
                     raise ValueError(f"source {self.kind!r}: endpoint field {name!r} must be a "
                                      "bare {repo} or {hash}, with no format spec or conversion")
-        return self
 
 
-class _VerificationOutcomeFields(NamedTuple):
-    commit_hash: str
-    status: VerificationStatus
-    verified_flag: bool | None = None
-    parents: tuple[str, ...] | None = None
-    committer_date: int | None = None
-
-
-class VerificationOutcome(_VerificationOutcomeFields):
+@checked
+class VerificationOutcome(NamedTuple):
     """What the sources know about one commit.
 
     ``committer_date`` is the fetched epoch, the ground truth the audit
@@ -99,15 +87,17 @@ class VerificationOutcome(_VerificationOutcomeFields):
     status.
     """
 
-    __slots__ = ()
+    commit_hash: str
+    status: VerificationStatus
+    verified_flag: bool | None = None
+    parents: tuple[str, ...] | None = None
+    committer_date: int | None = None
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.status is not VerificationStatus.UNVERIFIABLE:
             if self.parents is None or self.committer_date is None:
                 raise ValueError("resolved outcomes need parents and a committer date")
-            self = self._replace(parents=tuple(self.parents))
-        return self
+            return self._replace(parents=tuple(self.parents))
 
 
 # ---- Cache ----

@@ -30,6 +30,7 @@ from .model import (
     _SVN_HASH,
     _UNIT_FACTORS,
     CommitRecord,
+    checked,
     decode_json,
     log_warning,
     normalize_timestamp,
@@ -96,31 +97,26 @@ class DuplicateHashConflict(NamedTuple):
     dropped: int
 
 
-class _DedupReportFields(NamedTuple):
-    total_in: int
-    unique_out: int
-    duplicate_hashes: tuple[tuple[str, int], ...]
-    conflicts: tuple[DuplicateHashConflict, ...] = ()
-
-
-class DedupReport(_DedupReportFields):
+@checked
+class DedupReport(NamedTuple):
     """Accounting for a deduplication pass.
 
     Every dropped record is accounted for:
     ``total_in == unique_out + sum(count - 1 for each duplicated hash)``.
     """
 
-    __slots__ = ()
+    total_in: int
+    unique_out: int
+    duplicate_hashes: tuple[tuple[str, int], ...]
+    conflicts: tuple[DuplicateHashConflict, ...] = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         dropped = sum(count - 1 for _, count in self.duplicate_hashes)
         if self.total_in != self.unique_out + dropped:
             raise ValueError(
                 f"dedup accounting broken: {self.total_in} in != "
                 f"{self.unique_out} unique + {dropped} dropped"
             )
-        return self
 
 
 # ---- Field validators ----

@@ -5,7 +5,9 @@ Everything here is an immutable value object, safe to share across threads.
 Every value type of the package is a ``typing.NamedTuple``: immutable and,
 when its fields are, hashable; as a tuple, it iterates over its fields and
 compares equal to a plain tuple of them. A type that checks its fields
-does so in ``__new__``, which ``_make`` and ``_replace`` do not call.
+states the check in ``_check`` and is decorated with :func:`checked`;
+only ``Anomaly`` spells its check out in a ``__new__`` of its own.
+``_make`` and ``_replace`` skip the check.
 
 A date is an int: whole seconds since the Unix epoch, UTC, as on the wire.
 Every comparison in the toolkit is on these ints. A record carries one
@@ -83,6 +85,21 @@ def decode_json(text: str | bytes):
         raise ValueError("nested too deeply to decode") from None
 
 
+def checked(cls):
+    """Give the ``typing.NamedTuple`` ``cls``, which refuses a ``__new__``
+    in its class body, one that builds the tuple and then calls its
+    ``_check()``: that raises ``ValueError`` on bad fields, and returns a
+    normalized copy to keep in the value's place, or ``None``."""
+    build = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        value = build(cls, *args, **kwargs)
+        return value._check() or value
+
+    cls.__new__ = __new__
+    return cls
+
+
 class CommitRecord(NamedTuple):
     """One commit's identity and metadata, normalized to internal units.
 
@@ -126,7 +143,10 @@ class AnomalyKind(str, Enum):
 OUT_OF_ORDER_KINDS = frozenset({AnomalyKind.OUT_OF_ORDER_LINEAR, AnomalyKind.OUT_OF_ORDER_PARENT})
 
 
-class _AnomalyFields(NamedTuple):
+class Anomaly(NamedTuple):
+    """A flagged commit with the reason and, for ordering problems, the
+    measured parent-minus-child gap in seconds."""
+
     kind: AnomalyKind
     commit_hash: str
     repo_id: str
@@ -134,20 +154,15 @@ class _AnomalyFields(NamedTuple):
     delta_seconds: int | None = None
 
 
-class Anomaly(_AnomalyFields):
-    """A flagged commit with the reason and, for ordering problems, the
-    measured parent-minus-child gap in seconds."""
+# The fields are spelled out, not taken as *args: stats builds one Anomaly
+# per report entry, and this form builds in half the time.
+def _new_anomaly(cls, kind, commit_hash, repo_id, evidence, delta_seconds=None):
+    if (delta_seconds is not None) != (kind in OUT_OF_ORDER_KINDS):
+        raise ValueError("delta_seconds must be set exactly for out-of-order anomalies")
+    return tuple.__new__(cls, (kind, commit_hash, repo_id, evidence, delta_seconds))
 
-    __slots__ = ()
 
-    # The fields are spelled out, not taken as *args: stats builds one
-    # Anomaly per report entry, and this form builds in half the time.
-    def __new__(cls, kind, commit_hash, repo_id, evidence, delta_seconds=None):
-        if (delta_seconds is not None) != (kind in OUT_OF_ORDER_KINDS):
-            raise ValueError(
-                "delta_seconds must be set exactly for out-of-order anomalies"
-            )
-        return tuple.__new__(cls, (kind, commit_hash, repo_id, evidence, delta_seconds))
+Anomaly.__new__ = _new_anomaly
 
 
 def normalize_timestamp(raw: int, unit: str) -> int:

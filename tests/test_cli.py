@@ -1747,31 +1747,32 @@ def test_any_bytes_of_a_document_exit_0_1_or_2_with_one_error_line(
     assert errors == (lines[-1:] if code == 2 else []), lines
 
 
-# ---- a standard output that fills up ----
+# ---- a standard stream that fills up or closes ----
 
 
 class FullAfter(io.StringIO):
-    """A stdout with room for ``room`` characters: a write past them keeps
-    what fits and fails as a full device does."""
+    """A standard stream with room for ``room`` characters: a write past
+    them keeps what fits and fails with ``error``, as a full device
+    (ENOSPC) or a reader that went away (EPIPE) does."""
 
-    def __init__(self, room):
+    def __init__(self, room, error=errno.ENOSPC):
         super().__init__()
-        self.room = room
+        self.room, self.error = room, error
 
     def write(self, text):
         left = self.room - self.tell()
         if len(text) > left:
             super().write(text[:left])
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            raise OSError(self.error, os.strerror(self.error))
         return super().write(text)
 
 
 @pytest.fixture(scope="module")
-def full_stdout_runs(tmp_path_factory):
-    """Per command, its argv without --report, its exit code and the length
-    of the document it writes to stdout. The scan report is several write
-    batches long."""
-    root = tmp_path_factory.mktemp("full-stdout")
+def full_stream_runs(tmp_path_factory):
+    """Per command, its argv without --report or --output, its exit code
+    and the length of what it writes to each stream. The scan report is
+    more than 3 × 64 KiB long, so it reaches its stream in many pieces."""
+    root = tmp_path_factory.mktemp("full-stream")
     (root / "stub").mkdir()
     records = ooo_fixture() + [make_record(1000 + i, committer_epoch=0, repo=f"org/r{i % 7}")
                                for i in range(600)]
@@ -1780,38 +1781,52 @@ def full_stdout_runs(tmp_path_factory):
     write_records(root / "in.ndjson", records)
     (root / "sources.json").write_text(
         json.dumps({"sources": [{"kind": "FileStub", "endpoint": "stub"}]}), encoding="utf-8")
+    policy_file(root, [{"kind": "TopKStars", "k": 3}])
     argvs = {"scan": ["scan", "in.ndjson", "--snapshot-date", SNAPSHOT],
+             "filter": ["filter", "in.ndjson", "--policy-file", "policies.json"],
              "stats": ["stats", "report.json"],
              "verify": ["verify", "report.json", "--sources", "sources.json"]}
     runs = {}
     with contextlib.chdir(root), contextlib.redirect_stderr(io.StringIO()):
         main([*argvs["scan"], "--report", "report.json"])
-        for command, argv in argvs.items():
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                code = main(argv)
-            runs[command] = (argv, code, len(out.getvalue()))
-    assert runs["scan"][2] > 3 * cli._WRITE_CHARS
+    for command, argv in argvs.items():
+        with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        runs[command] = (argv, code, {"stdout": len(out.getvalue()),
+                                      "stderr": len(err.getvalue())})
+    assert runs["scan"][2]["stdout"] > 3 * 65536
+    assert all(sizes["stderr"] for command, (_, _, sizes) in runs.items() if command != "stats")
     return root, runs
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), command=st.sampled_from(["scan", "stats", "verify"]))
+@given(data=st.data(), command=st.sampled_from(["scan", "filter", "stats", "verify"]),
+       stream=st.sampled_from(["stdout", "stderr"]),
+       error=st.sampled_from([errno.ENOSPC, errno.EPIPE]))
 def test_a_stdout_that_fills_up_at_any_character_exits_two_with_one_error_line(
-        full_stdout_runs, data, command):
-    root, runs = full_stdout_runs
-    argv, code, size = runs[command]
+        full_stream_runs, data, command, stream, error):
+    """Also a stderr, and either stream closed by its reader: a failed
+    stderr can take no error line, so only the exit code tells."""
+    root, runs = full_stream_runs
+    argv, code, sizes = runs[command]
+    size = sizes[stream]
     room = data.draw(st.integers(0, size + 10), label="room")
-    out, err = FullAfter(room), io.StringIO()
+    full = FullAfter(room, error)
+    out = full if stream == "stdout" else io.StringIO()
+    err = full if stream == "stderr" else io.StringIO()
     with contextlib.chdir(root), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         got = main(argv)
+    assert len(full.getvalue()) == min(room, size)
+    assert got == (2 if room < size else code)
+    if stream == "stderr":
+        return
     lines = err.getvalue().splitlines()
     errors = [line for line in lines if line.startswith("chronolint: error: ")]
     if room < size:
         # verify states its accounting first; the error is the one last line.
-        assert got == 2
         assert errors == lines[-1:], lines
         assert errors[0].startswith("chronolint: error: cannot write stdout: ")
-        assert len(out.getvalue()) == room
     else:
-        assert (got, errors, len(out.getvalue())) == (code, [], size)
+        assert errors == []

@@ -507,8 +507,13 @@ def test_a_value_type_is_immutable_hashes_by_value_and_keeps_its_checks(
     if hashable:
         assert hash(value) == hash(again)
     assert repr(value).startswith(f"{cls.__name__}(")
+    # One class, no private fields tuple under it.
+    assert cls.__mro__ == (cls, tuple, object)
     for bad, message in refusals:
         with pytest.raises(ValueError) as refused:
             cls(*bad)
         assert str(refused.value) == message
+        # _replace skips the check, as _make does: a check that calls it
+        # does not recurse.
+        value._replace(**dict(zip(cls._fields, bad)))
 
