@@ -18,7 +18,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .model import NO_NAME, Anomaly, AnomalyKind, checked
+from .model import NO_NAME, Anomaly, AnomalyKind, checked, ranked
 
 
 # Fixed histogram geometry: eleven buckets from half a minute to beyond a
@@ -52,10 +52,7 @@ class DeltaStats(NamedTuple):
             raise ValueError("quantiles out of order")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "mean": self.mean, "std": self.std, "min": self.min,
-            "p25": self.p25, "p50": self.p50, "p75": self.p75, "max": self.max,
-        }
+        return self._asdict()
 
 
 @checked
@@ -252,7 +249,7 @@ def token_frequency(messages, exclude_terms=frozenset()) -> list[tuple[str, int]
         if token not in STOPWORDS:
             stem = stem_token(token)
             counts[stem] = counts.get(stem, 0) + count
-    return _ranked(counts.items())
+    return ranked(counts.items())
 
 
 # ---- Attribution ----
@@ -271,7 +268,7 @@ def top_committers(anomalies, committers, k: int = 20) -> list[tuple[str, int]]:
         if who is None:
             continue
         flagged.setdefault(who if who.strip() else NO_NAME, set()).add(anomaly.commit_hash)
-    return _ranked((who, len(hashes)) for who, hashes in flagged.items())[:k]
+    return ranked((who, len(hashes)) for who, hashes in flagged.items())[:k]
 
 
 def top_projects(anomalies, k: int = 20) -> list[tuple[str, int]]:
@@ -279,9 +276,4 @@ def top_projects(anomalies, k: int = 20) -> list[tuple[str, int]]:
     flagged: dict[str, set[str]] = {}
     for anomaly in anomalies:
         flagged.setdefault(anomaly.repo_id, set()).add(anomaly.commit_hash)
-    return _ranked((repo, len(hashes)) for repo, hashes in flagged.items())[:k]
-
-
-def _ranked(counts) -> list[tuple[str, int]]:
-    """(key, count) pairs, the largest count first and ties by key."""
-    return sorted(counts, key=lambda item: (-item[1], item[0]))
+    return ranked((repo, len(hashes)) for repo, hashes in flagged.items())[:k]

@@ -293,7 +293,9 @@ def _write_csv(directory: str, name: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _load_scan_report(path: str) -> dict:
+def _load_scan_report(path: str) -> tuple[dict, list[Anomaly]]:
+    """The scan report at ``path`` and its anomalies; the schema is checked
+    first, then the ``commits`` section, then each anomaly entry."""
     try:
         with open(path, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
             doc = decode_json(fh.read())
@@ -308,24 +310,15 @@ def _load_scan_report(path: str) -> dict:
         typed(doc.get("summary"), dict, "summary")
     except ValueError as exc:
         raise CommandError(f"{path} is not a schema v{SCHEMA_VERSION} scan report: {exc}") from exc
-    _check_commits(doc)
-    return doc
-
-
-def _report_anomalies(report: dict) -> list[Anomaly]:
-    return [anomaly_from_object(obj, i) for i, obj in enumerate(report["anomalies"])]
-
-
-def _check_commits(report: dict) -> None:
     where = "unreadable commits section"
     try:
-        commits = typed(report.get("commits", {}), dict, "commits")
-        for commit_hash, entry in commits.items():
+        for commit_hash, entry in typed(doc.get("commits", {}), dict, "commits").items():
             where = f"unreadable commits entry {commit_hash!r}"
             typed(typed(entry, dict, "the entry").get("committer", ""), str, "committer")
             typed(entry.get("message", ""), str, "message")
     except ValueError as exc:
         raise CommandError(f"{where}: {exc}") from exc
+    return doc, [anomaly_from_object(obj, i) for i, obj in enumerate(doc["anomalies"])]
 
 
 # ---- Input handling ----
@@ -435,7 +428,7 @@ def _dedup_to_object(dedup) -> dict:
                 "kept_committer_date": c.kept,
                 "dropped_committer_date": c.dropped,
             }
-            for c in sorted(dedup.conflicts, key=lambda c: c.hash)
+            for c in dedup.conflicts
         ],
     }
 
@@ -542,10 +535,9 @@ def cmd_filter(args) -> int:
 # ---- stats ----
 
 
-def _stats_tables(report: dict, exclude_terms) -> dict:
+def _stats_tables(report: dict, anomalies, exclude_terms) -> dict:
     from . import analytics
 
-    anomalies = _report_anomalies(report)
     commits = report.get("commits", {})
 
     deltas = [a.delta_seconds for a in anomalies if a.delta_seconds is not None]
@@ -589,8 +581,9 @@ def _stats_csv(directory: str, tables: dict) -> None:
 def cmd_stats(args) -> int:
     if "" in args.exclude_term:  # every message contains it
         raise CommandError("--exclude-term must not be empty")
-    report = _load_scan_report(args.scan_report)
-    tables = _stats_tables(report, args.exclude_term)
+    report, anomalies = _load_scan_report(args.scan_report)
+    tables = _stats_tables(report, anomalies, args.exclude_term)
+    del anomalies  # not held while the document is written
     _emit_document({**report, "stats": tables}, args.report)
     if args.csv_dir:
         _stats_csv(args.csv_dir, tables)
@@ -605,7 +598,7 @@ def cmd_verify(args) -> int:
 
     _bind("verify_anomalies")
     # The report itself is not kept: only its candidates are needed.
-    candidates = [a for a in _report_anomalies(_load_scan_report(args.scan_report))
+    candidates = [a for a in _load_scan_report(args.scan_report)[1]
                   if a.kind in OUT_OF_ORDER_KINDS]
     try:
         sources = load_sources(args.sources)

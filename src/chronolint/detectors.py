@@ -1,6 +1,6 @@
 """Timestamp-anomaly detectors over commit records and commit graphs.
 
-Five independent checks: impossibly old dates, dates past the dataset
+Six independent checks: impossibly old dates, dates past the dataset
 snapshot, commits dated earlier than their predecessor (linear walk),
 commits dated earlier than a parent (exact graph edges), tool signatures
 in messages, and the verified-child/unverified-parent clock mismatch.

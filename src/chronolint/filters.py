@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from .detectors import DetectorConfig, detect_out_of_order_parents
 from .graph import build_graph, group_by_repo
-from .model import canonical_repo_id, checked, decode_json, parse_utc, typed
+from .model import canonical_repo_id, checked, decode_json, parse_utc, ranked, typed
 
 
 @checked
@@ -56,12 +56,7 @@ class RemovalLedger(NamedTuple):
     retained_commits: int
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy.to_dict(),
-            "removed_commits": self.removed_commits,
-            "removed_projects": self.removed_projects,
-            "retained_commits": self.retained_commits,
-        }
+        return {**self._asdict(), "policy": self.policy.to_dict()}
 
 
 def repo_star_table(records) -> dict[str, int]:
@@ -103,8 +98,7 @@ def _keep_starred(records, min_stars: int, cfg):
 def _keep_top_k(records, k: int, cfg):
     """The k most-starred repos; boundary ties go to the smaller id, and
     fewer than k repos means all of them."""
-    ranked = sorted(repo_star_table(records).items(), key=lambda item: (-item[1], item[0]))
-    top = {repo_id for repo_id, _ in ranked[:k]}
+    top = {repo_id for repo_id, _ in ranked(repo_star_table(records).items())[:k]}
     return lambda r: r.repo_id in top
 
 

@@ -87,10 +87,8 @@ class ParseResult(NamedTuple):
 
 
 class DuplicateHashConflict(NamedTuple):
-    """Two records shared a hash but disagreed on the committer date.
-
-    The first-seen record wins; this notes what was thrown away.
-    """
+    """Two records shared a hash but disagreed on the committer date:
+    the date of the copy :func:`deduplicate` kept, and of one it dropped."""
 
     hash: str
     kept: int
@@ -103,6 +101,8 @@ class DedupReport(NamedTuple):
 
     Every dropped record is accounted for:
     ``total_in == unique_out + sum(count - 1 for each duplicated hash)``.
+    ``duplicate_hashes`` counts each repeated hash's copies, in first-seen
+    order; ``conflicts`` are sorted by (hash, kept, dropped).
     """
 
     total_in: int
@@ -441,32 +441,36 @@ def parse_commit_stream(stream, format: str = "ndjson", repo_id: str = "") -> Pa
 
 
 def deduplicate(records: list[CommitRecord]) -> tuple[list[CommitRecord], DedupReport]:
-    """Drop exact hash duplicates, keeping the first occurrence of each.
+    """Keep one record of each hash, in the order the hashes are first seen.
 
-    Duplicates that disagree on the committer date are additionally
-    surfaced as :class:`DuplicateHashConflict` entries -- those are not
-    mere re-exports but genuinely contradictory data.
+    The copy kept does not depend on the input order: when the copies of a
+    hash differ, it is the one whose ``repr`` sorts first, a total order on
+    distinct records. Each other copy that disagrees with it on the
+    committer date is surfaced as a :class:`DuplicateHashConflict` -- those
+    are not mere re-exports but genuinely contradictory data.
 
     One dict holds an entry per unique hash; only the hashes seen more
-    than once are counted, in a second one. A record listed twice is a
-    repeat of itself.
+    than once collect their copies, in a second one. A record listed twice
+    is a repeat of itself.
     """
-    kept: dict[str, CommitRecord] = {}  # first occurrences, in input order
-    repeats: dict[str, int] = {}  # copies of each hash seen more than once
-    conflicts: list[DuplicateHashConflict] = []
-
+    kept: dict[str, CommitRecord] = {}  # one copy per hash, in first-seen order
+    copies: dict[str, list[CommitRecord]] = {}  # every copy of a hash seen more than once
     for rec in records:
-        first = kept.get(rec.hash)
-        if first is None:
-            kept[rec.hash] = rec
-            continue
-        repeats[rec.hash] = repeats.get(rec.hash, 1) + 1
-        if rec.committer_date != first.committer_date:
-            conflicts.append(
-                DuplicateHashConflict(rec.hash, first.committer_date, rec.committer_date)
-            )
+        h = rec.hash
+        if h not in kept:
+            kept[h] = rec
+        else:
+            copies.setdefault(h, [kept[h]]).append(rec)
 
-    duplicate_hashes = tuple((h, repeats[h]) for h in kept if h in repeats) if repeats else ()
+    conflicts: list[DuplicateHashConflict] = []
+    for h, group in copies.items():
+        if any(rec != group[0] for rec in group):
+            keep = kept[h] = min(group, key=repr)
+            conflicts += [DuplicateHashConflict(h, keep.committer_date, rec.committer_date)
+                          for rec in group if rec.committer_date != keep.committer_date]
+    conflicts.sort()
+
+    duplicate_hashes = tuple((h, len(copies[h])) for h in kept if h in copies) if copies else ()
     report = DedupReport(
         total_in=len(records),
         unique_out=len(kept),

@@ -1,5 +1,6 @@
 """Core value types: commit records and anomalies, the commit id rule, the
-old-date cutoff, and UTC date text; and the package's two log calls.
+old-date cutoff, UTC date text and the order of a ranked table; and the
+package's two log calls.
 
 Everything here is an immutable value object, safe to share across threads.
 Every value type of the package is a ``typing.NamedTuple``: immutable and,
@@ -83,6 +84,11 @@ def decode_json(text: str | bytes):
         return json.loads(text)
     except RecursionError:
         raise ValueError("nested too deeply to decode") from None
+
+
+def ranked(counts) -> list:
+    """(key, count) pairs, the largest count first and ties by key."""
+    return sorted(counts, key=lambda item: (-item[1], item[0]))
 
 
 def checked(cls):

@@ -12,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -429,6 +430,107 @@ def test_filter_deduplicates_by_the_scan_rule(tmp_path, capsys):
     assert doc["dedup"]["duplicate_hashes"] == {hex_hash(0): 2}
 
 
+# ---- one kept copy of a repeated hash, whatever the input order ----
+
+
+def order_free_runs(root, files, fmt):
+    """Run scan, stats, filter and verify over input files holding the
+    texts ``files``: each command's exit code, stderr and document lines,
+    less the ``generated_at`` line. ``root`` holds the policy file and the
+    stub of each commit."""
+    inputs = []
+    for i, text in enumerate(files):
+        (root / f"in{i}").write_text(text, encoding="utf-8")
+        inputs.append(str(root / f"in{i}"))
+    read = ["--format", fmt, "--repo", "org/main"]
+    scan, stats, ledger, verified = (str(root / name) for name in
+                                     ("scan.json", "stats.json", "ledger.json", "verify.json"))
+    commands = [
+        ["scan", *inputs, *read, "--snapshot-date", SNAPSHOT, "--report", scan],
+        ["stats", scan, "--report", stats],
+        ["filter", *inputs, *read, "--policy-file", str(root / "policies.json"),
+         "--output", str(root / "out.ndjson"), "--report", ledger],
+        ["verify", scan, "--sources", str(root / "sources.json"), "--report", verified],
+    ]
+    runs = []
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = Path(argv[-1]).read_text(encoding="utf-8").splitlines()
+        runs.append((argv[0], code, err.getvalue(),
+                     [line for line in lines if '"generated_at"' not in line]))
+    return runs
+
+
+def order_free_root(root, records):
+    """Write into ``root`` a policy file and a FileStub of ``records``."""
+    stub_sources(root, records)
+    policy_file(root, [{"kind": "DropOutOfOrder", "scope": "commit"},
+                       {"kind": "TopKStars", "k": 1}])
+    return root
+
+
+def input_lines(records, fmt):
+    """One line of input per record, in ``fmt``; a gitlog line has zero offsets."""
+    if fmt == "gitlog":
+        return ["\x1f".join([rec.hash, " ".join(rec.parents), str(rec.committer_date), "+0000",
+                             str(rec.author_date), "+0000", rec.committer_id, rec.author_id,
+                             rec.message]) + "\x00\n" for rec in records]
+    return [json.dumps(record_to_object(rec)) + "\n" for rec in records]
+
+
+def test_a_commit_shared_by_two_repositories_is_kept_whatever_the_order(tmp_path):
+    # A fork: both repositories hold a parent and a child dated 50,000,000 s before it.
+    parent = make_record(0, committer_epoch=1_500_000_000, repo="r1")
+    child = make_record(1, parents=[0], committer_epoch=1_450_000_000, repo="r1")
+    lines = input_lines([parent, child, parent._replace(repo_id="r2"),
+                         child._replace(repo_id="r2")], "ndjson")
+    swapped = [lines[0], lines[3], lines[2], lines[1]]
+    order_free_root(tmp_path, [parent, child])
+    runs = [order_free_runs(tmp_path, ["".join(order)], "ndjson") for order in (lines, swapped)]
+    assert runs[0] == runs[1]
+    name, code, _, report = runs[0][0]
+    assert (name, code) == ("scan", 1)
+    assert json.loads("\n".join(report))["dataset"]["projects"] == 1
+
+
+# What a copy of a repeated hash changes: nothing, or one of its committer
+# date, its repository and its message.
+ORDER_EPOCHS = st.sampled_from([0, 1_000_000_000, 1_050_000_000, 1_100_000_000, 1_700_000_000])
+COPY_CHANGES = {
+    "exact": st.just({}),
+    "date": ORDER_EPOCHS.map(lambda epoch: {"committer_date": epoch}),
+    "repo": st.sampled_from(["org/alpha", "org/fork"]).map(lambda repo: {"repo_id": repo}),
+    "message": st.sampled_from(["rebased", "Merge branch 'x'",
+                                "git-svn-id: https://svn.example.org/trunk@4 ab-cd"])
+    .map(lambda message: {"message": message}),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["ndjson", "gitlog"]),
+       epochs=st.lists(ORDER_EPOCHS, min_size=2, max_size=4))
+def test_reports_do_not_depend_on_the_order_of_repeated_hashes(data, fmt, epochs):
+    """A chain of commits in one repository, with copies of some of its
+    hashes, gives the same documents in any order, over one or two files.
+    A gitlog dump carries no repository, so there a copy keeps its own."""
+    chain = [make_record(i, parents=[i - 1] if i else [], committer_epoch=epoch,
+                         repo="org/main") for i, epoch in enumerate(epochs)]
+    kinds = sorted(COPY_CHANGES) if fmt == "ndjson" else ["date", "exact", "message"]
+    copies = data.draw(st.lists(
+        st.tuples(st.sampled_from(chain), st.sampled_from(kinds).flatmap(COPY_CHANGES.get)),
+        min_size=1, max_size=4), label="copies")
+    lines = input_lines(chain + [rec._replace(**change) for rec, change in copies], fmt)
+    shuffled = data.draw(st.permutations(lines), label="shuffled")
+    cut = data.draw(st.sampled_from([None, *range(len(lines) + 1)]), label="cut")
+    files = ["".join(shuffled)] if cut is None else ["".join(shuffled[:cut]),
+                                                     "".join(shuffled[cut:])]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = order_free_root(Path(tmp), chain)
+        assert order_free_runs(root, files, fmt) == order_free_runs(root, ["".join(lines)], fmt)
+
+
 @pytest.mark.parametrize("policies", [
     [{"kind": "MinTimestamp", "min_ts": "x"}],
     [{"kind": "MinStars", "min_stars": "5"}],
@@ -602,6 +704,25 @@ def test_a_commits_key_that_breaks_lines_stays_on_one_error_line(tmp_path, capsy
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"chronolint: error: unreadable commits entry {key!r}: "
                                 "the entry must be an object, got NoneType"]
+
+
+@pytest.mark.parametrize("command", ["stats", "verify"])
+def test_a_report_is_checked_schema_first_then_commits_then_anomalies(
+        tmp_path, capsys, command):
+    report = scan_report_path(tmp_path, capsys, ooo_fixture())
+    doc = json.loads(Path(report).read_text(encoding="utf-8"))
+    doc["commits"][hex_hash(1)] = 5
+    doc["anomalies"][0]["kind"] = 7
+    extra = ["--sources", stub_sources(tmp_path, ooo_fixture())] if command == "verify" else []
+    want = [
+        f"chronolint: error: {report} is not a schema v1 scan report: schema_version is 2",
+        f"chronolint: error: unreadable commits entry {hex_hash(1)!r}: "
+        "the entry must be an object, got int",
+    ]
+    for version, line in zip((2, 1), want):
+        Path(report).write_text(json.dumps({**doc, "schema_version": version}),
+                                encoding="utf-8")
+        assert run(capsys, command, report, *extra) == (2, "", line + "\n")
 
 
 # ---- verify ----
@@ -1231,9 +1352,20 @@ def document_writes(monkeypatch):
     return writes
 
 
+def first_difference(text, want):
+    """None if ``text`` is ``want``, else where it first differs and a
+    little of each from there. An assertion on this, not on ``text ==
+    want``, keeps pytest from diffing two long texts, which takes minutes
+    at every step of a shrink."""
+    if text == want:
+        return None
+    at = len(os.path.commonprefix([text, want]))
+    return at, text[at:at + 40], want[at:at + 40]
+
+
 def assert_written_as_dumps_writes_it(text, writes):
     doc = json.loads(text)
-    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert first_difference(text, json.dumps(doc, sort_keys=True, indent=2) + "\n") is None
     # Several writes long, so that a batch dropped, repeated or reordered shows.
     assert len(writes) > 3 and sum(writes) == len(text), writes
     writes.clear()
@@ -1327,7 +1459,8 @@ DOCUMENTS = st.recursive(
 def test_any_document_is_written_as_dumps_writes_it(doc):
     out = io.StringIO()
     cli._write_document(doc, out)
-    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert first_difference(out.getvalue(), want) is None
 
 
 def test_a_reader_that_leaves_mid_document_gets_one_error_line(tmp_path):
@@ -1676,15 +1809,12 @@ def valid_files(tmp_path_factory, valid_documents):
     with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         main(["scan", "commits.ndjson", "--snapshot-date", SNAPSHOT, "--report", "report.json"])
-    gitlog = "".join("\x1f".join([rec.hash, " ".join(rec.parents), str(rec.committer_date),
-                                  "+0000", str(rec.author_date), "+0000", rec.committer_id,
-                                  rec.author_id, rec.message]) + "\x00\n" for rec in records)
     sources = {"sources": [{"kind": "LocalCache", "endpoint": "cache.ndjson"},
                            {"kind": "FileStub", "endpoint": "stub"},
                            documents["sources"]["sources"][2]]}
     files = {
         "commits.ndjson": (root / "commits.ndjson").read_bytes(),
-        "commits.gitlog": gitlog.encode(),
+        "commits.gitlog": "".join(input_lines(records, "gitlog")).encode(),
         "policies.json": json.dumps(documents["policies"]).encode(),
         "report.json": (root / "report.json").read_bytes(),
         "sources.json": json.dumps(sources).encode(),

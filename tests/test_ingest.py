@@ -317,39 +317,44 @@ def test_dedup_counts_one_record_listed_twice():
     assert report.conflicts == ()
 
 
-def two_dict_deduplicate(records):
-    """The dedup that counted every hash in a second dict: the oracle."""
-    kept = {}
-    counts = {}
-    conflicts = []
+def order_free_deduplicate(records):
+    """The reference: the copies of each hash, in first-seen order, keep
+    the one whose repr sorts first, and every copy dated apart from it is
+    a conflict."""
+    groups = {}
     for rec in records:
-        counts[rec.hash] = counts.get(rec.hash, 0) + 1
-        first = kept.get(rec.hash)
-        if first is None:
-            kept[rec.hash] = rec
-        elif rec.committer_date != first.committer_date:
-            conflicts.append(
-                ingest.DuplicateHashConflict(rec.hash, first.committer_date, rec.committer_date))
-    order = list(kept.values())
-    return order, DedupReport(
-        total_in=len(records), unique_out=len(order),
-        duplicate_hashes=tuple((r.hash, counts[r.hash]) for r in order if counts[r.hash] > 1),
+        groups.setdefault(rec.hash, []).append(rec)
+    kept = [min(group, key=repr) for group in groups.values()]
+    conflicts = sorted(
+        ingest.DuplicateHashConflict(keep.hash, keep.committer_date, rec.committer_date)
+        for keep, group in zip(kept, groups.values())
+        for rec in group if rec.committer_date != keep.committer_date)
+    return kept, DedupReport(
+        total_in=len(records), unique_out=len(kept),
+        duplicate_hashes=tuple((h, len(group)) for h, group in groups.items() if len(group) > 1),
         conflicts=tuple(conflicts))
 
 
-# A pool where hashes repeat with equal and with differing dates; a draw
-# may list one record object several times.
-DEDUP_POOL = [simple_record(f"{h:040x}", epoch) for h in range(4) for epoch in (100, 100, 200)]
+# A pool where hashes repeat as equal copies, and as copies that differ in
+# the committer date or in the message; a draw may list one record object
+# several times.
+DEDUP_POOL = [rec for h in range(4) for epoch in (100, 100, 200)
+              for rec in (simple_record(f"{h:040x}", epoch),
+                          simple_record(f"{h:040x}", epoch)._replace(message="other"))]
 
 
-@given(st.lists(st.sampled_from(range(len(DEDUP_POOL))), max_size=40))
-def test_dedup_matches_the_two_dict_oracle(picks):
+@given(st.lists(st.sampled_from(range(len(DEDUP_POOL))), max_size=40), st.randoms())
+def test_dedup_matches_an_order_free_reference(picks, random):
     records = [DEDUP_POOL[i] for i in picks]
     kept, report = deduplicate(records)
-    want_kept, want_report = two_dict_deduplicate(records)
-    assert len(kept) == len(want_kept)
-    assert all(a is b for a, b in zip(kept, want_kept))
-    assert report == want_report
+    assert (kept, report) == order_free_deduplicate(records)
+    # A copy equal to the first is not replaced: the first object stays.
+    assert all(rec is next(r for r in records if r.hash == rec.hash)
+               for rec in kept if all(r == rec for r in records if r.hash == rec.hash))
+    random.shuffle(records)
+    again, shuffled = deduplicate(records)
+    assert sorted(again) == sorted(kept) and shuffled.conflicts == report.conflicts
+    assert sorted(shuffled.duplicate_hashes) == sorted(report.duplicate_hashes)
 
 
 # ---- Malformed-record reasons ----

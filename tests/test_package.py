@@ -103,6 +103,12 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_module_parses_as_python_3_10(path):
+    # pyproject's requires-python is ">=3.10"; the tests themselves need 3.11.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_the_json_type_rule_lives_only_in_model():
     # A `type(x) is int` check in a reader is a copy of model.typed; ingest's
     # parse keeps its inline checks as a fast path, and is not scanned.
