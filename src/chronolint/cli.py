@@ -22,7 +22,6 @@ package's own table of names.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -281,8 +280,11 @@ def _write_csv(directory: str, name: str, header, rows) -> None:
 
     A lone surrogate, which a JSON escape or a non-UTF-8 byte of argv can
     put in an id, has no UTF-8 form: a cell holds it as the JSON report
-    escapes it, such as ``\\ud800``.
+    escapes it, such as ``\\ud800``. ``csv`` is imported here: only
+    ``--csv-dir`` writes a table.
     """
+    import csv
+
     with _writing(directory):
         Path(directory).mkdir(parents=True, exist_ok=True)
     path = Path(directory) / name

@@ -7,7 +7,9 @@ that answers wins. Commits are fetched one at a time, in the calling
 thread. Fresh answers are appended to every configured cache so a re-run
 of the same audit touches the network zero times. A directory-of-JSON-files
 stub source stands in for the forge in offline tests; its document schema
-mirrors the NDJSON ingest record.
+mirrors the NDJSON ingest record. A stub document is read as UTF-8 bytes:
+one head BOM is dropped, and newlines are translated as text mode
+translates them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import string
 import time
 from contextlib import ExitStack
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from types import NoneType
 from typing import NamedTuple
@@ -31,6 +34,8 @@ HTTP_KINDS = ("PrimaryForge", "ArchiveFallback")
 SOURCE_KINDS = (*HTTP_KINDS, "LocalCache", "FileStub")
 MAX_ATTEMPTS = 5  # per HTTP fetch; a rate limit and a transport error each use one
 HTTP_TIMEOUT_S = 30.0  # per attempt, to connect and then between received bytes
+_STUB_READ_SIZE = 1 << 16
+_BOM = b"\xef\xbb\xbf"
 
 
 class VerificationStatus(str, Enum):
@@ -97,14 +102,30 @@ class VerificationOutcome(NamedTuple):
         if self.status is not VerificationStatus.UNVERIFIABLE:
             if self.parents is None or self.committer_date is None:
                 raise ValueError("resolved outcomes need parents and a committer date")
-            return self._replace(parents=tuple(self.parents))
+            if type(self.parents) is not tuple:
+                return self._replace(parents=tuple(self.parents))
+
+
+# The scanner json.loads calls, without its wrappers, as ingest's NDJSON
+# parse uses it.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode(text: str):
+    """``decode_json(text)``, by the bare scanner when ``text`` is one JSON
+    value followed by nothing but JSON whitespace. Any other text, an
+    empty one included, goes to decode_json, which skips leading
+    whitespace or names the fault."""
+    try:
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = 0
+    if end == 0 or text[end:].strip(" \t\n\r"):
+        return decode_json(text)
+    return value
 
 
 # ---- Cache ----
-
-# One encoder for every cache line: json.dumps with these options builds a
-# new JSONEncoder per call. The encoder holds no state between calls.
-_CACHE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class CacheStore:
@@ -149,7 +170,7 @@ class CacheStore:
                     text = line.decode("utf-8-sig" if number == 1 else "utf-8")
                     if not text.strip():
                         continue
-                    repo_id, outcome = _outcome_from_entry(decode_json(text))
+                    repo_id, outcome = _outcome_from_entry(_decode(text))
                     self._entries[(repo_id, outcome.commit_hash)] = outcome
                 except KeyError as exc:
                     raise ValueError(f"corrupt cache {self.path} line {number}: missing {exc}") from exc
@@ -170,8 +191,7 @@ class CacheStore:
         try:
             if self._fh is None:
                 self._fh = self._open_for_append()
-            self._fh.write(_CACHE_ENCODER.encode(_entry_from_outcome(repo_id, outcome)))
-            self._fh.write("\n")
+            self._fh.write(_cache_line(repo_id, outcome))
         except OSError as exc:
             raise self._error("append to", exc) from exc
 
@@ -193,15 +213,19 @@ class CacheStore:
                 raise self._error("append to", exc) from exc
 
 
-def _entry_from_outcome(repo_id: str, outcome: VerificationOutcome) -> dict:
-    return {
-        "repo": repo_id,
-        "hash": outcome.commit_hash,
-        "status": outcome.status.value,
-        "verified": outcome.verified_flag,
-        "parents": None if outcome.parents is None else list(outcome.parents),
-        "committer_date": outcome.committer_date,
-    }
+_JSON_FLAGS = {True: "true", False: "false", None: "null"}  # a verified flag as JSON writes it
+
+
+def _cache_line(repo_id: str, outcome: VerificationOutcome) -> str:
+    """The outcome's cache line, written out field by field: the bytes of
+    ``json.dumps(entry, sort_keys=True) + "\\n"``, where ``entry`` holds
+    the repo, hash, status value, verified flag, parents and committer date."""
+    parents, date = outcome.parents, outcome.committer_date
+    parents = "null" if parents is None else f"[{', '.join(map(_json_str, parents))}]"
+    return (f'{{"committer_date": {"null" if date is None else date}, '
+            f'"hash": {_json_str(outcome.commit_hash)}, "parents": {parents}, '
+            f'"repo": {_json_str(repo_id)}, "status": {_json_str(outcome.status.value)}, '
+            f'"verified": {_JSON_FLAGS[outcome.verified_flag]}}}\n')
 
 
 # Each status by its value, for the cache's lines; the Enum call stays
@@ -218,7 +242,7 @@ def _outcome_from_entry(entry) -> tuple[str, VerificationOutcome]:
         commit_hash=typed(entry["hash"], str, "hash"),
         status=_STATUS_BY_VALUE.get(status) or VerificationStatus(status),
         verified_flag=typed(entry["verified"], (bool, NoneType), "verified"),
-        parents=None if parents is None else tuple(typed(p, str, "a parent") for p in parents),
+        parents=None if parents is None else tuple([typed(p, str, "a parent") for p in parents]),
         committer_date=typed(entry["committer_date"], (int, NoneType), "committer_date"),
     )
 
@@ -336,17 +360,36 @@ class ForgeClient:
         return None if body is None else self._outcome_from_document(source, commit_hash, body)
 
     def _read_stub(self, source: MetadataSource, commit_hash: str) -> str | None:
+        """The commit's stub document as text mode reads it, or None when there
+        is none: UTF-8 bytes, one head BOM dropped, and ``\\r\\n`` and a lone
+        ``\\r`` read as ``\\n``."""
         path = os.path.join(source.endpoint, f"{commit_hash}.json")
         try:
-            with open(path, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
-                return fh.read()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _STUB_READ_SIZE):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            data = b"".join(chunks)
+            # One head BOM is dropped, as "utf-8-sig" drops it, and text mode
+            # reads one or two bytes that begin a BOM as nothing.
+            if _BOM.startswith(data[:3]):
+                data = data[3:]
+            text = data.decode()
         except (OSError, UnicodeDecodeError) as exc:
             # A missing file is a miss, and so is a name too long for any file.
             if getattr(exc, "errno", None) in (errno.ENOENT, errno.ENAMETOOLONG):
                 return None
+            if isinstance(exc, IsADirectoryError):
+                exc.filename = path  # as open() names it, from its check of the file
             raise OSError(f"cannot read stub document {path}: {exc}") from exc
-        except ValueError:  # open() refuses a name no file can have, such as one with a NUL
+        except ValueError:  # os.open() refuses a name no file can have, such as one with a NUL
             return None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return text
 
     def _http_get_with_backoff(self, source: MetadataSource, repo_id: str,
                                commit_hash: str) -> str | None:
@@ -391,7 +434,7 @@ class ForgeClient:
                                body: str) -> VerificationOutcome | None:
         """What a fetched document states; None if it is unusable or another commit's."""
         try:
-            record = _record_reader()(decode_json(body), {}, {})
+            record = _record_reader()(_decode(body), {}, {})
         except ValueError as exc:
             log_warning(__name__, "unusable metadata document from %s: %s", source.kind, exc)
             return None

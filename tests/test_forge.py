@@ -1,13 +1,18 @@
 """Tests for metadata fetching, caching, backoff, and batch verification."""
 
 import contextlib
+import errno
 import json
+import os
 import threading
 import time
 import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronolint import forge
 from chronolint.cli import main, write_ndjson
@@ -26,7 +31,7 @@ from chronolint.forge import (
     verify_anomalies,
 )
 from chronolint.graph import build_graph, topological_order
-from chronolint.model import parse_utc
+from chronolint.model import EPOCH_MAX, EPOCH_MIN, decode_json, parse_utc
 from conftest import hex_hash, make_record
 
 CFG = DetectorConfig(future_cutoff=parse_utc("2030-01-01"))
@@ -903,6 +908,265 @@ def test_stub_reads_and_pooled_http_fetches_agree(tmp_path, workers):
     (confirmed, dropped, accounting), _ = results[0]
     assert confirmed and dropped
     assert accounting["unverifiable"] == 1
+
+
+# ---- Fast paths, each against the slow path it replaced ----
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    """One directory for a property's examples; each example rewrites its files."""
+    return tmp_path_factory.mktemp("fast-paths")
+
+
+def result_of(call, *args):
+    """What a call returns, or the type and text of the error it raises."""
+    try:
+        return "returned", call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def with_warnings(call, *args):
+    """``result_of(call, *args)`` and forge's warning lines during the call."""
+    lines = []
+    with mock.patch.object(forge, "log_warning",
+                           lambda name, msg, *margs: lines.append(msg % margs)):
+        return result_of(call, *args), lines
+
+
+def text_mode_stub(directory: str, commit_hash: str):
+    """The stub document read in text mode: the oracle for ``_read_stub``."""
+    path = os.path.join(directory, f"{commit_hash}.json")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        if getattr(exc, "errno", None) in (errno.ENOENT, errno.ENAMETOOLONG):
+            return None
+        raise OSError(f"cannot read stub document {path}: {exc}") from exc
+    except ValueError:
+        return None
+
+
+def assert_stub_read_as_text_mode_reads_it(directory, commit_hash):
+    source = MetadataSource(kind="FileStub", endpoint=str(directory))
+    got = result_of(ForgeClient([source])._read_stub, source, commit_hash)
+    assert got == result_of(text_mode_stub, str(directory), commit_hash)
+    return got
+
+
+BOM = b"\xef\xbb\xbf"
+# Newlines, a BOM and its first bytes, bytes that are not UTF-8 or end
+# mid-character, an encoded lone surrogate, a NUL, and text.
+STUB_PIECES = [b"\r", b"\n", b"\r\n", BOM, b"\xef", b"\xef\xbb", b"\xff", b"\xc3", b"\xe2\x82",
+               b"\xed\xa0\x80", "é€\U0001f600".encode(), b"{}", b'{"a": 1}', b" ", b"\x00"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(STUB_PIECES) | st.binary(max_size=6), max_size=10).map(b"".join))
+@example(b"")
+@example(b"\xef")
+@example(b"\xef\xbb")
+@example(BOM)
+@example(BOM + b"\r\n{}\r\r\n")
+@example(BOM + b"\xff")
+def test_a_stub_is_read_as_text_mode_reads_it(scratch_dir, data):
+    (scratch_dir / f"{hex_hash(1)}.json").write_bytes(data)
+    assert_stub_read_as_text_mode_reads_it(scratch_dir, hex_hash(1))
+
+
+READ = forge._STUB_READ_SIZE
+
+
+@pytest.mark.parametrize("size", [READ - 1, READ, READ + 1, 2 * READ, 3 * READ + 1])
+def test_a_stub_longer_than_one_read_is_read_whole(tmp_path, size):
+    # A three-byte character straddles the end of the first read, and a
+    # "\r\n" the end of the second; two sizes cut the character short.
+    data = (BOM + b"x" * (READ - 4) + "\u20ac".encode() + b"x" * (READ - 3) + b"\r\n"
+            + b"x" * READ)[:size]
+    (tmp_path / f"{hex_hash(1)}.json").write_bytes(data)
+    assert assert_stub_read_as_text_mode_reads_it(tmp_path, hex_hash(1))[0] == (
+        "OSError" if size in (READ, READ + 1) else "returned")
+
+
+def test_a_stub_name_is_a_miss_or_an_error_as_in_text_mode(tmp_path):
+    (tmp_path / f"{hex_hash(1)}.json").mkdir()  # a directory named <hash>.json
+    (tmp_path / "file").write_text("{}")
+    results = {name: assert_stub_read_as_text_mode_reads_it(directory, commit_hash)
+               for name, directory, commit_hash in [
+                   ("directory", tmp_path, hex_hash(1)),
+                   ("missing", tmp_path, hex_hash(2)),
+                   ("NUL", tmp_path, "r2@a\x00b"),
+                   ("longer than NAME_MAX", tmp_path, "r2@" + "a" * 300),
+                   ("lone surrogate", tmp_path, "r2@\ud800"),
+                   ("no such endpoint", tmp_path / "nowhere", hex_hash(1)),
+                   ("endpoint is a file", tmp_path / "file", hex_hash(1)),
+               ]}
+    assert results == {
+        "directory": ("OSError", f"cannot read stub document {tmp_path / hex_hash(1)}.json: "
+                                 f"[Errno 21] Is a directory: '{tmp_path / hex_hash(1)}.json'"),
+        "missing": ("returned", None), "NUL": ("returned", None),
+        "longer than NAME_MAX": ("returned", None), "lone surrogate": ("returned", None),
+        "no such endpoint": ("returned", None),
+        "endpoint is a file": ("OSError", f"cannot read stub document {tmp_path}/file/"
+                                          f"{hex_hash(1)}.json: [Errno 20] Not a directory: "
+                                          f"'{tmp_path}/file/{hex_hash(1)}.json'"),
+    }
+
+
+# Documents the scanner alone cannot take whole, and record documents; the
+# heads and tails hold JSON whitespace, characters that str.strip() strips
+# but JSON does not, and garbage.
+DOC = json.dumps(doc_for(make_record(1, parents=[0], verified=True)))
+DOC_CORES = [
+    "", "{}", "[]", "null", '"text"', "not json", "{broken", DOC, DOC.replace(hex_hash(1), "A" * 40),
+    json.dumps(doc_for(make_record(2))), DOC.replace('"message"', '"note"'),
+    DOC.replace('"verified": true', '"verified": 1'), DOC.replace("[", "[" * 3000, 1),
+    "[" * 5000 + "]" * 5000, "-" + "9" * 4301,
+]
+DOC_HEADS = ["", " ", "\n", "\t\r\n", "\ufeff", "\x0b"]
+DOC_TAILS = ["", " ", "\n", "\r\n", " \t\n", "x", " 1", "}", ",", "\x0b", "\x85", "\u3000", "\ufeff"]
+
+
+def decode_json_outcome(client, source, commit_hash, body):
+    """``_outcome_from_document`` with decode_json on every body: the oracle
+    for its scanner fast path."""
+    with mock.patch.object(forge, "_decode", decode_json):
+        return client._outcome_from_document(source, commit_hash, body)
+
+
+def assert_document_read_as_decode_json_reads_it(kind, body):
+    source = MetadataSource(kind=kind, endpoint=ARCHIVE_URL if kind in forge.HTTP_KINDS else "x")
+    client = ForgeClient([source])
+    got = with_warnings(client._outcome_from_document, source, hex_hash(1), body)
+    assert got == with_warnings(decode_json_outcome, client, source, hex_hash(1), body)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["FileStub", "PrimaryForge", "ArchiveFallback"]),
+       st.sampled_from(DOC_HEADS), st.sampled_from(DOC_CORES), st.sampled_from(DOC_TAILS))
+def test_a_document_is_read_as_decode_json_reads_it(kind, head, core, tail):
+    assert_document_read_as_decode_json_reads_it(kind, head + core + tail)
+
+
+@pytest.mark.parametrize("body, where", [
+    ("", "line 1 column 1 (char 0)"), (" ", "line 1 column 2 (char 1)"),
+    ("\n", "line 2 column 1 (char 1)"), ("\r\n\t", "line 2 column 2 (char 3)"),
+], ids=repr)
+def test_an_empty_or_blank_document_is_unusable(body, where):
+    # An empty body leaves the scanner with no value and no end to check.
+    assert assert_document_read_as_decode_json_reads_it("FileStub", body) == (
+        ("returned", None), [f"unusable metadata document from FileStub: Expecting value: {where}"])
+
+
+ENTRY = {"repo": "r", "hash": hex_hash(1), "status": "confirmed_on_forge", "verified": True,
+         "parents": [hex_hash(0)], "committer_date": 5}
+CACHE_CORES = [
+    json.dumps(ENTRY), json.dumps({**ENTRY, "hash": hex_hash(2), "status": "unverifiable",
+                                   "verified": None, "parents": None, "committer_date": None}),
+    json.dumps({**ENTRY, "repo": "é\ud800", "hash": "r7@x"}),
+    *(json.dumps({k: v for k, v in ENTRY.items() if k != key}) for key in ENTRY),
+    json.dumps({**ENTRY, "committer_date": "9"}), json.dumps({**ENTRY, "parents": "ab"}),
+    json.dumps({**ENTRY, "status": "lost"}), json.dumps({**ENTRY, "parents": None}),
+    "", "{}", "[]", '"text"', "not json", "[" * 5000 + "]" * 5000,
+]
+CACHE_HEADS = ["", " ", "\t", "\r", "\ufeff", "\x0b", "\u3000"]
+CACHE_TAILS = ["", " ", "\r", " \t\r", "x", " 1", "}", ",", "\x0b", "\x85", "\u3000", "\ufeff"]
+CACHE_LINES = st.builds(lambda head, core, tail: (head + core + tail).encode(
+    "utf-8", "surrogatepass"), st.sampled_from(CACHE_HEADS), st.sampled_from(CACHE_CORES),
+    st.sampled_from(CACHE_TAILS)) | st.sampled_from([b"\xff", BOM, b"\xed\xa0\x80"])
+
+
+def cache_entries(path):
+    store = CacheStore(path)
+    return sorted(store._entries.items()), store._torn_at
+
+
+def decode_json_cache_entries(path):
+    """The cache read with decode_json on every line: the oracle for its
+    scanner fast path."""
+    with mock.patch.object(forge, "_decode", decode_json):
+        return cache_entries(path)
+
+
+def assert_cache_read_as_decode_json_reads_it(path, data):
+    path.write_bytes(data)
+    got = with_warnings(cache_entries, path)
+    assert got == with_warnings(decode_json_cache_entries, path)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CACHE_LINES, max_size=5), st.booleans())
+def test_a_cache_is_read_as_decode_json_reads_it(scratch_dir, lines, torn):
+    data = b"\n".join(lines) + (b"" if torn and lines else b"\n")
+    assert_cache_read_as_decode_json_reads_it(scratch_dir / "cache.ndjson", data)
+
+
+@pytest.mark.parametrize("data", [b"\n", b"\n\n", b" \t\r\n", BOM + b"\n", "\x0b\u3000\n".encode()],
+                         ids=repr)
+def test_blank_cache_lines_are_skipped_without_a_value_to_scan(tmp_path, data):
+    assert assert_cache_read_as_decode_json_reads_it(tmp_path / "cache.ndjson", data) == (
+        ("returned", ([], None)), [])
+
+
+def dumps_cache_line(repo_id, outcome):
+    """The cache line as json.dumps writes its entry: the oracle for the
+    line ``CacheStore.put`` writes."""
+    entry = {
+        "repo": repo_id,
+        "hash": outcome.commit_hash,
+        "status": outcome.status.value,
+        "verified": outcome.verified_flag,
+        "parents": None if outcome.parents is None else list(outcome.parents),
+        "committer_date": outcome.committer_date,
+    }
+    return json.dumps(entry, sort_keys=True) + "\n"
+
+
+# Hex and SVN ids, and any text, lone surrogates and non-ASCII included.
+IDS = (st.integers(0, 2**160 - 1).map(lambda n: f"{n:040x}")
+       | st.builds(lambda n, repo: f"r{n}@{repo}", st.integers(0, 10**6), st.text(min_size=1))
+       | st.text(st.characters(blacklist_categories=()), max_size=8))
+
+
+@st.composite
+def outcomes(draw):
+    status = draw(st.sampled_from(VerificationStatus))
+    resolved = status is not VerificationStatus.UNVERIFIABLE
+    parents = st.lists(IDS, max_size=3).map(tuple)
+    dates = st.integers(EPOCH_MIN, EPOCH_MAX)
+    return VerificationOutcome(
+        draw(IDS), status, draw(st.sampled_from([True, False, None])),
+        draw(parents if resolved else st.none() | parents),
+        draw(dates if resolved else st.none() | dates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(IDS, outcomes())
+def test_a_cache_line_is_written_as_dumps_writes_it(scratch_dir, repo_id, outcome):
+    line = dumps_cache_line(repo_id, outcome)
+    assert forge._cache_line(repo_id, outcome) == line
+    path = scratch_dir / "written.ndjson"
+    path.unlink(missing_ok=True)
+    store = CacheStore(path)
+    store.put(repo_id, outcome)
+    store.close()
+    assert path.read_bytes() == line.encode("ascii")
+    assert CacheStore(path).get(repo_id, outcome.commit_hash) == outcome
+
+
+def test_a_resolved_outcome_is_built_once_when_its_parents_are_a_tuple():
+    def resolved(parents):
+        return VerificationOutcome(hex_hash(1), VerificationStatus.CONFIRMED_ON_FORGE,
+                                   parents=parents, committer_date=0)
+
+    with mock.patch.object(VerificationOutcome, "_replace", side_effect=AssertionError("rebuilt")):
+        assert resolved((hex_hash(2),)).parents == (hex_hash(2),)
+    listed = resolved([hex_hash(2)])  # a list is copied once, into a tuple
+    assert type(listed.parents) is tuple and listed.parents == (hex_hash(2),)
 
 
 # ---- Config ----

@@ -419,6 +419,30 @@ def test_no_step_loads_dataclasses_and_a_run_that_logs_nothing_loads_no_logging(
         loaded[name] = json.loads(done.stdout.splitlines()[1])
     assert loaded == {name: [] for name, _ in steps}
 
+
+# IMPORT_PROBE, then whether csv is loaded by the end of the step.
+CSV_PROBE = IMPORT_PROBE + """
+print(json.dumps("csv" in sys.modules))
+"""
+
+
+def test_only_a_step_that_writes_a_csv_table_loads_csv(tmp_path):
+    steps = tiny_commands(tmp_path, [{"kind": "DropOutOfOrder", "scope": "commit"}])
+    report = steps[0][1][-1]
+    steps.append(["stats csv", ["stats", report, "--report", str(tmp_path / "stats.json"),
+                                "--csv-dir", str(tmp_path / "tables")]])
+    loaded = {}
+    for name, step in steps:  # in order: scan writes the report the later ones read
+        done = subprocess.run(
+            [sys.executable, "-c", CSV_PROBE, json.dumps(step)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded[name] = json.loads(done.stdout.splitlines()[1])
+    assert loaded == {"scan": False, "filter": False, "verify cold": False,
+                      "verify warm": False, "stats": False, "stats csv": True}
+
     # A run that logs loads logging then, and its warning still reaches
     # stderr through logging's last-resort handler.
     cache = tmp_path / "cache.ndjson"
