@@ -46,6 +46,7 @@ from .model import (
     decode_json,
     format_utc,
     parse_utc,
+    read_text,
     typed,
 )
 
@@ -299,8 +300,7 @@ def _load_scan_report(path: str) -> tuple[dict, list[Anomaly]]:
     """The scan report at ``path`` and its anomalies; the schema is checked
     first, then the ``commits`` section, then each anomaly entry."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
-            doc = decode_json(fh.read())
+        doc = decode_json(read_text(path))
     except (OSError, ValueError) as exc:  # ValueError: JSON, UTF-8 or int() digit limit
         raise CommandError(f"cannot read report {path}: {exc}") from exc
     try:

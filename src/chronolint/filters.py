@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from .detectors import DetectorConfig, detect_out_of_order_parents
 from .graph import build_graph, group_by_repo
-from .model import canonical_repo_id, checked, decode_json, parse_utc, ranked, typed
+from .model import canonical_repo_id, checked, decode_json, parse_utc, ranked, read_text, typed
 
 
 @checked
@@ -162,8 +162,7 @@ def policy_from_object(data: dict) -> FilterPolicy:
 def load_policies(path) -> list[FilterPolicy]:
     """Read policies from a JSON file: either ``{"policies": [...]}`` or a
     bare array."""
-    with open(path, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
-        data = decode_json(fh.read())
+    data = decode_json(read_text(path))
     if isinstance(typed(data, (dict, list), "a policy file"), dict):
         data = typed(data.get("policies"), list, "a policy file's 'policies'")
     return [policy_from_object(item) for item in data]

@@ -7,16 +7,14 @@ that answers wins. Commits are fetched one at a time, in the calling
 thread. Fresh answers are appended to every configured cache so a re-run
 of the same audit touches the network zero times. A directory-of-JSON-files
 stub source stands in for the forge in offline tests; its document schema
-mirrors the NDJSON ingest record. A stub document is read as UTF-8 bytes:
-one head BOM is dropped, and newlines are translated as text mode
-translates them.
+mirrors the NDJSON ingest record. Every document is read and decoded as
+``model`` reads and decodes the package's other JSON documents.
 """
 
 from __future__ import annotations
 
 import errno
 import functools
-import json
 import os
 import re
 import string
@@ -28,14 +26,13 @@ from pathlib import Path
 from types import NoneType
 from typing import NamedTuple
 
-from .model import OUT_OF_ORDER_KINDS, Anomaly, checked, decode_json, log_debug, log_warning, typed
+from .model import (OUT_OF_ORDER_KINDS, Anomaly, checked, decode_json, log_debug, log_warning,
+                    read_text, typed)
 
 HTTP_KINDS = ("PrimaryForge", "ArchiveFallback")
 SOURCE_KINDS = (*HTTP_KINDS, "LocalCache", "FileStub")
 MAX_ATTEMPTS = 5  # per HTTP fetch; a rate limit and a transport error each use one
 HTTP_TIMEOUT_S = 30.0  # per attempt, to connect and then between received bytes
-_STUB_READ_SIZE = 1 << 16
-_BOM = b"\xef\xbb\xbf"
 
 
 class VerificationStatus(str, Enum):
@@ -106,25 +103,6 @@ class VerificationOutcome(NamedTuple):
                 return self._replace(parents=tuple(self.parents))
 
 
-# The scanner json.loads calls, without its wrappers, as ingest's NDJSON
-# parse uses it.
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decode(text: str):
-    """``decode_json(text)``, by the bare scanner when ``text`` is one JSON
-    value followed by nothing but JSON whitespace. Any other text, an
-    empty one included, goes to decode_json, which skips leading
-    whitespace or names the fault."""
-    try:
-        value, end = _scan_once(text, 0)
-    except (StopIteration, ValueError, RecursionError):
-        end = 0
-    if end == 0 or text[end:].strip(" \t\n\r"):
-        return decode_json(text)
-    return value
-
-
 # ---- Cache ----
 
 
@@ -170,7 +148,7 @@ class CacheStore:
                     text = line.decode("utf-8-sig" if number == 1 else "utf-8")
                     if not text.strip():
                         continue
-                    repo_id, outcome = _outcome_from_entry(_decode(text))
+                    repo_id, outcome = _outcome_from_entry(decode_json(text))
                     self._entries[(repo_id, outcome.commit_hash)] = outcome
                 except KeyError as exc:
                     raise ValueError(f"corrupt cache {self.path} line {number}: missing {exc}") from exc
@@ -360,36 +338,18 @@ class ForgeClient:
         return None if body is None else self._outcome_from_document(source, commit_hash, body)
 
     def _read_stub(self, source: MetadataSource, commit_hash: str) -> str | None:
-        """The commit's stub document as text mode reads it, or None when there
-        is none: UTF-8 bytes, one head BOM dropped, and ``\\r\\n`` and a lone
-        ``\\r`` read as ``\\n``."""
+        """The commit's stub document as :func:`read_text` reads it, or None
+        when there is none."""
         path = os.path.join(source.endpoint, f"{commit_hash}.json")
         try:
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                chunks = []
-                while chunk := os.read(fd, _STUB_READ_SIZE):
-                    chunks.append(chunk)
-            finally:
-                os.close(fd)
-            data = b"".join(chunks)
-            # One head BOM is dropped, as "utf-8-sig" drops it, and text mode
-            # reads one or two bytes that begin a BOM as nothing.
-            if _BOM.startswith(data[:3]):
-                data = data[3:]
-            text = data.decode()
+            return read_text(path)
         except (OSError, UnicodeDecodeError) as exc:
             # A missing file is a miss, and so is a name too long for any file.
             if getattr(exc, "errno", None) in (errno.ENOENT, errno.ENAMETOOLONG):
                 return None
-            if isinstance(exc, IsADirectoryError):
-                exc.filename = path  # as open() names it, from its check of the file
             raise OSError(f"cannot read stub document {path}: {exc}") from exc
-        except ValueError:  # os.open() refuses a name no file can have, such as one with a NUL
+        except ValueError:  # a name no file can have, such as one with a NUL
             return None
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return text
 
     def _http_get_with_backoff(self, source: MetadataSource, repo_id: str,
                                commit_hash: str) -> str | None:
@@ -434,7 +394,7 @@ class ForgeClient:
                                body: str) -> VerificationOutcome | None:
         """What a fetched document states; None if it is unusable or another commit's."""
         try:
-            record = _record_reader()(_decode(body), {}, {})
+            record = _record_reader()(decode_json(body), {}, {})
         except ValueError as exc:
             log_warning(__name__, "unusable metadata document from %s: %s", source.kind, exc)
             return None
@@ -509,22 +469,22 @@ def load_sources(source) -> list[MetadataSource]:
 
     Shape: ``{"sources": [{"kind": ..., "endpoint": ..., "auth": ...},
     ...]}``; other top-level keys are ignored. Commits are fetched one at
-    a time, so no key sizes a pool.
+    a time, so no key sizes a pool. A FileStub endpoint that names no
+    directory is refused, as each lookup through it would miss and be cached
+    as unverifiable; so is a local endpoint with a NUL, which names no file.
     """
-    with open(source, encoding="utf-8-sig") as fh:  # -sig: one head BOM is dropped
-        data = decode_json(fh.read())
+    data = decode_json(read_text(source))
     sources = []
     for item in typed(typed(data, dict, "a sources config").get("sources"), list, "sources"):
         unknown = sorted(set(typed(item, dict, "a source")) - {"kind", "endpoint", "auth"})
         if unknown:
             raise ValueError(f"unknown source fields: {unknown}")
-        sources.append(
-            MetadataSource(
-                kind=item.get("kind", ""),
-                endpoint=item.get("endpoint", ""),
-                auth=item.get("auth"),
-            )
-        )
+        kind, endpoint = item.get("kind", ""), item.get("endpoint", "")
+        sources.append(MetadataSource(kind=kind, endpoint=endpoint, auth=item.get("auth")))
+        if kind in ("FileStub", "LocalCache") and "\0" in endpoint:
+            raise ValueError(f"source {kind!r}: endpoint {endpoint!r} holds a NUL")
+        if kind == "FileStub" and not os.path.isdir(endpoint):
+            raise ValueError(f"source {kind!r}: endpoint {endpoint!r} is not a directory")
     if not sources:
         raise ValueError("configure at least one metadata source")
     return sources

@@ -279,27 +279,17 @@ def _parse_ndjson(lines) -> ParseResult:
     malformed: list[MalformedRecord] = []
     hashes: dict[str, str] = {}
     shared: dict = {}
-    # The scanner json.loads calls, without its wrappers. It takes a line
-    # that starts with one JSON value followed by nothing but JSON
-    # whitespace, as a CRLF line is; any other line is decoded again by
-    # decode_json, which skips leading whitespace or names the fault.
-    scan_once = json.JSONDecoder().scan_once
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj, end = scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = 0
-        if end != len(line) and line[end:].strip(" \t\r"):
-            try:
-                obj = decode_json(line)
-            except json.JSONDecodeError as exc:
-                malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc.msg}"))
-                continue
-            except ValueError as exc:  # an integer longer than int() converts, or nesting too deep
-                malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc}"))
-                continue
+            obj = decode_json(line)
+        except json.JSONDecodeError as exc:
+            malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc.msg}"))
+            continue
+        except ValueError as exc:  # an integer longer than int() converts, or nesting too deep
+            malformed.append(MalformedRecord(line_number, f"invalid JSON: {exc}"))
+            continue
         try:
             records.append(_record_from_object(obj, hashes, shared))
         except ValueError as exc:

@@ -1,6 +1,6 @@
 """Core value types: commit records and anomalies, the commit id rule, the
-old-date cutoff, UTC date text and the order of a ranked table; and the
-package's two log calls.
+old-date cutoff, UTC date text and the order of a ranked table; the
+package's one reader and one decoder of JSON documents, and its two log calls.
 
 Everything here is an immutable value object, safe to share across threads.
 Every value type of the package is a ``typing.NamedTuple``: immutable and,
@@ -16,6 +16,7 @@ timezone offset, the committer's, for output only; it is never applied.
 """
 
 import json
+import os
 import re
 import sys
 from enum import Enum
@@ -43,6 +44,9 @@ _SVN_HASH = re.compile(r"r[0-9]+@\S+")  # Subversion revisions: "r<N>@<repo>"
 # What an error message calls each JSON type.
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                     float: "a number", bool: "a boolean", type(None): "null"}
+
+_READ_SIZE = 1 << 16
+_BOM = b"\xef\xbb\xbf"
 
 
 def typed(value, json_type, field: str):
@@ -76,10 +80,50 @@ def log_debug(name: str, msg: str, *args) -> None:
         sys.modules["logging"].getLogger(name).debug(msg, *args, stacklevel=2)
 
 
+def read_text(path) -> str:
+    """The file at ``path`` as text mode reads it with ``utf-8-sig``: one
+    head BOM dropped, and ``\\r\\n`` and a lone ``\\r`` read as ``\\n``.
+    Raises ``OSError`` naming the file, or ``ValueError`` for bytes that
+    are not UTF-8 or a path no file can have, such as one with a NUL."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except IsADirectoryError as exc:
+        exc.filename = os.fspath(path)  # as open() names it, from its check of the file
+        raise
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
+    del chunks  # before the decode, which holds the bytes and the text at once
+    # One head BOM is dropped, as "utf-8-sig" drops it, and text mode reads
+    # one or two bytes that begin a BOM as nothing.
+    if _BOM.startswith(data[:3]):
+        data = data[3:]
+    text = data.decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+# The scanner json.loads calls, without its wrappers.
+_scanner = json.JSONDecoder().scan_once
+
+
 def decode_json(text: str | bytes):
     """``json.loads``, except that a document nested deeper than the
     recursion limit raises ``ValueError``, as any other undecodable
-    document does, instead of ``RecursionError``."""
+    document does, instead of ``RecursionError``. A ``str`` that holds one
+    JSON value and then only JSON whitespace takes the bare scanner; any
+    other input goes to ``json.loads``, which names the fault."""
+    if isinstance(text, str):
+        try:
+            value, end = _scanner(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = 0
+        if end and (end == len(text) or not text[end:].strip(" \t\n\r")):
+            return value
     try:
         return json.loads(text)
     except RecursionError:

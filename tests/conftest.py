@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+import json
+
 import pytest
 from hypothesis import strategies as st
 
@@ -68,6 +70,30 @@ def record_to_object(rec: CommitRecord) -> dict:
     if rec.stars is not None:
         obj["stars"] = rec.stars
     return obj
+
+
+def reference_decode_json(text):
+    """``model.decode_json`` as it was before it took the scanner's fast
+    path: the oracle for that path."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply to decode") from None
+
+
+def text_mode_read(path) -> str:
+    """The file read in text mode with ``utf-8-sig``, as every reader read
+    it before ``model.read_text``: the oracle for that reader."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def result_of(call, *args):
+    """What a call returns, or the type and text of the error it raises."""
+    try:
+        return "returned", call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
 
 
 @pytest.fixture

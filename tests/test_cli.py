@@ -850,6 +850,36 @@ def cached_sources(tmp_path, records, cache):
     return str(sources)
 
 
+@pytest.mark.parametrize("kind, endpoint, reason", [
+    ("FileStub", "missing", "is not a directory"),
+    ("FileStub", "file", "is not a directory"),
+    ("FileStub", "stub\x00", "holds a NUL"),
+    ("LocalCache", "cache.ndjson\x00", "holds a NUL"),
+], ids=["missing stub directory", "stub endpoint is a file", "NUL in stub", "NUL in cache"])
+def test_verify_refuses_a_local_endpoint_before_any_lookup(tmp_path, capsys, kind, endpoint,
+                                                           reason):
+    # Every lookup through such an endpoint would miss, and each miss would
+    # be cached as unverifiable: a re-run with the endpoint mended would
+    # then answer every candidate from that cache.
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    (tmp_path / "file").write_text("{}")
+    cache = tmp_path / "cache.ndjson"
+    sources = cached_sources(tmp_path, records, cache)  # LocalCache, then FileStub
+    config = json.loads(Path(sources).read_text(encoding="utf-8"))
+    bad = str(tmp_path / endpoint)
+    config["sources"][0 if kind == "LocalCache" else 1]["endpoint"] = bad
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(config), encoding="utf-8")
+    assert run(capsys, "verify", report, "--sources", str(broken)) == (
+        2, "", f"chronolint: error: bad sources config: source {kind!r}: endpoint {bad!r} "
+               f"{reason}\n")
+    assert not cache.exists()
+    code, out, _ = run(capsys, "verify", report, "--sources", sources)
+    assert code == 1
+    assert [a["commit"] for a in json.loads(out)["confirmed"]] == [hex_hash(1)]
+
+
 def test_verify_corrupt_cache_line_exits_two_with_one_line(tmp_path, capsys):
     records = ooo_fixture()
     report = scan_report_path(tmp_path, capsys, records)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chronolint import forge
+from chronolint import cli, filters, forge, model
 from chronolint.cli import main, write_ndjson
 from chronolint.detectors import (
     DetectorConfig,
@@ -31,8 +31,14 @@ from chronolint.forge import (
     verify_anomalies,
 )
 from chronolint.graph import build_graph, topological_order
-from chronolint.model import EPOCH_MAX, EPOCH_MIN, decode_json, parse_utc
-from conftest import hex_hash, make_record
+from chronolint.model import EPOCH_MAX, EPOCH_MIN, parse_utc
+from conftest import (
+    hex_hash,
+    make_record,
+    reference_decode_json,
+    result_of,
+    text_mode_read,
+)
 
 CFG = DetectorConfig(future_cutoff=parse_utc("2030-01-01"))
 
@@ -919,14 +925,6 @@ def scratch_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fast-paths")
 
 
-def result_of(call, *args):
-    """What a call returns, or the type and text of the error it raises."""
-    try:
-        return "returned", call(*args)
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
 def with_warnings(call, *args):
     """``result_of(call, *args)`` and forge's warning lines during the call."""
     lines = []
@@ -939,8 +937,7 @@ def text_mode_stub(directory: str, commit_hash: str):
     """The stub document read in text mode: the oracle for ``_read_stub``."""
     path = os.path.join(directory, f"{commit_hash}.json")
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+        return text_mode_read(path)
     except (OSError, UnicodeDecodeError) as exc:
         if getattr(exc, "errno", None) in (errno.ENOENT, errno.ENAMETOOLONG):
             return None
@@ -976,7 +973,7 @@ def test_a_stub_is_read_as_text_mode_reads_it(scratch_dir, data):
     assert_stub_read_as_text_mode_reads_it(scratch_dir, hex_hash(1))
 
 
-READ = forge._STUB_READ_SIZE
+READ = model._READ_SIZE
 
 
 @pytest.mark.parametrize("size", [READ - 1, READ, READ + 1, 2 * READ, 3 * READ + 1])
@@ -1015,6 +1012,51 @@ def test_a_stub_name_is_a_miss_or_an_error_as_in_text_mode(tmp_path):
     }
 
 
+# Each reader of a whole document, with the module it takes read_text from,
+# and a document it reads without error.
+READERS = {
+    "report": (cli._load_scan_report, cli, {"schema_version": cli.SCHEMA_VERSION,
+                                            "anomalies": [], "summary": {}}),
+    "sources": (load_sources, forge, {"sources": [{"kind": "ArchiveFallback",
+                                                   "endpoint": ARCHIVE_URL}]}),
+    "policies": (filters.load_policies, filters, [{"kind": "MinTimestamp", "min_ts": 1}]),
+}
+DOCUMENT_PIECES = [json.dumps(document).encode() for _, _, document in READERS.values()]
+
+
+def assert_read_as_text_mode_reads_it(reader, path):
+    call, module, _ = READERS[reader]
+    got = result_of(call, path)
+    with mock.patch.object(module, "read_text", text_mode_read):
+        assert got == result_of(call, path)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(READERS)),
+       st.lists(st.sampled_from(STUB_PIECES + DOCUMENT_PIECES) | st.binary(max_size=6),
+                max_size=10).map(b"".join))
+@example("policies", b"\xef")
+@example("sources", b"\xef\xbb")
+@example("report", BOM + DOCUMENT_PIECES[0] + b"\r\n")
+@example("sources", BOM + b"\r\n" + DOCUMENT_PIECES[1] + b"\r")
+@example("policies", b"\r" + DOCUMENT_PIECES[2] + b"\xff")
+def test_a_document_file_is_read_as_text_mode_reads_it(scratch_dir, reader, data):
+    (scratch_dir / "document.json").write_bytes(data)
+    assert_read_as_text_mode_reads_it(reader, scratch_dir / "document.json")
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_document_file_is_named_in_its_error_as_in_text_mode(tmp_path, reader):
+    (tmp_path / "file").write_text("{}")
+    paths = [tmp_path, str(tmp_path), tmp_path / "missing", str(tmp_path / "file" / "x"),
+             str(tmp_path / "a\x00b"), str(tmp_path / "\ud800"), ""]
+    for path in paths:
+        assert assert_read_as_text_mode_reads_it(reader, path)[0] != "returned"
+    (tmp_path / "file").write_text(json.dumps(READERS[reader][2]))
+    assert assert_read_as_text_mode_reads_it(reader, tmp_path / "file")[0] == "returned"
+
+
 # Documents the scanner alone cannot take whole, and record documents; the
 # heads and tails hold JSON whitespace, characters that str.strip() strips
 # but JSON does not, and garbage.
@@ -1030,9 +1072,9 @@ DOC_TAILS = ["", " ", "\n", "\r\n", " \t\n", "x", " 1", "}", ",", "\x0b", "\x85"
 
 
 def decode_json_outcome(client, source, commit_hash, body):
-    """``_outcome_from_document`` with decode_json on every body: the oracle
-    for its scanner fast path."""
-    with mock.patch.object(forge, "_decode", decode_json):
+    """``_outcome_from_document`` with the reference decoder on every body:
+    the oracle for decode_json's scanner fast path."""
+    with mock.patch.object(forge, "decode_json", reference_decode_json):
         return client._outcome_from_document(source, commit_hash, body)
 
 
@@ -1085,9 +1127,9 @@ def cache_entries(path):
 
 
 def decode_json_cache_entries(path):
-    """The cache read with decode_json on every line: the oracle for its
-    scanner fast path."""
-    with mock.patch.object(forge, "_decode", decode_json):
+    """The cache read with the reference decoder on every line: the oracle
+    for decode_json's scanner fast path."""
+    with mock.patch.object(forge, "decode_json", reference_decode_json):
         return cache_entries(path)
 
 

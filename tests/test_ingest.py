@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from chronolint import ingest
 from chronolint.ingest import DedupReport, deduplicate, parse_commit_stream
-from chronolint.model import CommitRecord, decode_json
+from chronolint.model import CommitRecord
+from conftest import reference_decode_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -478,15 +479,15 @@ def test_gitlog_malformed_reason(chunk, reason):
 
 
 def reference_parse_ndjson(lines) -> ingest.ParseResult:
-    """The NDJSON parse with decode_json on every line: the oracle for the
-    scanner's fast path."""
+    """The NDJSON parse with the reference decoder on every line: the
+    oracle for decode_json's scanner fast path."""
     records, malformed = [], []
     hashes, shared = {}, {}
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = decode_json(line)
+            obj = reference_decode_json(line)
         except json.JSONDecodeError as exc:
             malformed.append(ingest.MalformedRecord(line_number, f"invalid JSON: {exc.msg}"))
             continue

@@ -3,18 +3,19 @@
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronolint.model import (
     Anomaly,
     AnomalyKind,
     canonical_repo_id,
+    decode_json,
     format_utc,
     normalize_timestamp,
     parse_utc,
 )
-from conftest import repo_id_spellings
+from conftest import reference_decode_json, repo_id_spellings, result_of
 
 
 def _datetime_oracle(epoch: int) -> str:
@@ -161,3 +162,48 @@ def test_canonical_repo_id_drops_every_trailing_git_and_the_space_before_it():
 def test_canonical_repo_id_is_its_own_canonical_form(repo_id):
     once = canonical_repo_id(repo_id)
     assert canonical_repo_id(once) == once
+
+
+# Texts the scanner alone cannot take whole, and texts it can. The heads and
+# tails hold JSON whitespace, characters that str.strip() strips but JSON
+# does not, a BOM and garbage; the cores hold nesting deeper than the
+# recursion limit and integers longer than int() converts.
+JSON_HEADS = ["", " ", "\t\r\n", "\r", "\n", "\ufeff", "\x0b", "\x85", "\u3000"]
+JSON_CORES = [
+    "", " ", "{}", "[]", "null", "true", "0", "-1.5e3", '"text"', '"\\ud800 \\u00e9"',
+    '{"a": [1, 2.5, true, null, "b"], "c": {"d": "e"}}', "not json", "{broken", '"unterminated',
+    "[1,]", "01", "NaN", "-Infinity", "[" * 5000 + "]" * 5000, '{"a":' * 3000 + "1" + "}" * 3000,
+    "-" + "9" * 4301, "[" + "1" + "0" * 5000 + "]",
+]
+JSON_TAILS = ["", " ", "\n", "\r\n", " \t\n", "\r", "x", " 1", "}", "]", ",", "\x0b", "\x85",
+              "\u3000", "\ufeff"]
+
+
+def decoded(decode, value):
+    """What ``decode(value)`` returns, by repr so that NaN compares equal
+    and 1.0 differs from 1, or the type and text of its error."""
+    kind, got = result_of(decode, value)
+    return (kind, repr(got)) if kind == "returned" else (kind, got)
+
+
+def test_decode_json_matches_the_reference_on_every_head_core_and_tail():
+    for head in JSON_HEADS:
+        for core in JSON_CORES:
+            for tail in JSON_TAILS:
+                text = head + core + tail
+                for value in (text, text.encode("utf-8", "surrogatepass")):
+                    assert decoded(decode_json, value) == decoded(reference_decode_json, value), (
+                        ascii(value)[:200])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(JSON_HEADS + JSON_CORES + JSON_TAILS) | st.text(max_size=4),
+                max_size=6).map("".join)
+       | st.binary(max_size=20) | st.none() | st.integers() | st.lists(st.text(max_size=3)))
+@example(b"\xef\xbb\xbf[]")
+@example("[]".encode("utf-16"))
+@example(bytearray(b" {} "))
+@example(memoryview(b"{}"))
+@example(1.5)
+def test_decode_json_matches_the_reference_on_any_input(value):
+    assert decoded(decode_json, value) == decoded(reference_decode_json, value)
