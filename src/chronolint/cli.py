@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 from importlib import import_module
 from itertools import chain, repeat, takewhile
 from json.encoder import encode_basestring_ascii
@@ -126,9 +126,17 @@ def write_ndjson(records, fh) -> None:
               f'{tail}}}\n')
 
 
+# Each kind's value by its kind, and each kind by its value. A report names
+# one kind per entry, and a dict lookup costs a fraction of reading an
+# Enum's value or calling it; the Enum call stays for an unknown value and
+# raises its error.
+_VALUE_OF_KIND = {kind: kind.value for kind in AnomalyKind}
+_KIND_BY_VALUE = {value: kind for kind, value in _VALUE_OF_KIND.items()}
+
+
 def anomaly_to_object(anomaly: Anomaly) -> dict:
     obj = {
-        "kind": anomaly.kind.value,
+        "kind": _VALUE_OF_KIND[anomaly.kind],
         "commit": anomaly.commit_hash,
         "repo": anomaly.repo_id,
         "evidence": anomaly.evidence,
@@ -138,14 +146,33 @@ def anomaly_to_object(anomaly: Anomaly) -> dict:
     return obj
 
 
-# Each kind by its value. A report names one kind per entry, and a dict
-# lookup costs a fraction of the Enum call, which stays for an unknown
-# value and raises its error.
-_KIND_BY_VALUE = {kind.value: kind for kind in AnomalyKind}
+_make_anomaly = partial(tuple.__new__, Anomaly)  # for fields already checked
 
 
 def anomaly_from_object(obj: dict, index: int) -> Anomaly:
-    """Rebuild entry ``index`` of a report's anomaly list, checking its types."""
+    """Rebuild entry ``index`` of a report's anomaly list, checking its types.
+
+    A value decoded from JSON has a JSON type exactly, so ``isinstance``
+    tells its type, save that a boolean is also an int. An entry that
+    passes these plain tests is built at once; any other goes through
+    :func:`_checked_anomaly`."""
+    try:
+        kind = _KIND_BY_VALUE[obj["kind"]]
+        commit, repo = obj["commit"], obj["repo"]
+        evidence, delta = obj.get("evidence", ""), obj.get("delta_seconds")
+        if ((delta is None if kind not in OUT_OF_ORDER_KINDS else
+             isinstance(delta, int) and delta is not True and 1 <= delta < 2**64)
+                and isinstance(repo, str) and isinstance(evidence, str)
+                and (_HEX_HASH.fullmatch(commit) or _SVN_HASH.fullmatch(commit))):
+            return _make_anomaly((kind, commit, repo, evidence, delta))
+    except (KeyError, TypeError):  # a missing key, or a value of another type
+        pass
+    return _checked_anomaly(obj, index)
+
+
+def _checked_anomaly(obj, index: int) -> Anomaly:
+    """Entry ``index`` checked field by field, in a fixed order, so that an
+    unreadable entry is named with its first fault."""
     try:
         delta = typed(typed(obj, dict, "the entry").get("delta_seconds"), (int, NoneType),
                       "delta_seconds")
@@ -312,15 +339,29 @@ def _load_scan_report(path: str) -> tuple[dict, list[Anomaly]]:
         typed(doc.get("summary"), dict, "summary")
     except ValueError as exc:
         raise CommandError(f"{path} is not a schema v{SCHEMA_VERSION} scan report: {exc}") from exc
-    where = "unreadable commits section"
-    try:
-        for commit_hash, entry in typed(doc.get("commits", {}), dict, "commits").items():
-            where = f"unreadable commits entry {commit_hash!r}"
-            typed(typed(entry, dict, "the entry").get("committer", ""), str, "committer")
-            typed(entry.get("message", ""), str, "message")
-    except ValueError as exc:
-        raise CommandError(f"{where}: {exc}") from exc
+    if not _plain_commits(doc.get("commits", {})):
+        where = "unreadable commits section"
+        try:
+            for commit_hash, entry in typed(doc.get("commits", {}), dict, "commits").items():
+                where = f"unreadable commits entry {commit_hash!r}"
+                typed(typed(entry, dict, "the entry").get("committer", ""), str, "committer")
+                typed(entry.get("message", ""), str, "message")
+        except ValueError as exc:
+            raise CommandError(f"{where}: {exc}") from exc
     return doc, [anomaly_from_object(obj, i) for i, obj in enumerate(doc["anomalies"])]
+
+
+def _plain_commits(commits) -> bool:
+    """Whether a decoded ``commits`` section is a dict of dicts whose
+    ``committer`` and ``message``, where present, are strings. The plain
+    type tests run over the whole section at once; when one fails, the
+    checked loop names the first bad entry."""
+    if not isinstance(commits, dict):
+        return False
+    entries = list(commits.values())
+    return all(map(isinstance, entries, repeat(dict))) and all(
+        all(map(isinstance, map(dict.get, entries, repeat(key), repeat("")), repeat(str)))
+        for key in ("committer", "message"))
 
 
 # ---- Input handling ----

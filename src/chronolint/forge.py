@@ -41,6 +41,9 @@ class VerificationStatus(str, Enum):
     UNVERIFIABLE = "unverifiable"
 
 
+_UNVERIFIABLE = VerificationStatus.UNVERIFIABLE  # a global, read faster than the Enum's attribute
+
+
 @checked
 class MetadataSource(NamedTuple):
     """One place to ask about a commit, in priority order.
@@ -96,7 +99,7 @@ class VerificationOutcome(NamedTuple):
     committer_date: int | None = None
 
     def _check(self):
-        if self.status is not VerificationStatus.UNVERIFIABLE:
+        if self.status is not _UNVERIFIABLE:
             if self.parents is None or self.committer_date is None:
                 raise ValueError("resolved outcomes need parents and a committer date")
             if type(self.parents) is not tuple:
@@ -135,10 +138,35 @@ class CacheStore:
             raise self._error("read", exc) from exc
 
     def _load(self) -> None:
+        """Read every line: one in the exact shape ``_cache_line`` writes is
+        built straight from its fields, and any other goes through the JSON
+        decoder, which gives the same entry or raises the line's error."""
         if not self.path.exists():
             return
+        entries, repo_ids = self._entries, {}  # each repo's text, decoded once
         with open(self.path, "rb") as fh:
             for number, line in enumerate(fh, 1):
+                fields = _match_cache_line(line)
+                if fields is not None:
+                    date, commit_hash, parent, parents, repo_id, status, flag = fields.groups()
+                    status = _STATUS_BY_BYTES[status]
+                    if parent is not None:
+                        parents = (parent.decode(),)
+                    elif parents == b"null":
+                        parents = None
+                    elif parents == b"[]":
+                        parents = ()
+                    else:  # two or more, none of which holds a quote
+                        parents = tuple(parents[2:-2].decode().split('", "'))
+                    date = None if date == b"null" else int(date)
+                    # A resolved outcome without both takes the JSON path to its error.
+                    if status is _UNVERIFIABLE or (parents is not None and date is not None):
+                        commit_hash = commit_hash.decode()
+                        repo_id = repo_ids.get(repo_id) or repo_ids.setdefault(
+                            repo_id, repo_id.decode())
+                        entries[(repo_id, commit_hash)] = _make_outcome(
+                            (commit_hash, status, _FLAG_BY_BYTES[flag], parents, date))
+                        continue
                 if not line.endswith(b"\n"):
                     log_warning(__name__, "%s: skipping torn last line %d", self.path, number)
                     self._torn_at = os.fstat(fh.fileno()).st_size - len(line)
@@ -149,7 +177,7 @@ class CacheStore:
                     if not text.strip():
                         continue
                     repo_id, outcome = _outcome_from_entry(decode_json(text))
-                    self._entries[(repo_id, outcome.commit_hash)] = outcome
+                    entries[(repo_id, outcome.commit_hash)] = outcome
                 except KeyError as exc:
                     raise ValueError(f"corrupt cache {self.path} line {number}: missing {exc}") from exc
                 except ValueError as exc:
@@ -209,6 +237,23 @@ def _cache_line(repo_id: str, outcome: VerificationOutcome) -> str:
 # Each status by its value, for the cache's lines; the Enum call stays
 # for an unknown value and raises its error.
 _STATUS_BY_VALUE = {status.value: status for status in VerificationStatus}
+_STATUS_BY_BYTES = {value.encode(): status for value, status in _STATUS_BY_VALUE.items()}
+_FLAG_BY_BYTES = {text.encode(): flag for flag, text in _JSON_FLAGS.items()}
+_make_outcome = functools.partial(tuple.__new__, VerificationOutcome)  # for fields already checked
+
+# The bytes of a line as _cache_line writes it, when every text in it is
+# printable ASCII with no quote or backslash, and so holds no escape, and
+# its date has no leading zero and at most an int64's 19 digits. The groups
+# are the date, the hash, a lone parent or the other parent lists, the
+# repo, the status and the verified flag. Any other line, a BOM, a CRLF
+# and an unknown status included, is read as JSON.
+_TEXT = rb'[ !#-\[\]-~]*'
+_match_cache_line = re.compile(
+    rb'\{"committer_date": (null|0|-?[1-9][0-9]{0,18}), "hash": "(' + _TEXT + rb')", '
+    rb'"parents": (?:\["(' + _TEXT + rb')"\]|(null|\[\]|\["' + _TEXT + rb'"(?:, "' + _TEXT
+    + rb'")+\])), "repo": "(' + _TEXT + rb')", "status": "('
+    + b"|".join(map(re.escape, _STATUS_BY_BYTES)) + rb')", "verified": (true|false|null)\}\n'
+).fullmatch
 
 
 def _outcome_from_entry(entry) -> tuple[str, VerificationOutcome]:
@@ -303,24 +348,28 @@ class ForgeClient:
         self._caches = {
             s.endpoint: CacheStore(s.endpoint) for s in sources if s.kind == "LocalCache"
         }
+        # Each source with its cache, or None for a source that is fetched from.
+        self._order = [(s, self._caches[s.endpoint] if s.kind == "LocalCache" else None)
+                       for s in sources]
 
     # -- single fetch --
 
     def _fetch(self, repo_id: str, commit_hash: str) -> VerificationOutcome:
-        """The first answer in source order, remembered in every cache; a
-        cache hit keeps its original status and costs no fetch, and
-        exhaustion maps to an Unverifiable outcome."""
-        for source in self.sources:
-            if source.kind == "LocalCache":
-                outcome = self._caches[source.endpoint].get(repo_id, commit_hash)
+        """The first answer in source order, remembered in every cache but the
+        one that gave it; a cache hit keeps its original status and costs no
+        fetch, and exhaustion maps to an Unverifiable outcome."""
+        for source, cache in self._order:
+            if cache is not None:
+                outcome = cache.get(repo_id, commit_hash)
             else:
                 outcome = self._fetch_from(source, repo_id, commit_hash)
             if outcome is not None:
                 break
         else:
-            outcome = VerificationOutcome(commit_hash, VerificationStatus.UNVERIFIABLE)
-        for cache in self._caches.values():
-            cache.put(repo_id, outcome)
+            cache, outcome = None, VerificationOutcome(commit_hash, _UNVERIFIABLE)
+        for other in self._caches.values():
+            if other is not cache:
+                other.put(repo_id, outcome)
         return outcome
 
     def _close_caches(self) -> None:
@@ -433,11 +482,11 @@ class ForgeClient:
 
         def check(anomaly: Anomaly):
             child = self._fetch(anomaly.repo_id, anomaly.commit_hash)
-            if child.status is VerificationStatus.UNVERIFIABLE:
+            if child.status is _UNVERIFIABLE:
                 return anomaly, child.status, False
             for parent_hash in child.parents:
                 parent = self._fetch(anomaly.repo_id, parent_hash)
-                if (parent.status is not VerificationStatus.UNVERIFIABLE
+                if (parent.status is not _UNVERIFIABLE
                         and parent.committer_date > child.committer_date):
                     return anomaly, child.status, True
             return anomaly, child.status, False
@@ -448,12 +497,11 @@ class ForgeClient:
             self._close_caches()
 
         results.sort(key=lambda row: (row[0].commit_hash, row[0].repo_id))
-        confirmed: list[Anomaly] = []
-        dropped: list[Anomaly] = []
-        accounting = {status.value: 0 for status in VerificationStatus}
-        for anomaly, status, ok in results:
-            accounting[status.value] += 1
-            (confirmed if ok else dropped).append(anomaly)
+        confirmed = [anomaly for anomaly, _, ok in results if ok]
+        dropped = [anomaly for anomaly, _, ok in results if not ok]
+        statuses = [status for _, status, _ in results]
+        # Counted by identity, so no candidate reads a status's value.
+        accounting = {value: statuses.count(status) for value, status in _STATUS_BY_VALUE.items()}
         return confirmed, dropped, accounting
 
 
@@ -471,7 +519,9 @@ def load_sources(source) -> list[MetadataSource]:
     ...]}``; other top-level keys are ignored. Commits are fetched one at
     a time, so no key sizes a pool. A FileStub endpoint that names no
     directory is refused, as each lookup through it would miss and be cached
-    as unverifiable; so is a local endpoint with a NUL, which names no file.
+    as unverifiable; so is a local endpoint with a NUL, or one that
+    ``os.fsencode`` cannot encode, such as one with a lone surrogate: neither
+    names a file. A ``\\udc80``-``\\udcff`` escape of an undecodable byte does.
     """
     data = decode_json(read_text(source))
     sources = []
@@ -481,8 +531,14 @@ def load_sources(source) -> list[MetadataSource]:
             raise ValueError(f"unknown source fields: {unknown}")
         kind, endpoint = item.get("kind", ""), item.get("endpoint", "")
         sources.append(MetadataSource(kind=kind, endpoint=endpoint, auth=item.get("auth")))
-        if kind in ("FileStub", "LocalCache") and "\0" in endpoint:
-            raise ValueError(f"source {kind!r}: endpoint {endpoint!r} holds a NUL")
+        if kind in ("FileStub", "LocalCache"):
+            if "\0" in endpoint:
+                raise ValueError(f"source {kind!r}: endpoint {endpoint!r} holds a NUL")
+            try:
+                os.fsencode(endpoint)
+            except UnicodeEncodeError:
+                raise ValueError(f"source {kind!r}: endpoint {endpoint!r} cannot be encoded "
+                                 "as a file name") from None
         if kind == "FileStub" and not os.path.isdir(endpoint):
             raise ValueError(f"source {kind!r}: endpoint {endpoint!r} is not a directory")
     if not sources:

@@ -855,7 +855,10 @@ def cached_sources(tmp_path, records, cache):
     ("FileStub", "file", "is not a directory"),
     ("FileStub", "stub\x00", "holds a NUL"),
     ("LocalCache", "cache.ndjson\x00", "holds a NUL"),
-], ids=["missing stub directory", "stub endpoint is a file", "NUL in stub", "NUL in cache"])
+    ("FileStub", "stub\ud800", "cannot be encoded as a file name"),
+    ("LocalCache", "c\ud800.ndjson", "cannot be encoded as a file name"),
+], ids=["missing stub directory", "stub endpoint is a file", "NUL in stub", "NUL in cache",
+        "lone surrogate in stub", "lone surrogate in cache"])
 def test_verify_refuses_a_local_endpoint_before_any_lookup(tmp_path, capsys, kind, endpoint,
                                                            reason):
     # Every lookup through such an endpoint would miss, and each miss would
@@ -878,6 +881,20 @@ def test_verify_refuses_a_local_endpoint_before_any_lookup(tmp_path, capsys, kin
     code, out, _ = run(capsys, "verify", report, "--sources", sources)
     assert code == 1
     assert [a["commit"] for a in json.loads(out)["confirmed"]] == [hex_hash(1)]
+
+
+def test_verify_takes_a_cache_endpoint_that_escapes_an_undecodable_byte(tmp_path, capsys):
+    # "\udcff" is how a file name with the byte 0xff reads as text, so it
+    # names a real file, as a lone "\ud800" cannot.
+    records = ooo_fixture()
+    report = scan_report_path(tmp_path, capsys, records)
+    cache = str(tmp_path / "cache\udcff.ndjson")
+    sources = cached_sources(tmp_path, records, cache)
+    for _ in range(2):  # a cold run writes the cache, and a warm one reads it back
+        code, out, _ = run(capsys, "verify", report, "--sources", sources)
+        assert code == 1
+        assert [a["commit"] for a in json.loads(out)["confirmed"]] == [hex_hash(1)]
+    assert b"cache\xff.ndjson" in os.listdir(os.fsencode(tmp_path))
 
 
 def test_verify_corrupt_cache_line_exits_two_with_one_line(tmp_path, capsys):

@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
@@ -827,6 +828,25 @@ def test_cold_batch_opens_each_cache_once_and_a_warm_one_never(tmp_path, monkeyp
     assert [cache.read_bytes() for cache in caches] == before
 
 
+def test_a_cache_hit_goes_to_every_other_cache_and_not_back_to_its_own(tmp_path, monkeypatch):
+    records = partition_records()
+    for rec in records:
+        write_stub(tmp_path / "stub", rec)
+    full, empty = tmp_path / "full.ndjson", tmp_path / "empty.ndjson"
+    candidates = linear_candidates(records)
+    cold = verify_anomalies(candidates, [MetadataSource(kind="LocalCache", endpoint=str(full)),
+                                         stub_source(tmp_path)])
+    puts = []
+    monkeypatch.setattr(CacheStore, "put", lambda store, repo_id, outcome: puts.append(
+        (store.path, repo_id, outcome.commit_hash)))
+    sources = [MetadataSource(kind="LocalCache", endpoint=str(full)),
+               MetadataSource(kind="LocalCache", endpoint=str(empty)), stub_source(tmp_path)]
+    assert verify_anomalies(candidates, sources) == cold
+    # Every lookup is a hit in the first cache, and is put into the second alone.
+    assert sorted(puts) == sorted((empty, repo_id, commit_hash)
+                                  for repo_id, commit_hash in cache_keys(full))
+
+
 def test_a_batch_that_fails_partway_leaves_only_complete_lines(tmp_path):
     records = partition_records()
     answers = {forge_url_for(rec): (200, json.dumps(doc_for(rec)), {}) for rec in records}
@@ -1105,6 +1125,7 @@ def test_an_empty_or_blank_document_is_unusable(body, where):
 
 ENTRY = {"repo": "r", "hash": hex_hash(1), "status": "confirmed_on_forge", "verified": True,
          "parents": [hex_hash(0)], "committer_date": 5}
+CACHE_LINE = json.dumps(ENTRY, sort_keys=True)  # as _cache_line writes ENTRY
 CACHE_CORES = [
     json.dumps(ENTRY), json.dumps({**ENTRY, "hash": hex_hash(2), "status": "unverifiable",
                                    "verified": None, "parents": None, "committer_date": None}),
@@ -1113,6 +1134,24 @@ CACHE_CORES = [
     json.dumps({**ENTRY, "committer_date": "9"}), json.dumps({**ENTRY, "parents": "ab"}),
     json.dumps({**ENTRY, "status": "lost"}), json.dumps({**ENTRY, "parents": None}),
     "", "{}", "[]", '"text"', "not json", "[" * 5000 + "]" * 5000,
+    # Lines in the exact shape _cache_line writes, which are read without
+    # the JSON decoder,
+    *(forge._cache_line(repo_id, VerificationOutcome(*fields))[:-1] for repo_id, fields in [
+        ("r", (hex_hash(1), VerificationStatus.CONFIRMED_ON_FORGE, True, (hex_hash(0),), 5)),
+        ("org/x", (hex_hash(3), VerificationStatus.CONFIRMED_ON_FORGE, False,
+                   (hex_hash(1), hex_hash(2)), -(10**18))),
+        ("r", ("r7@x y", VerificationStatus.CONFIRMED_ON_ARCHIVE, None, (), 0)),
+        ("r", (hex_hash(2), VerificationStatus.UNVERIFIABLE)),
+        ("", ("", VerificationStatus.UNVERIFIABLE, False, ("", " !#[]~"), EPOCH_MAX)),
+    ]),
+    # and near misses, which are not.
+    *(CACHE_LINE.replace('"committer_date": 5,', f'"committer_date": {date},')
+      for date in ["01", "-0", "-05", 10**18, 10**19, -(10**18), -(10**19), "5.0", "5e0"]),
+    CACHE_LINE.replace('"r"', r'"a\"b"'), CACHE_LINE.replace('"r"', r'"\u00e9"'),
+    CACHE_LINE.replace("confirmed_on_forge", "lost"),
+    CACHE_LINE.replace(f'["{hex_hash(0)}"]', "null"), CACHE_LINE.replace(": 5,", ": null,"),
+    CACHE_LINE.replace(f'["{hex_hash(0)}"]', "[]"), CACHE_LINE.replace(": true}", ": NULL}"),
+    CACHE_LINE.replace('"hash": ', '"hash":  '), CACHE_LINE.replace(": true}", ": true }"),
 ]
 CACHE_HEADS = ["", " ", "\t", "\r", "\ufeff", "\x0b", "\u3000"]
 CACHE_TAILS = ["", " ", "\r", " \t\r", "x", " 1", "}", ",", "\x0b", "\x85", "\u3000", "\ufeff"]
@@ -1127,9 +1166,11 @@ def cache_entries(path):
 
 
 def decode_json_cache_entries(path):
-    """The cache read with the reference decoder on every line: the oracle
-    for decode_json's scanner fast path."""
-    with mock.patch.object(forge, "decode_json", reference_decode_json):
+    """The cache read with the reference decoder on every line, none of
+    them matched in the shape ``_cache_line`` writes: the oracle for
+    decode_json's scanner fast path and for the cache's own."""
+    with mock.patch.object(forge, "decode_json", reference_decode_json), \
+            mock.patch.object(forge, "_match_cache_line", lambda line: None):
         return cache_entries(path)
 
 
@@ -1152,6 +1193,55 @@ def test_a_cache_is_read_as_decode_json_reads_it(scratch_dir, lines, torn):
 def test_blank_cache_lines_are_skipped_without_a_value_to_scan(tmp_path, data):
     assert assert_cache_read_as_decode_json_reads_it(tmp_path / "cache.ndjson", data) == (
         ("returned", ([], None)), [])
+
+
+@pytest.mark.parametrize("core", CACHE_CORES, ids=range(len(CACHE_CORES)))
+def test_each_cache_core_alone_on_a_line_is_read_as_decode_json_reads_it(tmp_path, core):
+    # The property above puts a head and a tail around most lines; here each
+    # core is a whole line, so every exact shape and near miss is met bare.
+    data = (core + "\n").encode("utf-8", "surrogatepass")
+    assert_cache_read_as_decode_json_reads_it(tmp_path / "cache.ndjson", data * 2)
+
+
+@pytest.mark.parametrize("verified", [True, False, None])
+def test_what_put_wrote_is_read_back_without_the_json_decoder(tmp_path, verified):
+    resolved = [VerificationStatus.CONFIRMED_ON_FORGE, VerificationStatus.CONFIRMED_ON_ARCHIVE]
+    written = {
+        (repo_id, outcome.commit_hash): outcome for repo_id, outcome in [
+            ("org/a", VerificationOutcome(hex_hash(1), resolved[0], verified, (hex_hash(0),), 5)),
+            ("org/a", VerificationOutcome(hex_hash(0), resolved[1], verified, (), -5)),
+            ("org/b", VerificationOutcome(hex_hash(3), resolved[0], verified,
+                                          (hex_hash(1), hex_hash(2)), EPOCH_MIN)),
+            ("org/b", VerificationOutcome("r12@svn/trunk", resolved[1], verified, (), EPOCH_MAX)),
+            ("org/b", VerificationOutcome(hex_hash(4), VerificationStatus.UNVERIFIABLE, verified)),
+        ]}
+    path = tmp_path / "cache.ndjson"
+    store = CacheStore(path)
+    for (repo_id, _), outcome in written.items():
+        store.put(repo_id, outcome)
+    store.close()
+    with mock.patch.object(forge, "decode_json", side_effect=AssertionError("decoded as JSON")):
+        assert CacheStore(path)._entries == written
+
+
+def test_a_cache_load_holds_its_entries_and_one_small_block(tmp_path):
+    # The file is read one line at a time: a load that held the file whole,
+    # here about 1 MB, or all of its matches at once, would peak far higher.
+    path = tmp_path / "cache.ndjson"
+    store = CacheStore(path)
+    for i in range(5000):
+        store.put("org/repo", VerificationOutcome(
+            hex_hash(i + 1), VerificationStatus.CONFIRMED_ON_FORGE, None, (hex_hash(i),), i))
+    store.close()
+    assert path.stat().st_size > 1_000_000
+    tracemalloc.start()
+    try:
+        loaded = CacheStore(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded._entries) == 5000
+    assert peak - kept < 256 * 1024, peak - kept
 
 
 def dumps_cache_line(repo_id, outcome):
