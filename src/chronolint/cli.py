@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache
 from importlib import import_module
 from itertools import chain, repeat, takewhile
 from json.encoder import encode_basestring_ascii
@@ -146,51 +146,40 @@ def anomaly_to_object(anomaly: Anomaly) -> dict:
     return obj
 
 
-_make_anomaly = partial(tuple.__new__, Anomaly)  # for fields already checked
-
-
-def anomaly_from_object(obj: dict, index: int) -> Anomaly:
-    """Rebuild entry ``index`` of a report's anomaly list, checking its types.
+def anomaly_from_object(obj, index: int) -> Anomaly:
+    """Rebuild entry ``index`` of a report's anomaly list, checking each
+    field once, in a fixed order, so that an unreadable entry is named with
+    its first fault.
 
     A value decoded from JSON has a JSON type exactly, so ``isinstance``
-    tells its type, save that a boolean is also an int. An entry that
-    passes these plain tests is built at once; any other goes through
-    :func:`_checked_anomaly`."""
+    tells its type, save that a boolean is also an int; ``typed`` is called
+    only on a value that fails, to name the fault."""
     try:
-        kind = _KIND_BY_VALUE[obj["kind"]]
-        commit, repo = obj["commit"], obj["repo"]
-        evidence, delta = obj.get("evidence", ""), obj.get("delta_seconds")
-        if ((delta is None if kind not in OUT_OF_ORDER_KINDS else
-             isinstance(delta, int) and delta is not True and 1 <= delta < 2**64)
-                and isinstance(repo, str) and isinstance(evidence, str)
-                and (_HEX_HASH.fullmatch(commit) or _SVN_HASH.fullmatch(commit))):
-            return _make_anomaly((kind, commit, repo, evidence, delta))
-    except (KeyError, TypeError):  # a missing key, or a value of another type
-        pass
-    return _checked_anomaly(obj, index)
-
-
-def _checked_anomaly(obj, index: int) -> Anomaly:
-    """Entry ``index`` checked field by field, in a fixed order, so that an
-    unreadable entry is named with its first fault."""
-    try:
-        delta = typed(typed(obj, dict, "the entry").get("delta_seconds"), (int, NoneType),
-                      "delta_seconds")
+        if not isinstance(obj, dict):
+            typed(obj, dict, "the entry")
+        delta = obj.get("delta_seconds")
         # Two int64 epochs differ by less than 2**64.
-        if delta is not None and not 1 <= delta < 2**64:
+        if delta is not None and not (isinstance(delta, int) and delta is not True
+                                      and 1 <= delta < 2**64):
+            typed(delta, (int, NoneType), "delta_seconds")
             raise ValueError("delta_seconds must be a positive integer below 2**64")
-        commit = typed(obj["commit"], str, "commit")
+        commit = obj["commit"]
         # A report writes ids as ingest accepts them; only such an id may reach a source.
-        if not (_HEX_HASH.fullmatch(commit) or _SVN_HASH.fullmatch(commit)):
+        if not (isinstance(commit, str)
+                and (_HEX_HASH.fullmatch(commit) or _SVN_HASH.fullmatch(commit))):
+            typed(commit, str, "commit")
             raise ValueError(f"commit {commit!r} is neither 40-char hex nor r<N>@<repo>")
-        kind = typed(obj["kind"], str, "kind")
-        return Anomaly(
-            kind=_KIND_BY_VALUE.get(kind) or AnomalyKind(kind),
-            commit_hash=commit,
-            repo_id=typed(obj["repo"], str, "repo"),
-            evidence=typed(obj.get("evidence", ""), str, "evidence"),
-            delta_seconds=delta,
-        )
+        kind = obj["kind"]
+        if not isinstance(kind, str):
+            typed(kind, str, "kind")
+        kind = _KIND_BY_VALUE.get(kind) or AnomalyKind(kind)
+        repo = obj["repo"]
+        if not isinstance(repo, str):
+            typed(repo, str, "repo")
+        evidence = obj.get("evidence", "")
+        if not isinstance(evidence, str):
+            typed(evidence, str, "evidence")
+        return Anomaly(kind, commit, repo, evidence, delta)
     except KeyError as exc:
         raise CommandError(f"unreadable anomaly entry {index}: missing {exc}") from exc
     except ValueError as exc:
@@ -339,29 +328,17 @@ def _load_scan_report(path: str) -> tuple[dict, list[Anomaly]]:
         typed(doc.get("summary"), dict, "summary")
     except ValueError as exc:
         raise CommandError(f"{path} is not a schema v{SCHEMA_VERSION} scan report: {exc}") from exc
-    if not _plain_commits(doc.get("commits", {})):
-        where = "unreadable commits section"
-        try:
-            for commit_hash, entry in typed(doc.get("commits", {}), dict, "commits").items():
+    where = "unreadable commits section"
+    try:
+        for commit_hash, entry in typed(doc.get("commits", {}), dict, "commits").items():
+            if not (isinstance(entry, dict) and isinstance(entry.get("committer", ""), str)
+                    and isinstance(entry.get("message", ""), str)):
                 where = f"unreadable commits entry {commit_hash!r}"
                 typed(typed(entry, dict, "the entry").get("committer", ""), str, "committer")
                 typed(entry.get("message", ""), str, "message")
-        except ValueError as exc:
-            raise CommandError(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        raise CommandError(f"{where}: {exc}") from exc
     return doc, [anomaly_from_object(obj, i) for i, obj in enumerate(doc["anomalies"])]
-
-
-def _plain_commits(commits) -> bool:
-    """Whether a decoded ``commits`` section is a dict of dicts whose
-    ``committer`` and ``message``, where present, are strings. The plain
-    type tests run over the whole section at once; when one fails, the
-    checked loop names the first bad entry."""
-    if not isinstance(commits, dict):
-        return False
-    entries = list(commits.values())
-    return all(map(isinstance, entries, repeat(dict))) and all(
-        all(map(isinstance, map(dict.get, entries, repeat(key), repeat("")), repeat(str)))
-        for key in ("committer", "message"))
 
 
 # ---- Input handling ----

@@ -1,11 +1,13 @@
 """Shared fixture builders for the test suite."""
 
 import json
+from types import NoneType
 
 import pytest
 from hypothesis import strategies as st
 
-from chronolint.model import CommitRecord
+from chronolint.cli import _KIND_BY_VALUE, CommandError
+from chronolint.model import _HEX_HASH, _SVN_HASH, Anomaly, AnomalyKind, CommitRecord, typed
 
 # Filled by the acceptance suite; echoed after the run, outside capture.
 ACCEPTANCE_VERDICTS: list[str] = []
@@ -79,6 +81,46 @@ def reference_decode_json(text):
         return json.loads(text)
     except RecursionError:
         raise ValueError("nested too deeply to decode") from None
+
+
+def reference_anomaly_from_object(obj, index: int) -> Anomaly:
+    """A report's anomaly entry checked field by field, as the report
+    reader checked it before its one pass: the oracle for that pass."""
+    try:
+        delta = typed(typed(obj, dict, "the entry").get("delta_seconds"), (int, NoneType),
+                      "delta_seconds")
+        # Two int64 epochs differ by less than 2**64.
+        if delta is not None and not 1 <= delta < 2**64:
+            raise ValueError("delta_seconds must be a positive integer below 2**64")
+        commit = typed(obj["commit"], str, "commit")
+        # A report writes ids as ingest accepts them; only such an id may reach a source.
+        if not (_HEX_HASH.fullmatch(commit) or _SVN_HASH.fullmatch(commit)):
+            raise ValueError(f"commit {commit!r} is neither 40-char hex nor r<N>@<repo>")
+        kind = typed(obj["kind"], str, "kind")
+        return Anomaly(
+            kind=_KIND_BY_VALUE.get(kind) or AnomalyKind(kind),
+            commit_hash=commit,
+            repo_id=typed(obj["repo"], str, "repo"),
+            evidence=typed(obj.get("evidence", ""), str, "evidence"),
+            delta_seconds=delta,
+        )
+    except KeyError as exc:
+        raise CommandError(f"unreadable anomaly entry {index}: missing {exc}") from exc
+    except ValueError as exc:
+        raise CommandError(f"unreadable anomaly entry {index}: {exc}") from exc
+
+
+def reference_commits_check(doc) -> None:
+    """A report's ``commits`` section checked entry by entry, as the report
+    reader checked it before its one pass: the oracle for that pass."""
+    where = "unreadable commits section"
+    try:
+        for commit_hash, entry in typed(doc.get("commits", {}), dict, "commits").items():
+            where = f"unreadable commits entry {commit_hash!r}"
+            typed(typed(entry, dict, "the entry").get("committer", ""), str, "committer")
+            typed(entry.get("message", ""), str, "message")
+    except ValueError as exc:
+        raise CommandError(f"{where}: {exc}") from exc
 
 
 def text_mode_read(path) -> str:

@@ -5,6 +5,7 @@ import copy
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import re
@@ -27,7 +28,8 @@ from chronolint.cli import main, write_ndjson
 from chronolint.detectors import DetectorConfig
 from chronolint.ingest import parse_commit_stream
 from chronolint.model import EPOCH_MAX, EPOCH_MIN, CommitRecord, parse_utc
-from conftest import hex_hash, make_record, record_to_object
+from conftest import (hex_hash, make_record, record_to_object, reference_anomaly_from_object,
+                      reference_commits_check, result_of)
 
 SNAPSHOT = "2019-10-31T00:00:00Z"
 
@@ -1823,6 +1825,106 @@ def test_any_one_replaced_value_exits_0_1_or_2_with_one_error_line(
         if command != "scan" and "no metadata source" not in lines[-1]:
             assert len(lines) == 1, lines
         assert lines[-1].startswith("chronolint: error: ")
+
+
+# ---- a report read in one checked pass, against the checks it replaced ----
+
+ENTRY_KEYS = ("kind", "commit", "repo", "evidence", "delta_seconds")
+# Values of every JSON type, at and past each range and id rule. A report's
+# entry or commit field takes each in turn; DROPPED removes the key.
+FIELD_VALUES = [None, True, False, 0, 1, -1, 2**64 - 1, 2**64, 5.0, "x", "Old",
+                "out_of_order_linear", [], {}, hex_hash(0xABC), hex_hash(0xABC).upper(),
+                "r1@x", "r1@ x", "\ud800"]
+DROPPED = object()
+ENTRY_FAULTS = [(key, value) for key in ENTRY_KEYS for value in (DROPPED, *FIELD_VALUES)]
+BASE_ENTRIES = [
+    {"kind": "out_of_order_parent", "commit": hex_hash(1), "repo": "org/a",
+     "evidence": "parent is 100s newer", "delta_seconds": 100},
+    {"kind": "old", "commit": hex_hash(2), "repo": "org/a", "evidence": "before 1980"},
+]
+
+
+def with_fields(obj, *fields):
+    obj = dict(obj)
+    for key, value in fields:
+        if value is DROPPED:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return obj
+
+
+def anomaly_entry_cases():
+    """Each base entry; with each fault; with each pair of faults on two
+    keys; and entries that are not objects."""
+    for base in BASE_ENTRIES:
+        yield base
+        for fault in ENTRY_FAULTS:
+            yield with_fields(base, fault)
+        for one, other in itertools.combinations(ENTRY_FAULTS, 2):
+            if one[0] != other[0]:
+                yield with_fields(base, one, other)
+    yield from (None, 1, "x", [])
+
+
+def read_entry(reader, obj):
+    """The entry ``reader`` rebuilds, as its repr, or its error."""
+    outcome = result_of(reader, obj, 3)
+    return ("returned", repr(outcome[1])) if outcome[0] == "returned" else outcome
+
+
+def test_an_anomaly_entry_is_read_as_the_checked_reference_reads_it():
+    cases = list(anomaly_entry_cases())
+    assert len(cases) == 2 * (1 + 100 + 10 * 20 * 20) + 4
+    outcomes = [read_entry(cli.anomaly_from_object, obj) for obj in cases]
+    assert [(obj, got) for obj, got in zip(cases, outcomes)
+            if got != read_entry(reference_anomaly_from_object, obj)] == []
+    assert {kind for kind, _ in outcomes} == {"returned", "CommandError"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(ENTRY_KEYS) | st.text(max_size=3),
+                       st.sampled_from(FIELD_VALUES) | JSON_VALUES, max_size=6))
+@example({"kind": "out_of_order_linear", "commit": "r7@svn/x", "repo": "", "delta_seconds": 1})
+@example({"kind": "future", "commit": hex_hash(3), "repo": "", "delta_seconds": False})
+def test_any_anomaly_entry_is_read_as_the_checked_reference_reads_it(obj):
+    assert read_entry(cli.anomaly_from_object, obj) == read_entry(
+        reference_anomaly_from_object, obj)
+
+
+def commits_section_cases():
+    """Sections that are not objects, and sections that hold an entry of
+    each shape under a key of each kind, alone or after a good entry and
+    before a bad one."""
+    yield DROPPED
+    yield from (value for value in FIELD_VALUES if not isinstance(value, dict))
+    entries = [None, 1, "x", [], True, {}, {"committer": "a", "message": "m"},
+               *({"committer": value} for value in FIELD_VALUES),
+               *({"message": value} for value in FIELD_VALUES),
+               *({"committer": one, "message": other}
+                 for one, other in itertools.product(FIELD_VALUES, repeat=2))]
+    for key in (hex_hash(1), "", "a\nb", "a\x1eb", "\ud800"):
+        for entry in entries:
+            yield {key: entry}
+            yield {hex_hash(7): {"committer": "c"}, key: entry, hex_hash(8): {"message": 1}}
+
+
+def test_a_commits_section_is_checked_as_the_checked_reference_checks_it(tmp_path):
+    path = tmp_path / "report.json"
+    differ, outcomes = [], set()
+    for section in commits_section_cases():
+        doc = {"schema_version": cli.SCHEMA_VERSION, "anomalies": [], "summary": {}}
+        if section is not DROPPED:
+            doc["commits"] = section
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got = result_of(cli._load_scan_report, str(path))
+        want = result_of(reference_commits_check, json.loads(path.read_text(encoding="utf-8")))
+        got, want = ((None if kind == "returned" else (kind, text)) for kind, text in (got, want))
+        outcomes.add(got and got[0])
+        if got != want:
+            differ.append((section, got, want))
+    assert differ == []
+    assert outcomes == {None, "CommandError"}
 
 
 # ---- any bytes of an input document ----
